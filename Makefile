@@ -6,18 +6,20 @@
 # chaos smoke (faulty links + a shard crash-restarted from its cache
 # snapshot mid-burst), and the fleet-telemetry smoke (traced burst
 # through the router; every sampled trace must stitch across processes
-# and the latency aggregation must be self-consistent); `make bench`
-# regenerates the machine-readable service perf record
-# (results/BENCH_service.json), `make bench-core` the optimizer one
+# and the latency aggregation must be self-consistent). The three
+# cluster smokes share one harness, cmd/rolag-loadgen. `make bench-core`
+# regenerates the machine-readable optimizer perf record
 # (results/BENCH_core.json), `make bench-cluster` the cluster one
 # (results/BENCH_cluster.json), `make bench-chaos` the survivability
 # one (results/BENCH_chaos.json), and `make bench-fleet` the
-# fleet-telemetry one (results/BENCH_fleet.json).
+# fleet-telemetry one (results/BENCH_fleet.json). The repository
+# benchmark, which times the production cold path layer by layer, is
+# `bash benchmark/run.sh` (see benchmark/README.md).
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test race fuzz-smoke chaos-smoke bench-smoke explain-smoke asm-smoke calib-check cluster-smoke chaos-cluster-smoke fleet-smoke ci calib bench bench-core bench-cluster bench-chaos bench-fleet serve clean
+.PHONY: all build vet test race fuzz-smoke chaos-smoke bench-smoke explain-smoke asm-smoke calib-check cluster-smoke chaos-cluster-smoke fleet-smoke ci calib bench-core bench-cluster bench-chaos bench-fleet serve clean
 
 all: build
 
@@ -140,9 +142,6 @@ fleet-smoke:
 		-out $(or $(TMPDIR),/tmp)/rolag-fleet-smoke.json
 
 ci: vet build race fuzz-smoke chaos-smoke bench-smoke explain-smoke asm-smoke calib-check cluster-smoke chaos-cluster-smoke fleet-smoke
-
-bench:
-	$(GO) run ./cmd/experiments -run bench
 
 # Full core-optimizer benchmark; regenerates the committed baseline.
 bench-core:

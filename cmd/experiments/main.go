@@ -3,15 +3,13 @@
 //
 // Usage:
 //
-//	experiments [-out results] [-run all|angha|tsvc|table1|perf|bench|calib] [-n 2000] [-serial]
+//	experiments [-out results] [-run all|angha|tsvc|table1|perf|calib] [-n 2000] [-serial]
 //
 // The experiment ids map to the paper as follows: "angha" produces
 // Fig. 15, Fig. 16 and a rejected-by-reason table built from the
 // optimizer's remarks, "table1" produces Table I, "tsvc" produces
 // Fig. 17, Fig. 18 and Fig. 19, and "perf" produces the §V.D overhead
-// summary. "bench" times the serial reference driver against the
-// concurrent service engine (cold and warm cache) and writes the
-// machine-readable BENCH_service.json perf record.
+// summary.
 //
 // The corpus experiments run through the shared concurrent engine
 // (internal/service) by default; -serial restores the one-at-a-time
@@ -40,10 +38,9 @@ import (
 
 func main() {
 	out := flag.String("out", "results", "directory for CSV output (empty = none)")
-	run := flag.String("run", "all", "comma-separated experiments: angha,tsvc,table1,perf,bench,calib or all")
+	run := flag.String("run", "all", "comma-separated experiments: angha,tsvc,table1,perf,calib or all")
 	n := flag.Int("n", 2000, "AnghaBench corpus size")
 	seed := flag.Int64("seed", 0, "AnghaBench corpus seed (0 = default)")
-	benchN := flag.Int("benchn", 600, "corpus size for the service benchmark")
 	workers := flag.Int("workers", 0, "engine worker-pool size (0 = GOMAXPROCS)")
 	serial := flag.Bool("serial", false, "use the serial reference driver instead of the engine")
 	daemon := flag.String("daemon", "", "base URL of a running rolagd; the angha corpus compiles remotely through it")
@@ -139,19 +136,6 @@ func main() {
 				fail("calib gate", err)
 			}
 			fmt.Println("calibration gate passed")
-		}
-	}
-	if all || want["bench"] {
-		fmt.Println("running service-mode benchmark (serial vs engine, cold and warm cache)...")
-		b, err := experiments.RunServiceBench(experiments.ServiceBenchConfig{N: *benchN, Seed: *seed, Workers: *workers})
-		if err != nil {
-			fail("bench", err)
-		}
-		if err := rep.ServiceBench(b); err != nil {
-			fail("bench report", err)
-		}
-		if !b.Identical {
-			fail("bench", fmt.Errorf("parallel driver diverged from the serial reference"))
 		}
 	}
 	if *out != "" {

@@ -1,28 +1,15 @@
 package main
 
-// Cluster-level chaos harness (-chaos): the same local cluster and
-// zipfian traffic as the benchmark, but with the network misbehaving
-// and one shard murdered mid-load.
+// Cluster-level chaos mode (-chaos): the same local cluster and
+// zipfian traffic as the benchmark, but every router→shard link runs
+// through armed network fault injection and the shard owning the
+// hottest key is crashed un-drained mid-load, then restarted from its
+// last periodic snapshot. Three gates decide the exit code:
 //
-// Faults come from two directions at once:
-//
-//   - every router→shard link runs through a faultpoint.Transport armed
-//     with -chaos-net-prob of stalls, refusals, and blackholes
-//     (EnableSites("net:", ...) — engine and cache fault sites stay
-//     dark, so any wrong byte is the cluster's fault, not the
-//     compiler's);
-//   - the shard owning the hottest key is crashed un-drained (no
-//     goodbye snapshot) at -chaos-kill-frac of the run and restarted on
-//     the same port after -chaos-restart-delay, warm-starting from its
-//     last periodic snapshot.
-//
-// The router runs with fast health probes and hedging enabled — the
-// survivability machinery this harness exists to exercise. Three gates
-// decide the exit code:
-//
-//   - parity: every successful response (degraded or not — network
-//     failover must never change bytes) matches the serial reference;
-//   - availability: completed/issued ≥ -min-availability despite the
+//   - parity: every successful response not degraded by the engine
+//     matches the serial reference (network failover must never change
+//     bytes);
+//   - availability: completed/issued ≥ minAvailability despite the
 //     crash and the faulty links;
 //   - warm restart: the restarted victim loaded snapshot entries and
 //     served snapshot-warm hits afterward.
@@ -32,25 +19,18 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"log/slog"
-	"math/rand"
 	"net"
 	"net/http"
 	"os"
-	"path/filepath"
-	"sort"
-	"sync"
-	"sync/atomic"
+	"slices"
 	"time"
 
 	"rolag/internal/cluster"
-	"rolag/internal/daemon"
 	"rolag/internal/faultpoint"
 	"rolag/internal/rolagdapi"
 	"rolag/internal/service"
-	"rolag/internal/workloads/angha"
 )
 
 // ChaosSchema identifies the BENCH_chaos.json layout.
@@ -60,26 +40,16 @@ const ChaosSchema = "rolag/cluster-chaos/v1"
 type ChaosResult struct {
 	Schema string `json:"schema"`
 	Config struct {
-		Shards           int     `json:"shards"`
-		Workers          int     `json:"workers"`
-		CorpusN          int     `json:"corpus_n"`
-		Seed             int64   `json:"seed"`
-		Requests         int     `json:"requests"`
-		Rate             float64 `json:"rate_per_sec"`
-		ZipfS            float64 `json:"zipf_s"`
+		runConfig
 		NetFaultProb     float64 `json:"net_fault_prob"`
 		KillFrac         float64 `json:"kill_frac"`
 		RestartDelayMs   float64 `json:"restart_delay_ms"`
 		SnapshotInterval string  `json:"snapshot_interval"`
 		MinAvailability  float64 `json:"min_availability"`
 	} `json:"config"`
-	WallSeconds  float64 `json:"wall_seconds"`
+	tally
 	Issued       int64   `json:"issued"`
-	Completed    int64   `json:"completed"`
-	Errors       int64   `json:"errors"`
 	Availability float64 `json:"availability"`
-	Degraded     int64   `json:"degraded"`
-	Failovers    int64   `json:"failovers"`
 	Latency      struct {
 		P50Ms float64 `json:"p50_ms"`
 		P99Ms float64 `json:"p99_ms"`
@@ -100,167 +70,43 @@ type ChaosResult struct {
 	ShardStates map[string]string    `json:"shard_states"`
 	Cluster     rolagdapi.CacheStats `json:"cluster"`
 	HitRate     float64              `json:"hit_rate"`
-	Parity      struct {
-		Checked    int64 `json:"checked"`
-		Mismatched int64 `json:"mismatched"`
-	} `json:"parity"`
-	Gates struct {
+	Gates       struct {
 		Parity       bool `json:"parity"`
 		Availability bool `json:"availability"`
 		WarmRestart  bool `json:"warm_restart"`
 	} `json:"gates"`
 }
 
-// chaosConfig carries the -chaos* flags into runChaos.
-type chaosConfig struct {
-	shards, workers, n, requests int
-	seed                         int64
-	rate, zipfS                  float64
-	netProb, killFrac            float64
-	restartDelay, snapInterval   time.Duration
-	minAvailability              float64
-	timeout                      time.Duration
-	out                          string
-}
-
-// chaosShard is one restartable rolagd replica: crash() kills it like a
-// dead process (listener dropped, no drain, no goodbye snapshot) and
-// start() brings it back on the same port with the same snapshot path.
-type chaosShard struct {
-	name     string
-	addr     string // fixed after the first listen
-	snapPath string
-	cfg      *chaosConfig
-	peers    map[string]string
-	logger   *slog.Logger
-
-	mu  sync.Mutex
-	d   *daemon.Daemon
-	srv *http.Server
-}
-
-// start builds a fresh daemon and serves it. ln is the pre-bound
-// listener on first start (membership URLs must exist before any daemon
-// is built); nil relistens on the shard's recorded address.
-func (s *chaosShard) start(ln net.Listener) error {
-	if ln == nil {
-		var err error
-		ln, err = net.Listen("tcp", s.addr)
-		if err != nil {
-			return fmt.Errorf("restart %s on %s: %w", s.name, s.addr, err)
-		}
-	}
-	s.addr = ln.Addr().String()
-	d := daemon.New(daemon.Config{
-		Engine:           service.Config{Workers: s.cfg.workers},
-		RequestCap:       s.cfg.timeout,
-		Log:              s.logger,
-		ShardID:          s.name,
-		Peers:            s.peers,
-		SnapshotPath:     s.snapPath,
-		SnapshotInterval: s.cfg.snapInterval,
-	})
-	srv := &http.Server{Handler: d.Handler()}
-	s.mu.Lock()
-	s.d, s.srv = d, srv
-	s.mu.Unlock()
-	go srv.Serve(ln)
-	return nil
-}
-
-// crash drops the listener (in-flight connections die) and abandons the
-// daemon without draining — the periodic snapshot on disk is now the
-// only memory this shard has.
-func (s *chaosShard) crash() {
-	s.mu.Lock()
-	d, srv := s.d, s.srv
-	s.mu.Unlock()
-	srv.Close()
-	d.Crash()
-}
-
-// daemon returns the currently-serving daemon (the restarted one after
-// a crash-restart cycle).
-func (s *chaosShard) daemon() *daemon.Daemon {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.d
-}
-
-func runChaos(cfg chaosConfig) {
-	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelError}))
-
-	res := &ChaosResult{Schema: ChaosSchema}
-	res.Config.Shards = cfg.shards
-	res.Config.Workers = cfg.workers
-	res.Config.CorpusN = cfg.n
-	res.Config.Seed = cfg.seed
-	res.Config.Requests = cfg.requests
-	res.Config.Rate = cfg.rate
-	res.Config.ZipfS = cfg.zipfS
-	res.Config.NetFaultProb = cfg.netProb
-	res.Config.KillFrac = cfg.killFrac
-	res.Config.RestartDelayMs = float64(cfg.restartDelay) / float64(time.Millisecond)
-	res.Config.SnapshotInterval = cfg.snapInterval.String()
-	res.Config.MinAvailability = cfg.minAvailability
-
-	corpus := angha.Generate(cfg.n, cfg.seed)
-	refIR := serialReference(corpus, cfg.workers, logger)
-
+func runChaos(cfg config) error {
 	snapDir, err := os.MkdirTemp("", "rolag-chaos-*")
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer os.RemoveAll(snapDir)
-
-	// Restartable shards: bind every port first so the membership map
-	// exists before any daemon starts.
-	lns := make([]net.Listener, cfg.shards)
-	peers := make(map[string]string, cfg.shards)
-	shards := make([]*chaosShard, cfg.shards)
-	for i := range shards {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			fatal(err)
-		}
-		lns[i] = ln
-		name := fmt.Sprintf("shard-%c", 'a'+i)
-		shards[i] = &chaosShard{
-			name:     name,
-			addr:     ln.Addr().String(),
-			snapPath: filepath.Join(snapDir, name+".snapshot"),
-			cfg:      &cfg,
-			logger:   logger,
-		}
-		peers[name] = "http://" + ln.Addr().String()
+	h, err := newHarness(cfg, slog.LevelError, snapDir, 0)
+	if err != nil {
+		return err
 	}
-	byName := make(map[string]*chaosShard, cfg.shards)
-	hostSite := make(map[string]string, cfg.shards)
-	for i, s := range shards {
-		s.peers = peers
-		byName[s.name] = s
-		hostSite[s.addr] = faultpoint.NetSite(s.name)
-		if err := s.start(lns[i]); err != nil {
-			fatal(err)
-		}
-	}
+	defer h.close()
 
 	// Arm the network. Only "net:" sites fire — the engine's own fault
 	// sites stay dark, so a wrong byte can only come from the cluster.
 	faultpoint.EnableSites(faultpoint.NetSitePrefix, faultpoint.Options{
-		Seed:  cfg.seed,
-		Prob:  cfg.netProb,
+		Seed:  seed,
+		Prob:  chaosNetProb,
 		Kinds: []faultpoint.Kind{faultpoint.KindStall, faultpoint.KindError, faultpoint.KindDrop},
 		Stall: 40 * time.Millisecond,
 	})
 	defer faultpoint.Reset()
+	hostSite := make(map[string]string, len(h.shards))
+	for _, s := range h.shards {
+		hostSite[s.addr] = faultpoint.NetSite(s.cfg.ShardID)
+	}
 
 	// The router crosses the same faulty links as real traffic, probes
 	// fast enough to notice the crash within a few hundred ms, and
 	// hedges around stalls and blackholes.
-	rt, err := cluster.New(cluster.Config{
-		Shards: peers,
-		Log:    logger,
+	if err := h.startRouter(cluster.Config{
 		HTTPClient: &http.Client{
 			Timeout: cfg.timeout,
 			Transport: &faultpoint.Transport{SiteFor: func(req *http.Request) string {
@@ -271,129 +117,62 @@ func runChaos(cfg chaosConfig) {
 		ProbeTimeout:  300 * time.Millisecond,
 		DownAfter:     2,
 		Hedge:         true,
-	})
-	if err != nil {
-		fatal(err)
+	}); err != nil {
+		return err
 	}
-	defer rt.Close()
-	rln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		fatal(err)
-	}
-	go (&http.Server{Handler: rt.Handler()}).Serve(rln)
-	client := &rolagdapi.Client{BaseURL: "http://" + rln.Addr().String()}
+
+	res := &ChaosResult{Schema: ChaosSchema}
+	res.Config.runConfig = cfg.record()
+	res.Config.NetFaultProb = chaosNetProb
+	res.Config.KillFrac = chaosKillFrac
+	res.Config.RestartDelayMs = float64(chaosRestartDelay) / float64(time.Millisecond)
+	res.Config.SnapshotInterval = chaosSnapshotInterval.String()
+	res.Config.MinAvailability = minAvailability
 
 	// The victim is the shard owning the hottest zipf key (index 0): the
 	// crash hits the busiest slice of the keyspace, and the hot key's
 	// presence in the victim's snapshot makes warm hits observable fast.
-	victim := byName[rt.Owner(keyFor(&corpus[0]))]
-	res.Victim.Shard = victim.name
-	killAt := int(cfg.killFrac * float64(cfg.requests))
-	if killAt < 1 {
-		killAt = 1
+	sreq, err := (&rolagdapi.CompileRequest{Source: h.corpus[0].Src}).ToService()
+	if err != nil {
+		return err
 	}
-	res.Victim.KilledAtRequest = killAt
+	owner := h.rt.Owner(service.Key(&sreq))
+	victim := h.shards[slices.IndexFunc(h.shards, func(s *shard) bool { return s.cfg.ShardID == owner })]
+	res.Victim.Shard = owner
 
-	zrng := rand.New(rand.NewSource(cfg.seed + 1))
-	zipf := rand.NewZipf(zrng, cfg.zipfS, 1, uint64(cfg.n-1))
-	arng := rand.New(rand.NewSource(cfg.seed + 2))
-
-	var (
-		mu        sync.Mutex
-		latencies []float64
-		wg        sync.WaitGroup
-
-		completed, errs, degraded atomic.Int64
-		failovers, checked        atomic.Int64
-		mismatched, downMs        atomic.Int64
-	)
-	start := time.Now()
-	for i := 0; i < cfg.requests; i++ {
-		time.Sleep(time.Duration(arng.ExpFloat64() / cfg.rate * float64(time.Second)))
-		if i == killAt {
-			// Make sure the victim has at least one periodic snapshot on
-			// disk (its only memory), then kill it un-drained and schedule
-			// the restart while traffic keeps flowing.
-			waitForSnapshot(victim, 5*time.Second)
-			killed := time.Now()
-			victim.crash()
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				time.Sleep(cfg.restartDelay)
-				if err := victim.start(nil); err != nil {
-					fatal(err)
-				}
-				downMs.Store(int64(time.Since(killed) / time.Millisecond))
-			}()
-		}
-		idx := int(zipf.Uint64())
-		wg.Add(1)
-		go func(idx int) {
-			defer wg.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), cfg.timeout)
-			defer cancel()
-			t0 := time.Now()
-			resp, err := client.Compile(ctx, &rolagdapi.CompileRequest{Source: corpus[idx].Src})
-			lat := time.Since(t0).Seconds() * 1000
-			if err != nil {
-				errs.Add(1)
-				return
-			}
-			completed.Add(1)
-			mu.Lock()
-			latencies = append(latencies, lat)
-			mu.Unlock()
-			if resp.Degraded {
-				degraded.Add(1)
-				for _, p := range resp.DegradedPasses {
-					if p == cluster.FailoverPass {
-						failovers.Add(1)
-						break
-					}
-				}
-			}
-			// Unlike the benchmark, chaos checks parity on failed-over
-			// responses too: network failover must never change bytes.
-			// Only engine-level degradation (a skipped pass under a real
-			// pass fault) legitimately alters output, and no engine
-			// faults are armed here — so everything is checked unless
-			// degraded by something other than router failover.
-			if engineDegraded(resp) {
-				return
-			}
-			checked.Add(1)
-			if resp.IR != refIR[idx] {
-				mismatched.Add(1)
-				fmt.Fprintf(os.Stderr, "rolag-loadgen: PARITY VIOLATION on corpus[%d]\n", idx)
-			}
-		}(idx)
+	// The kill runs on its own clock, at the kill request's arrival
+	// offset, so neither it nor the restart delays the schedule. The
+	// victim comes back after chaosRestartDelay even when the schedule
+	// ends first, so its counters are always read from the restarted
+	// daemon.
+	picks := schedule(cfg.n, cfg.requests, cfg.rate, 0)
+	res.Victim.KilledAtRequest = min(len(picks)-1, max(1, int(chaosKillFrac*float64(cfg.requests))))
+	restarted := make(chan error, 1)
+	time.AfterFunc(picks[res.Victim.KilledAtRequest].at, func() {
+		down, err := crashRestart(victim)
+		res.Victim.DownMs = float64(down / time.Millisecond)
+		restarted <- err
+	})
+	t := h.drive(picks)
+	if err := <-restarted; err != nil {
+		return err
 	}
-	wg.Wait()
-	res.WallSeconds = time.Since(start).Seconds()
+	res.tally = *t
 	res.Issued = int64(cfg.requests)
-	res.Completed = completed.Load()
-	res.Errors = errs.Load()
 	res.Availability = float64(res.Completed) / float64(res.Issued)
-	res.Degraded = degraded.Load()
-	res.Failovers = failovers.Load()
-	res.Parity.Checked = checked.Load()
-	res.Parity.Mismatched = mismatched.Load()
-	res.Victim.DownMs = float64(downMs.Load())
-	sort.Float64s(latencies)
-	res.Latency.P50Ms = pct(latencies, 50)
-	res.Latency.P99Ms = pct(latencies, 99)
-	res.Latency.MaxMs = pct(latencies, 100)
-	res.Hedge.PrimaryWins, res.Hedge.HedgeWins, res.Hedge.BothFailed = rt.HedgeTotals()
+	res.Latency.P50Ms = pct(t.lat, 50)
+	res.Latency.P99Ms = pct(t.lat, 99)
+	res.Latency.MaxMs = pct(t.lat, 100)
+	res.Hedge.PrimaryWins, res.Hedge.HedgeWins, res.Hedge.BothFailed = h.rt.HedgeTotals()
 	res.ShardStates = make(map[string]string)
-	for name, st := range rt.ShardStates() {
+	for name, st := range h.rt.ShardStates() {
 		res.ShardStates[name] = st.String()
 	}
 
 	// The restarted victim's own counters prove the warm restart: it
 	// loaded entries from its pre-crash snapshot and served hits out of
 	// them.
-	vm := victim.daemon().Engine().Metrics()
+	vm := victim.d.Engine().Metrics()
 	res.Victim.SnapshotEntries = vm.SnapshotEntries
 	res.Victim.SnapshotWarmHits = vm.SnapshotWarmHits
 
@@ -401,102 +180,46 @@ func runChaos(cfg chaosConfig) {
 	// a shard from one aggregation attempt; stats are informational).
 	faultpoint.Reset()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	if cs, err := client.CacheStats(ctx); err == nil {
+	if cs, err := h.router.CacheStats(ctx); err == nil {
 		res.Cluster = *cs
 		res.HitRate = cs.HitRate()
 	}
 	cancel()
 
 	res.Gates.Parity = res.Parity.Mismatched == 0 && res.Parity.Checked > 0
-	res.Gates.Availability = res.Availability >= cfg.minAvailability
+	res.Gates.Availability = res.Availability >= minAvailability
 	res.Gates.WarmRestart = res.Victim.SnapshotEntries > 0 && res.Victim.SnapshotWarmHits > 0
-
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	data = append(data, '\n')
-	if cfg.out == "" {
-		os.Stdout.Write(data)
-	} else {
-		if dir := filepath.Dir(cfg.out); dir != "." {
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				fatal(err)
-			}
-		}
-		if err := os.WriteFile(cfg.out, data, 0o644); err != nil {
-			fatal(err)
-		}
+	if err := writeRecord(cfg.out, res); err != nil {
+		return err
 	}
 
-	fmt.Fprintf(os.Stderr, "rolag-loadgen -chaos: %d/%d ok (availability %.4f), parity %d/%d, "+
-		"%d degraded (%d failovers), hedge p/h/f %d/%d/%d, victim %s down %.0fms "+
-		"(snapshot entries %d, warm hits %d)\n",
-		res.Completed, res.Issued, res.Availability,
-		res.Parity.Checked-res.Parity.Mismatched, res.Parity.Checked,
-		res.Degraded, res.Failovers,
-		res.Hedge.PrimaryWins, res.Hedge.HedgeWins, res.Hedge.BothFailed,
-		res.Victim.Shard, res.Victim.DownMs,
+	var f failures
+	f.check(res.Gates.Parity, "GATE parity failed: %d mismatched of %d checked",
+		res.Parity.Mismatched, res.Parity.Checked)
+	f.check(res.Gates.Availability, "GATE availability failed: %.4f < %.4f",
+		res.Availability, minAvailability)
+	f.check(res.Gates.WarmRestart, "GATE warm-restart failed: victim loaded %d entries, served %d warm hits",
 		res.Victim.SnapshotEntries, res.Victim.SnapshotWarmHits)
-
-	failed := false
-	if !res.Gates.Parity {
-		fmt.Fprintf(os.Stderr, "rolag-loadgen: GATE parity failed: %d mismatched of %d checked\n",
-			res.Parity.Mismatched, res.Parity.Checked)
-		failed = true
-	}
-	if !res.Gates.Availability {
-		fmt.Fprintf(os.Stderr, "rolag-loadgen: GATE availability failed: %.4f < %.4f\n",
-			res.Availability, cfg.minAvailability)
-		failed = true
-	}
-	if !res.Gates.WarmRestart {
-		fmt.Fprintf(os.Stderr, "rolag-loadgen: GATE warm-restart failed: victim loaded %d entries, served %d warm hits\n",
-			res.Victim.SnapshotEntries, res.Victim.SnapshotWarmHits)
-		failed = true
-	}
-	if failed {
-		os.Exit(1)
-	}
+	return f.err()
 }
 
-// keyFor computes a corpus function's routing key the way the router
-// does.
-func keyFor(fn *angha.Function) string {
-	sreq, err := (&rolagdapi.CompileRequest{Source: fn.Src}).ToService()
+// crashRestart kills s like a dead process, keeps it down for
+// chaosRestartDelay, and restarts it on its old port from its snapshot.
+// The crash must not outrun the victim's only memory, so a snapshot is
+// forced first if the periodic one has not been written yet.
+func crashRestart(s *shard) (time.Duration, error) {
+	if s.d.Engine().Metrics().SnapshotSaves == 0 {
+		if _, err := s.d.SaveSnapshotNow(); err != nil {
+			return 0, fmt.Errorf("forcing victim snapshot: %w", err)
+		}
+	}
+	killed := time.Now()
+	s.crash()
+	time.Sleep(chaosRestartDelay)
+	ln, err := net.Listen("tcp", s.addr)
 	if err != nil {
-		fatal(err)
+		return 0, fmt.Errorf("restart %s: %w", s.cfg.ShardID, err)
 	}
-	return service.Key(&sreq)
-}
-
-// engineDegraded reports whether a response is degraded by anything
-// other than router failover — the only degradation that may change
-// bytes and is therefore parity-exempt.
-func engineDegraded(resp *rolagdapi.CompileResponse) bool {
-	if !resp.Degraded {
-		return false
-	}
-	for _, p := range resp.DegradedPasses {
-		if p != cluster.FailoverPass {
-			return true
-		}
-	}
-	return false
-}
-
-// waitForSnapshot blocks until the shard has written at least one
-// periodic snapshot, forcing one if the ticker hasn't fired in time —
-// the crash must not be allowed to outrun the victim's only memory.
-func waitForSnapshot(s *chaosShard, within time.Duration) {
-	deadline := time.Now().Add(within)
-	for time.Now().Before(deadline) {
-		if s.daemon().Engine().Metrics().SnapshotSaves > 0 {
-			return
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if _, err := s.daemon().SaveSnapshotNow(); err != nil {
-		fatal(fmt.Errorf("forcing victim snapshot: %w", err))
-	}
+	s.start(ln)
+	return time.Since(killed), nil
 }

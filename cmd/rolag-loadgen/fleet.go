@@ -1,80 +1,43 @@
 package main
 
-// The fleet-telemetry benchmark (-fleet): boot the same local cluster
-// the main benchmark uses — but with tracing on and one span ring per
-// process, exactly like separate OS processes — drive a traced burst
-// through the router, and gate two fleet-plane SLOs:
+// The fleet-telemetry mode (-fleet): the same local cluster with
+// tracing on and one span ring per process, a traced burst through the
+// router, and two fleet-plane SLO gates:
 //
-//   - Trace completeness: for a sample of requests, the router's
-//     GET /debug/trace/{id} must return a fully-stitched Chrome trace
-//     with a router track AND at least one shard track. The gate is
-//     -min-trace-complete (default 0.99).
+//   - Trace completeness: at least minTraceComplete of the sampled
+//     requests' GET /debug/trace/{id} must return a stitched Chrome
+//     trace with a router track AND at least one shard track.
 //   - Histogram consistency: the router-observed /v1/compile p99 must
 //     agree with the fleet-merged shard-reported p99 within
-//     -fleet-p99-ratio plus a -fleet-p99-floor absolute allowance.
-//     The router measures hop time on top of shard service time, so
-//     the two can differ — but a wide gap means the aggregation or the
-//     scrape plumbing is lying, which is exactly what this catches.
+//     fleetP99Ratio plus fleetP99FloorMs. The router measures hop time
+//     on top of shard service time, so the two can differ — but a wide
+//     gap means the aggregation or the scrape plumbing is lying.
 //
 // The result is written as rolag/fleet-bench/v1 JSON; the committed
 // copy lives at results/BENCH_fleet.json.
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
 	"io"
 	"log/slog"
-	"math/rand"
-	"net"
 	"net/http"
-	"os"
-	"path/filepath"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"rolag/internal/cluster"
-	"rolag/internal/daemon"
 	"rolag/internal/obs"
 	"rolag/internal/obs/fleet"
-	"rolag/internal/rolagdapi"
-	"rolag/internal/service"
-	"rolag/internal/workloads/angha"
 )
 
 // FleetSchema identifies the BENCH_fleet.json layout.
 const FleetSchema = "rolag/fleet-bench/v1"
 
-type fleetConfig struct {
-	shards, workers, n int
-	seed               int64
-	requests           int
-	rate               float64
-	zipfS              float64
-	timeout            time.Duration
-	out                string
-
-	sample      int     // stitched-trace checks after the burst
-	minComplete float64 // trace-completeness gate
-	p99Ratio    float64 // histogram-consistency ratio allowance
-	p99FloorMs  float64 // histogram-consistency absolute allowance
-	traceBuf    int     // per-process span ring capacity
-}
-
 // FleetResult is the machine-readable fleet-telemetry record.
 type FleetResult struct {
 	Schema string `json:"schema"`
 	Config struct {
-		Shards   int     `json:"shards"`
-		Workers  int     `json:"workers"`
-		CorpusN  int     `json:"corpus_n"`
-		Seed     int64   `json:"seed"`
-		Requests int     `json:"requests"`
-		Rate     float64 `json:"rate_per_sec"`
-		ZipfS    float64 `json:"zipf_s"`
-		TraceBuf int     `json:"trace_buf"`
+		runConfig
+		TraceBuf int `json:"trace_buf"`
 	} `json:"config"`
 	Completed int64 `json:"completed"`
 	Errors    int64 `json:"errors"`
@@ -98,204 +61,100 @@ type FleetResult struct {
 	} `json:"gates"`
 }
 
-func runFleet(cfg fleetConfig) {
-	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelWarn}))
-
+func runFleet(cfg config) error {
 	// One ring per process. Everything here shares one address space,
 	// so without private rings every "process" would export every span
 	// and stitching would trivially (and falsely) pass.
+	h, err := newHarness(cfg, slog.LevelWarn, "", fleetTraceBuf)
+	if err != nil {
+		return err
+	}
+	defer h.close()
 	obs.EnableTracing(true)
 	defer obs.EnableTracing(false)
+	if err := h.startRouter(cluster.Config{Hedge: true, TraceRing: obs.NewTraceRing(fleetTraceBuf)}); err != nil {
+		return err
+	}
+	t := h.drive(schedule(cfg.n, cfg.requests, cfg.rate, 0))
 
 	res := &FleetResult{Schema: FleetSchema}
-	res.Config.Shards = cfg.shards
-	res.Config.Workers = cfg.workers
-	res.Config.CorpusN = cfg.n
-	res.Config.Seed = cfg.seed
-	res.Config.Requests = cfg.requests
-	res.Config.Rate = cfg.rate
-	res.Config.ZipfS = cfg.zipfS
-	res.Config.TraceBuf = cfg.traceBuf
+	res.Config.runConfig = cfg.record()
+	res.Config.TraceBuf = fleetTraceBuf
+	res.Completed, res.Errors = t.Completed, t.Errors
 
-	corpus := angha.Generate(cfg.n, cfg.seed)
-
-	lns := make([]net.Listener, cfg.shards)
-	peers := make(map[string]string, cfg.shards)
-	names := make([]string, cfg.shards)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			fatal(err)
-		}
-		lns[i] = ln
-		names[i] = fmt.Sprintf("shard-%c", 'a'+i)
-		peers[names[i]] = "http://" + ln.Addr().String()
-	}
-	for i := range lns {
-		d := daemon.New(daemon.Config{
-			Engine:     service.Config{Workers: cfg.workers},
-			RequestCap: cfg.timeout,
-			Log:        logger,
-			ShardID:    names[i],
-			Peers:      peers,
-			TraceRing:  obs.NewTraceRing(cfg.traceBuf),
-		})
-		go (&http.Server{Handler: d.Handler()}).Serve(lns[i])
-	}
-	rt, err := cluster.New(cluster.Config{
-		Shards:    peers,
-		Log:       logger,
-		Hedge:     true,
-		TraceRing: obs.NewTraceRing(cfg.traceBuf),
-	})
-	if err != nil {
-		fatal(err)
-	}
-	rln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		fatal(err)
-	}
-	go (&http.Server{Handler: rt.Handler()}).Serve(rln)
-	routerURL := "http://" + rln.Addr().String()
-	routerClient := &rolagdapi.Client{BaseURL: routerURL}
-
-	zrng := rand.New(rand.NewSource(cfg.seed + 1))
-	zipf := rand.NewZipf(zrng, cfg.zipfS, 1, uint64(cfg.n-1))
-	arng := rand.New(rand.NewSource(cfg.seed + 2))
-
-	var (
-		mu       sync.Mutex
-		traceIDs []string
-		wg       sync.WaitGroup
-
-		completed, errs atomic.Int64
-	)
-	for i := 0; i < cfg.requests; i++ {
-		time.Sleep(time.Duration(arng.ExpFloat64() / cfg.rate * float64(time.Second)))
-		idx := int(zipf.Uint64())
-		wg.Add(1)
-		go func(idx int) {
-			defer wg.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), cfg.timeout)
-			defer cancel()
-			resp, err := routerClient.Compile(ctx, &rolagdapi.CompileRequest{Source: corpus[idx].Src})
-			if err != nil {
-				errs.Add(1)
-				return
-			}
-			completed.Add(1)
-			if resp.TraceID != "" {
-				mu.Lock()
-				traceIDs = append(traceIDs, resp.TraceID)
-				mu.Unlock()
-			}
-		}(idx)
-	}
-	wg.Wait()
-	res.Completed = completed.Load()
-	res.Errors = errs.Load()
-
-	// Trace completeness over the most recent -trace-sample requests
+	// Trace completeness over the most recent traceSample requests
 	// (recent, because old traces legitimately age out of a bounded
 	// ring; sampling the tail measures the plane, not ring capacity).
-	sample := traceIDs
-	if len(sample) > cfg.sample {
-		sample = sample[len(sample)-cfg.sample:]
-	}
+	sample := t.traceIDs[max(0, len(t.traceIDs)-traceSample):]
 	httpc := &http.Client{Timeout: 10 * time.Second}
-	stitched := 0
 	for _, id := range sample {
-		resp, err := httpc.Get(routerURL + "/debug/trace/" + id)
-		if err != nil {
-			continue
-		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusOK {
-			continue
-		}
-		procs, err := fleet.Processes(body)
-		if err != nil {
-			continue
-		}
-		shardTracks := 0
-		for name, spans := range procs {
-			if strings.HasPrefix(name, "shard-") && spans > 0 {
-				shardTracks++
-			}
-		}
-		if procs["router"] > 0 && shardTracks >= 1 {
-			stitched++
+		if stitched(httpc, h.router.BaseURL+"/debug/trace/"+id) {
+			res.Trace.Stitched++
 		}
 	}
 	res.Trace.Sampled = len(sample)
-	res.Trace.Stitched = stitched
-	res.Trace.MinComplete = cfg.minComplete
+	res.Trace.MinComplete = minTraceComplete
 	if len(sample) > 0 {
-		res.Trace.Completeness = float64(stitched) / float64(len(sample))
+		res.Trace.Completeness = float64(res.Trace.Stitched) / float64(len(sample))
 	}
 
 	// Histogram consistency: router-observed vs fleet-merged p99 for
 	// /v1/compile, after a synchronous scrape so the merge is current.
 	scrapeCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	rt.ScrapeNow(scrapeCtx)
+	h.rt.ScrapeNow(scrapeCtx)
 	cancel()
-	ov := rt.FleetOverview()
+	ov := h.rt.FleetOverview()
 	res.Router = ov.Router
 	res.Trace.DroppedSpans = ov.Router.TraceDropped
 	for _, sh := range ov.Shards {
 		res.Trace.DroppedSpans += sh.TraceDropped
 	}
-	routerP99 := rt.RouterRouteHist("/v1/compile").Quantile(0.99) * 1e3
-	fleetP99 := rt.FleetRouteHist("/v1/compile").Quantile(0.99) * 1e3
+	routerP99 := h.rt.RouterRouteHist("/v1/compile").Quantile(0.99) * 1e3
+	fleetP99 := h.rt.FleetRouteHist("/v1/compile").Quantile(0.99) * 1e3
 	res.Latency.RouterP99Ms = routerP99
 	res.Latency.FleetP99Ms = fleetP99
-	res.Latency.RatioLimit = cfg.p99Ratio
-	res.Latency.FloorMs = cfg.p99FloorMs
+	res.Latency.RatioLimit = fleetP99Ratio
+	res.Latency.FloorMs = fleetP99FloorMs
 
-	within := func(a, b float64) bool { return a <= b*cfg.p99Ratio+cfg.p99FloorMs }
+	within := func(a, b float64) bool { return a <= b*fleetP99Ratio+fleetP99FloorMs }
 	res.Gates.P99Consistent = routerP99 > 0 && fleetP99 > 0 &&
 		within(routerP99, fleetP99) && within(fleetP99, routerP99)
-	res.Gates.TraceComplete = res.Trace.Sampled > 0 && res.Trace.Completeness >= cfg.minComplete
+	res.Gates.TraceComplete = res.Trace.Sampled > 0 && res.Trace.Completeness >= minTraceComplete
+	if err := writeRecord(cfg.out, res); err != nil {
+		return err
+	}
 
-	data, err := json.MarshalIndent(res, "", "  ")
+	var f failures
+	f.check(res.Errors == 0, "fleet: %d requests failed", res.Errors)
+	f.check(t.Parity.Mismatched == 0, "fleet: %d responses differ from the serial reference", t.Parity.Mismatched)
+	f.check(res.Gates.TraceComplete, "fleet: trace completeness %.3f below gate %.3f",
+		res.Trace.Completeness, minTraceComplete)
+	f.check(res.Gates.P99Consistent, "fleet: p99 inconsistent: router %.1fms vs fleet %.1fms "+
+		"(limit %.1fx + %.0fms)", routerP99, fleetP99, fleetP99Ratio, fleetP99FloorMs)
+	return f.err()
+}
+
+// stitched fetches one stitched trace and reports whether it has a
+// router track and at least one shard track.
+func stitched(httpc *http.Client, url string) bool {
+	resp, err := httpc.Get(url)
 	if err != nil {
-		fatal(err)
+		return false
 	}
-	data = append(data, '\n')
-	if cfg.out == "" {
-		os.Stdout.Write(data)
-	} else {
-		if dir := filepath.Dir(cfg.out); dir != "." {
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				fatal(err)
-			}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		return false
+	}
+	procs, err := fleet.Processes(body)
+	if err != nil {
+		return false
+	}
+	shardTracks := 0
+	for name, spans := range procs {
+		if strings.HasPrefix(name, "shard-") && spans > 0 {
+			shardTracks++
 		}
-		if err := os.WriteFile(cfg.out, data, 0o644); err != nil {
-			fatal(err)
-		}
 	}
-	fmt.Fprintf(os.Stderr, "rolag-loadgen: fleet: %d/%d ok, traces %d/%d stitched (%.1f%%), "+
-		"p99 router %.1fms vs fleet %.1fms, hedge won %d, dropped spans %d\n",
-		res.Completed, cfg.requests, stitched, len(sample), res.Trace.Completeness*100,
-		routerP99, fleetP99, res.Router.HedgeWins, res.Trace.DroppedSpans)
-
-	failed := false
-	if res.Errors > 0 {
-		fmt.Fprintf(os.Stderr, "rolag-loadgen: fleet: %d requests failed\n", res.Errors)
-		failed = true
-	}
-	if !res.Gates.TraceComplete {
-		fmt.Fprintf(os.Stderr, "rolag-loadgen: fleet: trace completeness %.3f below gate %.3f\n",
-			res.Trace.Completeness, cfg.minComplete)
-		failed = true
-	}
-	if !res.Gates.P99Consistent {
-		fmt.Fprintf(os.Stderr, "rolag-loadgen: fleet: p99 inconsistent: router %.1fms vs fleet %.1fms "+
-			"(limit %.1fx + %.0fms)\n", routerP99, fleetP99, cfg.p99Ratio, cfg.p99FloorMs)
-		failed = true
-	}
-	if failed {
-		os.Exit(1)
-	}
+	return procs["router"] > 0 && shardTracks >= 1
 }

@@ -8,31 +8,18 @@
 //
 // Usage:
 //
-//	rolag-loadgen [-shards 3] [-workers 2] [-n 400] [-seed 20220402]
-//	              [-requests 2000] [-rate 200] [-zipf-s 1.2]
-//	              [-direct-frac 0.25] [-timeout 30s]
-//	              [-out results/BENCH_cluster.json]
-//	              [-require-peer-hits]
-//	              [-check baseline.json] [-max-slowdown 3] [-hit-rate-slack 0.2]
-//	              [-chaos [-chaos-net-prob 0.02] [-chaos-kill-frac 0.35]
-//	               [-chaos-restart-delay 600ms] [-chaos-snapshot-interval 250ms]
-//	               [-min-availability 0.99]]
+//	rolag-loadgen [-shards 3] [-n 400] [-requests 2000] [-rate 200]
+//	              [-timeout 30s] [-out results/BENCH_cluster.json]
+//	              [-require-peer-hits] [-check baseline.json] [-max-slowdown 3]
+//	rolag-loadgen -chaos [flags]   # faulty links + a crash-restarted shard (chaos.go)
+//	rolag-loadgen -fleet [flags]   # traced burst + telemetry SLO gates (fleet.go)
 //
-// Traffic shape: arrivals are Poisson at -rate requests/sec (open loop:
-// a slow cluster does not slow the generator down, so overload shows up
-// as latency, exactly as in production). Keys are drawn zipfian over the
-// corpus, so a popular head repeats while a long tail stays cold. A
-// -direct-frac fraction of requests bypasses the router and hits a
-// round-robin shard directly, the way clients behind a dumb L4 balancer
-// would — those requests exercise the fetch-on-miss peer cache tier
-// (the non-owner asks the key's home shard before compiling).
-//
-// Every non-degraded response is compared byte-for-byte against a
-// serial reference daemon compiled from the same corpus; any mismatch
-// fails the run. -require-peer-hits additionally fails the run when the
-// fleet reports zero peer-cache hits. With -check, p99 latency,
-// functions/sec, and the cluster hit rate are gated against a committed
-// baseline.
+// All three modes share one harness (harness.go) and one parity rule:
+// every reply not degraded by the engine must match, byte for byte, a
+// serial reference daemon compiled from the same corpus.
+// -require-peer-hits additionally fails the run when the fleet reports
+// zero peer-cache hits. With -check, p99 latency, functions/sec, and
+// the cluster hit rate are gated against a committed baseline.
 package main
 
 import (
@@ -41,21 +28,33 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
-	"math/rand"
-	"net"
-	"net/http"
 	"os"
-	"path/filepath"
-	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"rolag/internal/cluster"
-	"rolag/internal/daemon"
 	"rolag/internal/rolagdapi"
-	"rolag/internal/service"
-	"rolag/internal/workloads/angha"
+)
+
+// Traffic shape and gate thresholds. The committed records in results/
+// were made with these values, and no caller runs with others.
+const (
+	workers      = 2        // engine workers per shard
+	seed         = 20220402 // corpus and traffic seed
+	zipfS        = 1.2      // zipf exponent for key popularity (>1)
+	directFrac   = 0.25     // default mode: share of requests sent to a round-robin shard
+	hitRateSlack = 0.2      // -check: allowed absolute hit-rate drop vs the baseline
+
+	traceSample      = 200   // -fleet: stitched traces checked, from the most recent requests
+	minTraceComplete = 0.99  // -fleet gate: share of sampled traces that stitch router + ≥1 shard
+	fleetP99Ratio    = 3.0   // -fleet gate: allowed router-vs-fleet p99 ratio
+	fleetP99FloorMs  = 50.0  // -fleet gate: absolute p99 disagreement allowance, ms
+	fleetTraceBuf    = 65536 // -fleet: per-process span ring capacity
+
+	chaosNetProb          = 0.02                   // -chaos: per-link fault probability
+	chaosKillFrac         = 0.35                   // -chaos: share of the run before the victim is crashed
+	chaosRestartDelay     = 600 * time.Millisecond // -chaos: victim downtime before restart
+	chaosSnapshotInterval = 250 * time.Millisecond // -chaos: shard periodic snapshot cadence
+	minAvailability       = 0.99                   // -chaos gate: completed/issued must reach this
 )
 
 // Schema identifies the BENCH_cluster.json layout; bump on breaking
@@ -66,20 +65,10 @@ const Schema = "rolag/cluster-bench/v1"
 type Result struct {
 	Schema string `json:"schema"`
 	Config struct {
-		Shards     int     `json:"shards"`
-		Workers    int     `json:"workers"`
-		CorpusN    int     `json:"corpus_n"`
-		Seed       int64   `json:"seed"`
-		Requests   int     `json:"requests"`
-		Rate       float64 `json:"rate_per_sec"`
-		ZipfS      float64 `json:"zipf_s"`
+		runConfig
 		DirectFrac float64 `json:"direct_frac"`
 	} `json:"config"`
-	WallSeconds        float64 `json:"wall_seconds"`
-	Completed          int64   `json:"completed"`
-	Errors             int64   `json:"errors"`
-	Degraded           int64   `json:"degraded"`
-	Failovers          int64   `json:"failovers"`
+	tally
 	FunctionsPerSecond float64 `json:"functions_per_second"`
 	Latency            struct {
 		P50Ms float64 `json:"p50_ms"`
@@ -91,319 +80,127 @@ type Result struct {
 	// rate the daemons themselves report, not one inferred client-side.
 	Cluster rolagdapi.CacheStats `json:"cluster"`
 	HitRate float64              `json:"hit_rate"`
-	Parity  struct {
-		Checked    int64 `json:"checked"`
-		Mismatched int64 `json:"mismatched"`
-	} `json:"parity"`
+}
+
+// runConfig is the config block every record starts with.
+type runConfig struct {
+	Shards   int     `json:"shards"`
+	Workers  int     `json:"workers"`
+	CorpusN  int     `json:"corpus_n"`
+	Seed     int64   `json:"seed"`
+	Requests int     `json:"requests"`
+	Rate     float64 `json:"rate_per_sec"`
+	ZipfS    float64 `json:"zipf_s"`
+}
+
+// parity counts replies checked against the serial reference.
+type parity struct {
+	Checked    int64 `json:"checked"`
+	Mismatched int64 `json:"mismatched"`
+}
+
+// config carries the flags into the modes.
+type config struct {
+	shards, n, requests int
+	rate                float64
+	timeout             time.Duration
+	out, check          string
+	requirePeerHits     bool
+	maxSlowdown         float64
+}
+
+func (c config) record() runConfig {
+	return runConfig{Shards: c.shards, Workers: workers, CorpusN: c.n, Seed: seed,
+		Requests: c.requests, Rate: c.rate, ZipfS: zipfS}
 }
 
 func main() {
-	shards := flag.Int("shards", 3, "rolagd replicas to spawn")
-	workers := flag.Int("workers", 2, "engine workers per shard")
-	n := flag.Int("n", 400, "angha corpus size (distinct functions)")
-	seed := flag.Int64("seed", 20220402, "corpus and traffic seed")
-	requests := flag.Int("requests", 2000, "total requests to issue")
-	rate := flag.Float64("rate", 200, "open-loop Poisson arrival rate, requests/sec")
-	zipfS := flag.Float64("zipf-s", 1.2, "zipf exponent for key popularity (>1)")
-	directFrac := flag.Float64("direct-frac", 0.25, "fraction of requests sent to a round-robin shard instead of the router")
-	timeout := flag.Duration("timeout", 30*time.Second, "per-request deadline")
-	out := flag.String("out", "", "write the result JSON here (default stdout)")
-	requirePeerHits := flag.Bool("require-peer-hits", false, "fail unless the fleet reports >0 peer-cache hits")
-	check := flag.String("check", "", "baseline JSON to gate against (exit 1 on regression)")
-	maxSlowdown := flag.Float64("max-slowdown", 3, "allowed p99 and functions/sec ratio vs the -check baseline")
-	hitRateSlack := flag.Float64("hit-rate-slack", 0.2, "allowed absolute hit-rate drop vs the -check baseline")
+	var cfg config
+	flag.IntVar(&cfg.shards, "shards", 3, "rolagd replicas to spawn")
+	flag.IntVar(&cfg.n, "n", 400, "angha corpus size (distinct functions)")
+	flag.IntVar(&cfg.requests, "requests", 2000, "total requests to issue")
+	flag.Float64Var(&cfg.rate, "rate", 200, "open-loop Poisson arrival rate, requests/sec")
+	flag.DurationVar(&cfg.timeout, "timeout", 30*time.Second, "per-request deadline")
+	flag.StringVar(&cfg.out, "out", "", "write the result JSON here (default stdout)")
+	flag.BoolVar(&cfg.requirePeerHits, "require-peer-hits", false, "fail unless the fleet reports >0 peer-cache hits")
+	flag.StringVar(&cfg.check, "check", "", "baseline JSON to gate against (exit 1 on regression)")
+	flag.Float64Var(&cfg.maxSlowdown, "max-slowdown", 3, "allowed p99 and functions/sec ratio vs the -check baseline")
 	fleetMode := flag.Bool("fleet", false, "run the fleet-telemetry benchmark with its SLO gates instead of the main benchmark (see fleet.go)")
-	traceSample := flag.Int("trace-sample", 200, "requests whose stitched traces the -fleet completeness gate samples")
-	minTraceComplete := flag.Float64("min-trace-complete", 0.99, "-fleet gate: fraction of sampled traces that must stitch router + ≥1 shard")
-	fleetP99Ratio := flag.Float64("fleet-p99-ratio", 3, "-fleet gate: allowed ratio between router-observed and fleet-merged p99")
-	fleetP99Floor := flag.Float64("fleet-p99-floor", 50, "-fleet gate: absolute p99 disagreement allowance, ms")
-	fleetTraceBuf := flag.Int("fleet-trace-buf", 65536, "per-process span ring capacity in -fleet")
 	chaos := flag.Bool("chaos", false, "run the cluster chaos harness instead of the benchmark (see chaos.go)")
-	chaosNetProb := flag.Float64("chaos-net-prob", 0.02, "per-link fault probability (stall/refuse/blackhole) in -chaos")
-	chaosKillFrac := flag.Float64("chaos-kill-frac", 0.35, "fraction of the run after which the victim shard is crashed")
-	chaosRestartDelay := flag.Duration("chaos-restart-delay", 600*time.Millisecond, "victim downtime before restart")
-	chaosSnapInterval := flag.Duration("chaos-snapshot-interval", 250*time.Millisecond, "shard periodic snapshot cadence in -chaos")
-	minAvailability := flag.Float64("min-availability", 0.99, "chaos gate: completed/issued must reach this")
 	flag.Parse()
 
-	if *fleetMode {
-		runFleet(fleetConfig{
-			shards:      *shards,
-			workers:     *workers,
-			n:           *n,
-			seed:        *seed,
-			requests:    *requests,
-			rate:        *rate,
-			zipfS:       *zipfS,
-			timeout:     *timeout,
-			out:         *out,
-			sample:      *traceSample,
-			minComplete: *minTraceComplete,
-			p99Ratio:    *fleetP99Ratio,
-			p99FloorMs:  *fleetP99Floor,
-			traceBuf:    *fleetTraceBuf,
-		})
-		return
+	var err error
+	switch {
+	case *chaos && *fleetMode:
+		fmt.Fprintln(os.Stderr, "rolag-loadgen: -chaos and -fleet are mutually exclusive")
+		flag.Usage()
+		os.Exit(2)
+	case *chaos:
+		err = runChaos(cfg)
+	case *fleetMode:
+		err = runFleet(cfg)
+	default:
+		err = runBench(cfg)
 	}
-
-	if *chaos {
-		runChaos(chaosConfig{
-			shards:          *shards,
-			workers:         *workers,
-			n:               *n,
-			requests:        *requests,
-			seed:            *seed,
-			rate:            *rate,
-			zipfS:           *zipfS,
-			netProb:         *chaosNetProb,
-			killFrac:        *chaosKillFrac,
-			restartDelay:    *chaosRestartDelay,
-			snapInterval:    *chaosSnapInterval,
-			minAvailability: *minAvailability,
-			timeout:         *timeout,
-			out:             *out,
-		})
-		return
-	}
-
-	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelWarn}))
-
-	res := &Result{Schema: Schema}
-	res.Config.Shards = *shards
-	res.Config.Workers = *workers
-	res.Config.CorpusN = *n
-	res.Config.Seed = *seed
-	res.Config.Requests = *requests
-	res.Config.Rate = *rate
-	res.Config.ZipfS = *zipfS
-	res.Config.DirectFrac = *directFrac
-
-	corpus := angha.Generate(*n, *seed)
-
-	// Serial reference: every distinct function through one standalone
-	// daemon — the byte-level ground truth the cluster must match.
-	refIR := serialReference(corpus, *workers, logger)
-
-	// Local cluster on loopback: listeners first (membership URLs must
-	// exist before any daemon is built), then daemons, then serve.
-	lns := make([]net.Listener, *shards)
-	peers := make(map[string]string, *shards)
-	names := make([]string, *shards)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			fatal(err)
-		}
-		lns[i] = ln
-		names[i] = fmt.Sprintf("shard-%c", 'a'+i)
-		peers[names[i]] = "http://" + ln.Addr().String()
-	}
-	daemons := make([]*daemon.Daemon, *shards)
-	for i := range daemons {
-		daemons[i] = daemon.New(daemon.Config{
-			Engine:     service.Config{Workers: *workers},
-			RequestCap: *timeout,
-			Log:        logger,
-			ShardID:    names[i],
-			Peers:      peers,
-		})
-		srv := &http.Server{Handler: daemons[i].Handler()}
-		go srv.Serve(lns[i])
-	}
-	rt, err := cluster.New(cluster.Config{Shards: peers, Log: logger})
 	if err != nil {
-		fatal(err)
-	}
-	rln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		fatal(err)
-	}
-	go (&http.Server{Handler: rt.Handler()}).Serve(rln)
-
-	routerClient := &rolagdapi.Client{BaseURL: "http://" + rln.Addr().String()}
-	shardClients := make([]*rolagdapi.Client, *shards)
-	for i, name := range names {
-		shardClients[i] = &rolagdapi.Client{BaseURL: peers[name]}
-	}
-
-	// Open-loop zipfian traffic. The pick/arrival streams are seeded so
-	// the request sequence is reproducible; timing of course is not.
-	zrng := rand.New(rand.NewSource(*seed + 1))
-	zipf := rand.NewZipf(zrng, *zipfS, 1, uint64(*n-1))
-	arng := rand.New(rand.NewSource(*seed + 2))
-
-	var (
-		mu        sync.Mutex
-		latencies []float64
-		wg        sync.WaitGroup
-
-		completed, errs, degraded atomic.Int64
-		failovers, checked        atomic.Int64
-		mismatched                atomic.Int64
-	)
-	start := time.Now()
-	for i := 0; i < *requests; i++ {
-		// Poisson arrivals: exponential inter-arrival at the target rate.
-		time.Sleep(time.Duration(arng.ExpFloat64() / *rate * float64(time.Second)))
-		idx := int(zipf.Uint64())
-		c := routerClient
-		if zrng.Float64() < *directFrac {
-			c = shardClients[i%len(shardClients)]
-		}
-		wg.Add(1)
-		go func(idx int, c *rolagdapi.Client) {
-			defer wg.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), *timeout)
-			defer cancel()
-			t0 := time.Now()
-			resp, err := c.Compile(ctx, &rolagdapi.CompileRequest{Source: corpus[idx].Src})
-			lat := time.Since(t0).Seconds() * 1000
-			if err != nil {
-				errs.Add(1)
-				return
-			}
-			completed.Add(1)
-			mu.Lock()
-			latencies = append(latencies, lat)
-			mu.Unlock()
-			if resp.Degraded {
-				degraded.Add(1)
-				for _, p := range resp.DegradedPasses {
-					if p == cluster.FailoverPass {
-						failovers.Add(1)
-						break
-					}
-				}
-				return // degraded results are exempt from byte parity
-			}
-			checked.Add(1)
-			if resp.IR != refIR[idx] {
-				mismatched.Add(1)
-			}
-		}(idx, c)
-	}
-	wg.Wait()
-	res.WallSeconds = time.Since(start).Seconds()
-	res.Completed = completed.Load()
-	res.Errors = errs.Load()
-	res.Degraded = degraded.Load()
-	res.Failovers = failovers.Load()
-	res.Parity.Checked = checked.Load()
-	res.Parity.Mismatched = mismatched.Load()
-	if res.WallSeconds > 0 {
-		res.FunctionsPerSecond = float64(res.Completed) / res.WallSeconds
-	}
-	sort.Float64s(latencies)
-	res.Latency.P50Ms = pct(latencies, 50)
-	res.Latency.P90Ms = pct(latencies, 90)
-	res.Latency.P99Ms = pct(latencies, 99)
-	res.Latency.MaxMs = pct(latencies, 100)
-
-	// Cluster-wide counters straight from the daemons, via the router's
-	// /v1/cachestats aggregation.
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	cs, err := routerClient.CacheStats(ctx)
-	cancel()
-	if err != nil {
-		fatal(fmt.Errorf("cachestats: %w", err))
-	}
-	res.Cluster = *cs
-	res.HitRate = cs.HitRate()
-
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	data = append(data, '\n')
-	if *out == "" {
-		os.Stdout.Write(data)
-	} else {
-		if dir := filepath.Dir(*out); dir != "." {
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				fatal(err)
-			}
-		}
-		if err := os.WriteFile(*out, data, 0o644); err != nil {
-			fatal(err)
-		}
-	}
-	fmt.Fprintf(os.Stderr, "rolag-loadgen: %d shards, %d/%d requests ok in %.1fs: "+
-		"p50 %.1fms p99 %.1fms, %.0f functions/sec, hit rate %.2f (peer hits %d, misses %d), "+
-		"%d degraded, parity %d/%d\n",
-		*shards, res.Completed, *requests, res.WallSeconds,
-		res.Latency.P50Ms, res.Latency.P99Ms, res.FunctionsPerSecond,
-		res.HitRate, cs.PeerHits, cs.PeerMisses,
-		res.Degraded, res.Parity.Checked-res.Parity.Mismatched, res.Parity.Checked)
-
-	failed := false
-	if res.Errors > 0 {
-		fmt.Fprintf(os.Stderr, "rolag-loadgen: %d requests failed\n", res.Errors)
-		failed = true
-	}
-	if res.Parity.Mismatched > 0 {
-		fmt.Fprintf(os.Stderr, "rolag-loadgen: %d non-degraded responses differ from the serial reference\n", res.Parity.Mismatched)
-		failed = true
-	}
-	if *requirePeerHits && cs.PeerHits == 0 {
-		fmt.Fprintln(os.Stderr, "rolag-loadgen: fleet reports zero peer-cache hits (-require-peer-hits)")
-		failed = true
-	}
-	if *check != "" {
-		if err := gate(res, *check, *maxSlowdown, *hitRateSlack); err != nil {
-			fmt.Fprintf(os.Stderr, "rolag-loadgen: %v\n", err)
-			failed = true
-		}
-	}
-	if failed {
+		fmt.Fprintf(os.Stderr, "rolag-loadgen: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-// serialReference compiles every corpus function once on a standalone
-// daemon over real HTTP — the same wire path the cluster serves.
-func serialReference(corpus []angha.Function, workers int, logger *slog.Logger) []string {
-	d := daemon.New(daemon.Config{
-		Engine:     service.Config{Workers: workers},
-		RequestCap: time.Minute,
-		Log:        logger,
-	})
-	defer d.Close(context.Background())
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+// runBench is the default mode: a zipfian burst, partly shard-direct,
+// gated on errors, parity, peer hits and an optional baseline.
+func runBench(cfg config) error {
+	h, err := newHarness(cfg, slog.LevelWarn, "", 0)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	srv := &http.Server{Handler: d.Handler()}
-	go srv.Serve(ln)
-	defer srv.Close()
-	c := &rolagdapi.Client{BaseURL: "http://" + ln.Addr().String()}
+	defer h.close()
+	if err := h.startRouter(cluster.Config{}); err != nil {
+		return err
+	}
+	t := h.drive(schedule(cfg.n, cfg.requests, cfg.rate, directFrac))
 
-	out := make([]string, len(corpus))
-	for i, fn := range corpus {
-		resp, err := c.Compile(context.Background(), &rolagdapi.CompileRequest{Source: fn.Src})
-		if err != nil {
-			fatal(fmt.Errorf("serial reference %s: %w", fn.Name, err))
-		}
-		out[i] = resp.IR
+	res := &Result{Schema: Schema, tally: *t}
+	res.Config.runConfig = cfg.record()
+	res.Config.DirectFrac = directFrac
+	if t.Wall > 0 {
+		res.FunctionsPerSecond = float64(t.Completed) / t.Wall
 	}
-	return out
-}
+	res.Latency.P50Ms = pct(t.lat, 50)
+	res.Latency.P90Ms = pct(t.lat, 90)
+	res.Latency.P99Ms = pct(t.lat, 99)
+	res.Latency.MaxMs = pct(t.lat, 100)
 
-// pct reads the p-th percentile from an ascending slice.
-func pct(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
+	// Cluster-wide counters straight from the daemons, via the router's
+	// /v1/cachestats aggregation.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	cs, err := h.router.CacheStats(ctx)
+	cancel()
+	if err != nil {
+		return fmt.Errorf("cachestats: %w", err)
 	}
-	i := int(p / 100 * float64(len(sorted)))
-	if i >= len(sorted) {
-		i = len(sorted) - 1
+	res.Cluster = *cs
+	res.HitRate = cs.HitRate()
+	if err := writeRecord(cfg.out, res); err != nil {
+		return err
 	}
-	return sorted[i]
+
+	var f failures
+	f.check(res.Errors == 0, "%d requests failed", res.Errors)
+	f.check(res.Parity.Mismatched == 0, "%d responses differ from the serial reference", res.Parity.Mismatched)
+	f.check(!cfg.requirePeerHits || cs.PeerHits > 0, "fleet reports zero peer-cache hits (-require-peer-hits)")
+	if cfg.check != "" {
+		err := gate(res, cfg.check, cfg.maxSlowdown)
+		f.check(err == nil, "%v", err)
+	}
+	return f.err()
 }
 
 // gate compares the run against a committed baseline: p99 latency and
 // functions/sec may move by at most maxSlowdown×, the daemon-reported
 // cluster hit rate by at most hitRateSlack absolute.
-func gate(res *Result, baselinePath string, maxSlowdown, hitRateSlack float64) error {
+func gate(res *Result, baselinePath string, maxSlowdown float64) error {
 	data, err := os.ReadFile(baselinePath)
 	if err != nil {
 		return fmt.Errorf("baseline: %w", err)
@@ -435,9 +232,4 @@ func gate(res *Result, baselinePath string, maxSlowdown, hitRateSlack float64) e
 		return fmt.Errorf("hit-rate regression: %.2f vs baseline %.2f (slack %.2f)", res.HitRate, base.HitRate, hitRateSlack)
 	}
 	return nil
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "rolag-loadgen: %v\n", err)
-	os.Exit(1)
 }

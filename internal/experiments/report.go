@@ -210,30 +210,6 @@ func (r *Report) Fig19(s *TSVCSummary) error {
 	return nil
 }
 
-// ServiceBench renders the service-mode benchmark and writes the
-// machine-readable BENCH_service.json used to track the perf trajectory
-// across PRs.
-func (r *Report) ServiceBench(b *ServiceBench) error {
-	fmt.Fprintf(r.w(), "\n== Service-mode benchmark (AnghaBench, %d functions, %d workers) ==\n", b.N, b.Workers)
-	fmt.Fprintf(r.w(), "serial driver:   %.2fs\n", b.SerialSeconds)
-	fmt.Fprintf(r.w(), "parallel (cold): %.2fs  (%.2fx speedup, %.1f functions/s, hit rate %.1f%%)\n",
-		b.ParallelSeconds, b.Speedup, b.FunctionsPerSecond, 100*b.ColdHitRate)
-	fmt.Fprintf(r.w(), "parallel (warm): %.2fs  (%.2fx speedup, hit rate %.1f%%)\n",
-		b.WarmSeconds, b.WarmSpeedup, 100*b.WarmHitRate)
-	fmt.Fprintf(r.w(), "parallel results identical to serial: %t\n", b.Identical)
-	if r.Dir == "" {
-		return nil
-	}
-	if err := os.MkdirAll(r.Dir, 0o755); err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(filepath.Join(r.Dir, "BENCH_service.json"), append(data, '\n'), 0o644)
-}
-
 // Calib renders the cost-model calibration summary and writes the
 // machine-readable CALIB_costmodel.json that pins the model's error
 // bars against the assembly backend across PRs.

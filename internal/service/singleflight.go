@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"errors"
 	"sync"
 )
 
@@ -24,7 +25,10 @@ type flight struct {
 
 // do runs fn under the key's flight. It returns the entry, the error,
 // and whether this caller was the leader (ran fn itself). A follower
-// whose ctx expires before the leader finishes returns ctx.Err().
+// whose ctx expires before the leader finishes returns ctx.Err(). A
+// leader that fails only because its own ctx was canceled or timed out
+// (a hedged request's losing leg, say) decides nothing for followers
+// whose ctx is still live: they run the key again.
 func (g *flightGroup) do(ctx context.Context, key string, fn func() (*entry, error)) (*entry, error, bool) {
 	g.mu.Lock()
 	if g.m == nil {
@@ -34,6 +38,9 @@ func (g *flightGroup) do(ctx context.Context, key string, fn func() (*entry, err
 		g.mu.Unlock()
 		select {
 		case <-f.done:
+			if ctx.Err() == nil && (errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded)) {
+				return g.do(ctx, key, fn)
+			}
 			return f.entry, f.err, false
 		case <-ctx.Done():
 			return nil, ctx.Err(), false
