@@ -6,7 +6,8 @@
 # chaos smoke (faulty links + a shard crash-restarted from its cache
 # snapshot mid-burst), and the fleet-telemetry smoke (traced burst
 # through the router; every sampled trace must stitch across processes
-# and the latency aggregation must be self-consistent). The three
+# and the latency aggregation must be self-consistent), and the
+# repository benchmark module's own vet and tests. The three
 # cluster smokes share one harness, cmd/rolag-loadgen. `make bench-core`
 # regenerates the machine-readable optimizer perf record
 # (results/BENCH_core.json), `make bench-cluster` the cluster one
@@ -19,7 +20,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test race fuzz-smoke chaos-smoke bench-smoke explain-smoke asm-smoke calib-check cluster-smoke chaos-cluster-smoke fleet-smoke ci calib bench-core bench-cluster bench-chaos bench-fleet serve clean
+.PHONY: all build vet test race bench-module fuzz-smoke chaos-smoke bench-smoke explain-smoke asm-smoke calib-check cluster-smoke chaos-cluster-smoke fleet-smoke ci calib bench-core bench-cluster bench-chaos bench-fleet serve clean
 
 all: build
 
@@ -34,6 +35,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The repository benchmark is its own Go module (benchmark/). It calls
+# the sandbox directly and replays rolag.Build stage by stage, pinned
+# byte-equal by its tests, so vet and test it with the rest of the tree.
+bench-module:
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test ./...
 
 # Short differential-fuzzing run over every native fuzz target; any
 # counterexample fails the build and lands in
@@ -141,7 +149,7 @@ fleet-smoke:
 	$(GO) run ./cmd/rolag-loadgen -fleet -shards 3 -requests 300 -n 120 -rate 400 \
 		-out $(or $(TMPDIR),/tmp)/rolag-fleet-smoke.json
 
-ci: vet build race fuzz-smoke chaos-smoke bench-smoke explain-smoke asm-smoke calib-check cluster-smoke chaos-cluster-smoke fleet-smoke
+ci: vet build race bench-module fuzz-smoke chaos-smoke bench-smoke explain-smoke asm-smoke calib-check cluster-smoke chaos-cluster-smoke fleet-smoke
 
 # Full core-optimizer benchmark; regenerates the committed baseline.
 bench-core:

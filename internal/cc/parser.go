@@ -2,6 +2,18 @@ package cc
 
 import "fmt"
 
+// MaxDepth bounds how deep the parser recurses and how tall the trees it
+// builds are. Three quantities may each reach MaxDepth levels: nesting
+// (statements and blocks, parentheses, unary operators and casts,
+// assignment right-hand sides, conditional branches), the height of
+// every expression tree (a left-associated chain x+x+...+x is as tall as
+// it is long), and pointer/array type derivations. The parser, the
+// lowering and every later walk recurse once per level, and Go cannot
+// recover from stack exhaustion, so a deeper input is a parse error. The
+// deepest AST in the committed corpora (angha, tsvc, programs,
+// examples) is 20 levels, statements included (TSVC's vbor).
+const MaxDepth = 1000
+
 // Parser parses mini-C source into an AST.
 type Parser struct {
 	lx      *Lexer
@@ -9,6 +21,9 @@ type Parser struct {
 	peeked  *Token
 	structs map[string]*CStruct
 	file    *File
+	// depth is the current nesting (see MaxDepth); h is the height of
+	// the expression most recently parsed.
+	depth, h int
 }
 
 // Parse parses a translation unit.
@@ -56,6 +71,39 @@ func (p *Parser) peek() (Token, error) {
 
 func (p *Parser) errf(format string, args ...any) error {
 	return &Error{Pos: p.tok.Pos, Msg: fmt.Sprintf(format, args...)}
+}
+
+// enter descends one nesting level; callers that succeed defer leave.
+func (p *Parser) enter() error {
+	p.depth++
+	if p.depth > MaxDepth {
+		return p.errf("nesting deeper than %d levels", MaxDepth)
+	}
+	return nil
+}
+
+func (p *Parser) leave() { p.depth-- }
+
+// derived checks a pointer or array type built over t's element chain:
+// it may be at most MaxDepth levels deep.
+func (p *Parser) derived(t *CType) (*CType, error) {
+	n := 0
+	for e := t; e != nil; e = e.Elem {
+		if n++; n > MaxDepth {
+			return nil, p.errf("type deeper than %d levels", MaxDepth)
+		}
+	}
+	return t, nil
+}
+
+// grow records an expression node whose tallest operand is child levels
+// high.
+func (p *Parser) grow(child int) error {
+	p.h = child + 1
+	if p.h > MaxDepth {
+		return p.errf("expression deeper than %d levels", MaxDepth)
+	}
+	return nil
 }
 
 func (p *Parser) isPunct(s string) bool {
@@ -183,7 +231,10 @@ func (p *Parser) parseDeclarator(base *CType) (string, *CType, error) {
 				return "", nil, err
 			}
 		}
-		t = CPtr(t)
+		var err error
+		if t, err = p.derived(CPtr(t)); err != nil {
+			return "", nil, err
+		}
 	}
 	name, err := p.expectIdent()
 	if err != nil {
@@ -198,6 +249,9 @@ func (p *Parser) parseDeclarator(base *CType) (string, *CType, error) {
 		if p.tok.Kind != TokIntLit {
 			return "", nil, p.errf("expected constant array length")
 		}
+		if len(dims) == MaxDepth {
+			return "", nil, p.errf("type deeper than %d levels", MaxDepth)
+		}
 		dims = append(dims, int(p.tok.Int))
 		if err := p.next(); err != nil {
 			return "", nil, err
@@ -209,7 +263,8 @@ func (p *Parser) parseDeclarator(base *CType) (string, *CType, error) {
 	for i := len(dims) - 1; i >= 0; i-- {
 		t = &CType{Kind: KArray, Elem: t, Len: dims[i]}
 	}
-	return name, t, nil
+	t, err = p.derived(t)
+	return name, t, err
 }
 
 func (p *Parser) parseTopLevel() error {
@@ -370,7 +425,10 @@ func (p *Parser) parseFunc(name string, ret *CType, pos Pos) error {
 					return err
 				}
 			}
-			t = CPtr(t)
+			var err error
+			if t, err = p.derived(CPtr(t)); err != nil {
+				return err
+			}
 		}
 		pname := ""
 		if p.tok.Kind == TokIdent {
@@ -391,7 +449,10 @@ func (p *Parser) parseFunc(name string, ret *CType, pos Pos) error {
 				if err := p.expectPunct("]"); err != nil {
 					return err
 				}
-				t = CPtr(t)
+				var err error
+				if t, err = p.derived(CPtr(t)); err != nil {
+					return err
+				}
 			}
 		}
 		fd.Params = append(fd.Params, ParamDecl{Name: pname, Type: t})
@@ -442,6 +503,10 @@ func (p *Parser) parseBlock() (*BlockStmt, error) {
 }
 
 func (p *Parser) parseStmt() (Stmt, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	pos := p.tok.Pos
 	switch {
 	case p.isPunct("{"):
@@ -665,14 +730,19 @@ func (p *Parser) parseAssignExpr() (Expr, error) {
 	if p.tok.Kind == TokPunct && assignOps[p.tok.Text] {
 		op := p.tok.Text
 		pos := p.tok.Pos
+		hl := p.h
 		if err := p.next(); err != nil {
 			return nil, err
 		}
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
+		defer p.leave()
 		rhs, err := p.parseAssignExpr()
 		if err != nil {
 			return nil, err
 		}
-		return &Assign{Pos: pos, Op: op, LHS: lhs, RHS: rhs}, nil
+		return &Assign{Pos: pos, Op: op, LHS: lhs, RHS: rhs}, p.grow(max(hl, p.h))
 	}
 	return lhs, nil
 }
@@ -684,13 +754,19 @@ func (p *Parser) parseCondExpr() (Expr, error) {
 	}
 	if p.isPunct("?") {
 		pos := p.tok.Pos
+		hc := p.h
 		if err := p.next(); err != nil {
 			return nil, err
 		}
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
+		defer p.leave()
 		t, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
+		ht := p.h
 		if err := p.expectPunct(":"); err != nil {
 			return nil, err
 		}
@@ -698,7 +774,7 @@ func (p *Parser) parseCondExpr() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Cond{Pos: pos, C: c, T: t, F: f}, nil
+		return &Cond{Pos: pos, C: c, T: t, F: f}, p.grow(max(hc, ht, p.h))
 	}
 	return c, nil
 }
@@ -731,6 +807,7 @@ func (p *Parser) parseBinaryExpr(minPrec int) (Expr, error) {
 		}
 		op := p.tok.Text
 		pos := p.tok.Pos
+		hl := p.h
 		if err := p.next(); err != nil {
 			return nil, err
 		}
@@ -739,10 +816,17 @@ func (p *Parser) parseBinaryExpr(minPrec int) (Expr, error) {
 			return nil, err
 		}
 		lhs = &Binary{Pos: pos, Op: op, X: lhs, Y: rhs}
+		if err := p.grow(max(hl, p.h)); err != nil {
+			return nil, err
+		}
 	}
 }
 
 func (p *Parser) parseUnaryExpr() (Expr, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	pos := p.tok.Pos
 	if p.tok.Kind == TokPunct {
 		switch p.tok.Text {
@@ -758,7 +842,7 @@ func (p *Parser) parseUnaryExpr() (Expr, error) {
 			if op == "+" {
 				return x, nil
 			}
-			return &Unary{Pos: pos, Op: op, X: x}, nil
+			return &Unary{Pos: pos, Op: op, X: x}, p.grow(p.h)
 		case "++", "--":
 			op := p.tok.Text
 			if err := p.next(); err != nil {
@@ -768,7 +852,7 @@ func (p *Parser) parseUnaryExpr() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			return &Unary{Pos: pos, Op: op, X: x}, nil
+			return &Unary{Pos: pos, Op: op, X: x}, p.grow(p.h)
 		case "(":
 			// Could be a cast: "(" type ")" unary.
 			pk, err := p.peek()
@@ -788,7 +872,9 @@ func (p *Parser) parseUnaryExpr() (Expr, error) {
 					if err := p.next(); err != nil {
 						return nil, err
 					}
-					t = CPtr(t)
+					if t, err = p.derived(CPtr(t)); err != nil {
+						return nil, err
+					}
 				}
 				if err := p.expectPunct(")"); err != nil {
 					return nil, err
@@ -797,7 +883,7 @@ func (p *Parser) parseUnaryExpr() (Expr, error) {
 				if err != nil {
 					return nil, err
 				}
-				return &CastExpr{Pos: pos, To: t, X: x}, nil
+				return &CastExpr{Pos: pos, To: t, X: x}, p.grow(p.h)
 			}
 		}
 	}
@@ -820,6 +906,7 @@ func (p *Parser) parsePostfixExpr() (Expr, error) {
 	}
 	for {
 		pos := p.tok.Pos
+		hx := p.h
 		switch {
 		case p.isPunct("["):
 			if err := p.next(); err != nil {
@@ -833,6 +920,7 @@ func (p *Parser) parsePostfixExpr() (Expr, error) {
 				return nil, err
 			}
 			x = &Index{Pos: pos, X: x, Idx: idx}
+			hx = max(hx, p.h)
 		case p.isPunct("."):
 			if err := p.next(); err != nil {
 				return nil, err
@@ -860,6 +948,9 @@ func (p *Parser) parsePostfixExpr() (Expr, error) {
 		default:
 			return x, nil
 		}
+		if err := p.grow(hx); err != nil {
+			return nil, err
+		}
 	}
 }
 
@@ -867,9 +958,11 @@ func (p *Parser) parsePrimaryExpr() (Expr, error) {
 	pos := p.tok.Pos
 	switch p.tok.Kind {
 	case TokIntLit:
+		p.h = 1
 		v := p.tok.Int
 		return &IntLit{Pos: pos, Val: v}, p.next()
 	case TokFloatLit:
+		p.h = 1
 		v := p.tok.Flt
 		f32 := p.tok.F32
 		return &FloatLit{Pos: pos, Val: v, F32: f32}, p.next()
@@ -883,11 +976,13 @@ func (p *Parser) parsePrimaryExpr() (Expr, error) {
 				return nil, err
 			}
 			call := &Call{Pos: pos, Name: name}
+			ha := 0
 			for !p.isPunct(")") {
 				a, err := p.parseAssignExpr()
 				if err != nil {
 					return nil, err
 				}
+				ha = max(ha, p.h)
 				call.Args = append(call.Args, a)
 				if ok, err := p.acceptPunct(","); err != nil {
 					return nil, err
@@ -895,8 +990,12 @@ func (p *Parser) parsePrimaryExpr() (Expr, error) {
 					break
 				}
 			}
+			if err := p.grow(ha); err != nil {
+				return nil, err
+			}
 			return call, p.expectPunct(")")
 		}
+		p.h = 1
 		return &Ident{Pos: pos, Name: name}, nil
 	case TokPunct:
 		if p.tok.Text == "(" {

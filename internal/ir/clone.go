@@ -121,8 +121,8 @@ func CloneBlocks(f *Func) []*Block {
 // remapping), keeps f's Parent (so global references verify), and
 // carries f's name counter (so names generated while transforming the
 // shadow are exactly the names in-place execution would have produced).
-// The shadow is NOT registered in Parent.Funcs; it is reachable only by
-// its creator, which makes it safe to abandon to a timed-out goroutine.
+// The shadow is NOT registered in Parent.Funcs; the sandbox keeps it as
+// the rollback snapshot of an in-place pass execution.
 func ShadowFunc(f *Func) *Func {
 	sh := &Func{
 		Name:        f.Name,

@@ -13,10 +13,9 @@ type FuncPass struct {
 	// RunInfo, if set, is used instead of Run by pipelines that carry an
 	// analysis cache: the pass may read cached analyses from the
 	// FuncInfo and must report whether it changed the function (the
-	// pipeline invalidates the cache on change). Passes running under
-	// the fail-soft sandbox always use Run — the sandbox rewrites
-	// instruction pointers every pass, so cached analyses cannot
-	// survive it.
+	// pipeline invalidates the cache on change, and after a sandbox
+	// rollback, which restores a snapshot with fresh instruction
+	// pointers).
 	RunInfo func(*ir.Func, *analysis.FuncInfo) bool
 }
 
@@ -51,73 +50,56 @@ func Standard() *Pipeline {
 // pass changed it. Analyses are cached across passes through a private
 // analysis.Manager and invalidated whenever a pass reports a change.
 func (p *Pipeline) RunFunc(f *ir.Func) bool {
-	return p.runFunc(f, analysis.NewManager())
+	return p.RunFuncSandboxed(f, nil)
 }
 
-func (p *Pipeline) runFunc(f *ir.Func, am *analysis.Manager) bool {
+// Run applies the pipeline to every function in the module.
+func (p *Pipeline) Run(m *ir.Module) bool {
+	return p.RunSandboxed(m, nil)
+}
+
+// RunSandboxed applies the pipeline to every function under sb (nil =
+// fail-hard): each pass execution that panics, overruns the budget, or
+// breaks the verifier is rolled back and recorded on the sandbox's
+// report, and the remaining passes keep running from the checkpoint.
+// Pass and function order do not depend on sb, so a run in which
+// nothing fails produces a byte-identical module.
+func (p *Pipeline) RunSandboxed(m *ir.Module, sb *Sandbox) bool {
+	am := analysis.NewManager()
+	changed := false
+	for _, f := range m.Funcs {
+		if !f.IsDecl() && p.runFunc(f, sb, am) {
+			changed = true
+		}
+	}
+	return changed
+}
+
+// RunFuncSandboxed applies the pipeline to one function under sb (nil =
+// fail-hard). The parallel pipeline calls it with a private
+// per-function sandbox; serial callers share one.
+func (p *Pipeline) RunFuncSandboxed(f *ir.Func, sb *Sandbox) bool {
+	return p.runFunc(f, sb, analysis.NewManager())
+}
+
+func (p *Pipeline) runFunc(f *ir.Func, sb *Sandbox, am *analysis.Manager) bool {
 	changed := false
 	for _, ps := range p.Passes {
-		var c bool
+		run := ps.Run
 		if ps.RunInfo != nil {
-			c = ps.RunInfo(f, am.Info(f))
-		} else {
-			c = ps.Run(f)
+			run = func(f *ir.Func) bool { return ps.RunInfo(f, am.Info(f)) }
 		}
+		c, ok := sb.RunShadow(ps.Name, f, run)
 		if c {
 			changed = true
+		}
+		if c || !ok {
 			am.Invalidate(f)
 		}
 		if p.Verify {
 			if err := f.Verify(); err != nil {
 				panic("after pass " + ps.Name + ": " + err.Error())
 			}
-		}
-	}
-	return changed
-}
-
-// Run applies the pipeline to every function in the module.
-func (p *Pipeline) Run(m *ir.Module) bool {
-	am := analysis.NewManager()
-	changed := false
-	for _, f := range m.Funcs {
-		if f.IsDecl() {
-			continue
-		}
-		if p.runFunc(f, am) {
-			changed = true
-		}
-	}
-	return changed
-}
-
-// RunSandboxed applies the pipeline to every function under the
-// fail-soft sandbox: each pass execution that panics, stalls past the
-// budget, or breaks the verifier is rolled back and recorded on the
-// sandbox's report, and the remaining passes keep running from the
-// checkpoint. Pass and function order match Run exactly, so a run in
-// which nothing fails produces a byte-identical module.
-func (p *Pipeline) RunSandboxed(m *ir.Module, sb *Sandbox) bool {
-	changed := false
-	for _, f := range m.Funcs {
-		if f.IsDecl() {
-			continue
-		}
-		if p.RunFuncSandboxed(f, sb) {
-			changed = true
-		}
-	}
-	return changed
-}
-
-// RunFuncSandboxed applies the pipeline to one function under the
-// fail-soft sandbox. The parallel pipeline calls it with a private
-// per-function sandbox; serial callers share one.
-func (p *Pipeline) RunFuncSandboxed(f *ir.Func, sb *Sandbox) bool {
-	changed := false
-	for _, ps := range p.Passes {
-		if c, ok := sb.RunShadow(ps.Name, f, ps.Run); ok && c {
-			changed = true
 		}
 	}
 	return changed

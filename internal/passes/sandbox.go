@@ -96,22 +96,22 @@ type Guard interface {
 // DefaultPassBudget is the per-pass wall-clock budget when
 // Sandbox.Budget is zero. It is deliberately generous: on the paper's
 // workloads every pass finishes in microseconds, so the budget exists
-// only to cut wedged passes loose, not to police slow ones.
+// only to roll back pathological executions, not to police slow ones.
 const DefaultPassBudget = 10 * time.Second
 
-// Sandbox runs passes under checkpoint/rollback. Every execution is
-// isolated from the committed function state: module-pure passes run
-// against a shadow copy (ir.ShadowFunc) in a helper goroutine so a
-// wedged pass can be abandoned without racing the pipeline, and
-// module-appending passes (RoLAG's codegen creates constant-table
-// globals) run in place behind a block snapshot and a globals
-// high-water mark. In both modes the IR verifier is the commit gate:
-// panic, budget overrun, or a verifier complaint discards the execution
-// and the pipeline continues from the checkpoint with the pass skipped,
-// recorded in the Report.
+// Sandbox runs passes under checkpoint/rollback, in place and in the
+// calling goroutine: every execution snapshots the function
+// (ir.ShadowFunc) and, for passes that append globals (RoLAG's codegen
+// creates constant tables), marks the module's globals. The IR verifier
+// is the commit gate: a panic, a budget overrun (measured after the
+// pass returns), or a verifier complaint restores the snapshot, and the
+// pipeline continues from the checkpoint with the pass skipped,
+// recorded in the Report. A pass is never abandoned mid-run; the
+// caller's request deadline bounds the job as a whole.
 //
-// A Sandbox is not safe for concurrent use; the service engine creates
-// one per compilation job.
+// A nil *Sandbox is the fail-hard mode: passes run directly and their
+// panics propagate. A Sandbox is not safe for concurrent use; the
+// service engine creates one per compilation job.
 type Sandbox struct {
 	// Budget is the per-pass wall-clock budget (0 = DefaultPassBudget).
 	Budget time.Duration
@@ -134,9 +134,9 @@ func (s *Sandbox) budget() time.Duration {
 }
 
 // Report returns the accumulated degradation report, or nil if every
-// pass took effect.
+// pass took effect or s is nil.
 func (s *Sandbox) Report() *Degraded {
-	if len(s.report.Skips) == 0 {
+	if s == nil || len(s.report.Skips) == 0 {
 		return nil
 	}
 	return &s.report
@@ -153,76 +153,27 @@ func (s *Sandbox) Absorb(other *Sandbox) {
 	other.report.Skips = nil
 }
 
-// RunShadow executes a module-pure pass against a shadow copy of f and
-// commits the shadow only if the pass returns within budget, does not
-// panic, and leaves the function verifier-clean. It returns (changed,
-// ok): ok reports that the execution was committed (so captured
-// closure state may be read), changed is the pass's own report. On a
-// timeout the helper goroutine is abandoned; it keeps mutating only the
-// private shadow and exits when the pass returns.
+// RunShadow executes a module-pure pass on f under the sandbox; it is
+// RunInPlaceIn with no globals sink.
 func (s *Sandbox) RunShadow(pass string, f *ir.Func, run func(*ir.Func) bool) (changed, ok bool) {
-	if f.IsDecl() {
-		return false, true
-	}
-	if !s.allow(pass, f) {
-		return false, false
-	}
-	span := obs.Now()
-	defer obs.EndSpan(s.Trace, "pass:"+pass, span, f.Name)
-	shadow := ir.ShadowFunc(f)
-	type result struct {
-		changed bool
-		skip    *Skip
-	}
-	done := make(chan result, 1)
-	go func() {
-		var r result
-		r.changed, r.skip = s.exec(pass, shadow, run)
-		done <- r
-	}()
-	timer := time.NewTimer(s.budget())
-	defer timer.Stop()
-	select {
-	case r := <-done:
-		if r.skip != nil {
-			s.fail(pass, *r.skip)
-			return false, false
-		}
-		if err := shadow.Verify(); err != nil {
-			s.fail(pass, Skip{Pass: pass, Func: f.Name, Reason: SkipVerify, Detail: err.Error()})
-			return false, false
-		}
-		s.ok(pass)
-		f.AdoptBody(shadow)
-		return r.changed, true
-	case <-timer.C:
-		s.fail(pass, Skip{
-			Pass: pass, Func: f.Name, Reason: SkipTimeout,
-			Detail: fmt.Sprintf("exceeded %v budget; pass abandoned", s.budget()),
-		})
-		return false, false
-	}
+	return s.RunInPlaceIn(pass, f, nil, run)
 }
 
-// RunInPlace executes a pass that may append globals to f's module
-// (RoLAG). It snapshots the body and marks the module's globals, runs
-// the pass in the calling goroutine with panic recovery, applies the
-// budget after the fact (a stalled pass delays this one compilation but
-// is still rolled back), verifies, and on any failure restores the
-// snapshot and the globals mark. Global NAMES generated by a committed
-// execution are identical to the fail-hard path because the pass runs
-// against the real module. Returns (changed, ok) as RunShadow.
-func (s *Sandbox) RunInPlace(pass string, f *ir.Func, run func(*ir.Func) bool) (changed, ok bool) {
-	return s.RunInPlaceIn(pass, f, f.Parent, run)
-}
-
-// RunInPlaceIn is RunInPlace with the module that receives appended
-// globals made explicit: the parallel pipeline stages each function's
-// globals in a private sink module (see rolag.RollFuncInto), so the
-// rollback mark must be taken on the sink rather than on f.Parent.
+// RunInPlaceIn executes one pass on f and commits it only if it does not
+// panic, finishes within budget, and leaves f verifier-clean; otherwise
+// f's body and, when sink is set, the globals appended to sink are
+// restored. sink is the module receiving the pass's new globals: f.Parent
+// serially, a private staging module in the parallel pipeline (see
+// rolag.RollFuncInto). It returns (changed, ok): ok reports that the
+// execution was committed (so captured closure state may be read),
+// changed is the pass's own report. On a nil receiver the pass runs
+// directly and ok is always true.
 func (s *Sandbox) RunInPlaceIn(pass string, f *ir.Func, sink *ir.Module, run func(*ir.Func) bool) (changed, ok bool) {
 	if f.IsDecl() {
 		return false, true
+	}
+	if s == nil {
+		return run(f), true
 	}
 	if !s.allow(pass, f) {
 		return false, false
@@ -230,7 +181,10 @@ func (s *Sandbox) RunInPlaceIn(pass string, f *ir.Func, sink *ir.Module, run fun
 	span := obs.Now()
 	defer obs.EndSpan(s.Trace, "pass:"+pass, span, f.Name)
 	snapshot := ir.ShadowFunc(f)
-	gmark := sink.MarkGlobals()
+	var gmark ir.GlobalsMark
+	if sink != nil {
+		gmark = sink.MarkGlobals()
+	}
 	start := time.Now()
 	changed, skip := s.exec(pass, f, run)
 	if skip == nil {
@@ -248,7 +202,9 @@ func (s *Sandbox) RunInPlaceIn(pass string, f *ir.Func, sink *ir.Module, run fun
 	}
 	if skip != nil {
 		f.AdoptBody(snapshot)
-		sink.ResetGlobals(gmark)
+		if sink != nil {
+			sink.ResetGlobals(gmark)
+		}
 		s.fail(pass, *skip)
 		return false, false
 	}
@@ -257,8 +213,7 @@ func (s *Sandbox) RunInPlaceIn(pass string, f *ir.Func, sink *ir.Module, run fun
 }
 
 // exec runs the pass body with panic recovery and the pass-site fault
-// point. target is the function the pass actually mutates (the shadow
-// in RunShadow, f itself in RunInPlace).
+// point, on the function the pass mutates.
 func (s *Sandbox) exec(pass string, target *ir.Func, run func(*ir.Func) bool) (changed bool, skip *Skip) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"rolag/internal/analysis"
 	"rolag/internal/ir"
 	"rolag/internal/passes"
 )
@@ -46,29 +47,6 @@ func TestSandboxPanicRollsBack(t *testing.T) {
 	}
 	if !strings.Contains(sk.Detail, "kaboom") {
 		t.Fatalf("skip detail lost the panic value: %q", sk.Detail)
-	}
-}
-
-func TestSandboxTimeoutAbandons(t *testing.T) {
-	_, f := lowerF(t)
-	before := f.String()
-	sb := &passes.Sandbox{Budget: 20 * time.Millisecond}
-	release := make(chan struct{})
-	_, ok := sb.RunShadow("slow", f, func(sf *ir.Func) bool {
-		<-release // wedged until after the sandbox gave up
-		sf.Blocks = nil
-		return true
-	})
-	close(release)
-	if ok {
-		t.Fatal("wedged pass committed")
-	}
-	if got := f.String(); got != before {
-		t.Fatalf("function mutated by abandoned pass:\nbefore:\n%s\nafter:\n%s", before, got)
-	}
-	rep := sb.Report()
-	if rep == nil || rep.Skips[0].Reason != passes.SkipTimeout {
-		t.Fatalf("want timeout skip, got %v", rep)
 	}
 }
 
@@ -156,7 +134,7 @@ func TestRunInPlaceRollsBackGlobals(t *testing.T) {
 	before := f.String()
 	nGlobals := len(m.Globals)
 	sb := &passes.Sandbox{}
-	_, ok := sb.RunInPlace("rolag", f, func(tf *ir.Func) bool {
+	_, ok := sb.RunInPlaceIn("rolag", f, m, func(tf *ir.Func) bool {
 		m.Globals = append(m.Globals, &ir.Global{Name: "junk", Elem: ir.I32, Parent: m})
 		panic("codegen died")
 	})
@@ -174,23 +152,111 @@ func TestRunInPlaceRollsBackGlobals(t *testing.T) {
 	}
 }
 
+// TestRunInPlaceBudgetOverrun: the budget is applied after the pass
+// returns. An over-budget execution, module-pure or globals-appending,
+// is rolled back with SkipTimeout and leaves f and the module as they
+// were.
 func TestRunInPlaceBudgetOverrun(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		globals bool
+	}{{"pure", false}, {"globals", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, f := lowerF(t)
+			before := f.String()
+			nGlobals := len(m.Globals)
+			sb := &passes.Sandbox{Budget: time.Millisecond}
+			slow := func(tf *ir.Func) bool {
+				tf.Blocks = tf.Blocks[:1]
+				if tc.globals {
+					m.Globals = append(m.Globals, &ir.Global{Name: "junk", Elem: ir.I32, Parent: m})
+				}
+				time.Sleep(20 * time.Millisecond)
+				return true
+			}
+			var ok bool
+			if tc.globals {
+				_, ok = sb.RunInPlaceIn("rolag", f, m, slow)
+			} else {
+				_, ok = sb.RunShadow("licm", f, slow)
+			}
+			if ok {
+				t.Fatal("over-budget pass committed")
+			}
+			rep := sb.Report()
+			if rep == nil || len(rep.Skips) != 1 || rep.Skips[0].Reason != passes.SkipTimeout {
+				t.Fatalf("want one timeout skip, got %v", rep)
+			}
+			if f.String() != before {
+				t.Fatal("function mutated by rolled-back over-budget pass")
+			}
+			if len(m.Globals) != nGlobals {
+				t.Fatalf("appended globals survived rollback: %d -> %d", nGlobals, len(m.Globals))
+			}
+		})
+	}
+}
+
+// TestNilSandboxIsFailHard: a nil *Sandbox runs the pass on f itself,
+// reports nothing, and lets the pass's panic propagate.
+func TestNilSandboxIsFailHard(t *testing.T) {
 	_, f := lowerF(t)
-	before := f.String()
-	sb := &passes.Sandbox{Budget: time.Millisecond}
-	_, ok := sb.RunInPlace("rolag", f, func(tf *ir.Func) bool {
-		time.Sleep(20 * time.Millisecond)
-		return true
-	})
-	if ok {
-		t.Fatal("over-budget in-place pass committed")
+	var sb *passes.Sandbox
+	var ran *ir.Func
+	changed, ok := sb.RunShadow("direct", f, func(tf *ir.Func) bool { ran = tf; return true })
+	if ran != f || !changed || !ok {
+		t.Fatalf("nil sandbox did not run the pass on f: ran=%p f=%p changed=%v ok=%v", ran, f, changed, ok)
 	}
-	rep := sb.Report()
-	if rep == nil || rep.Skips[0].Reason != passes.SkipTimeout {
-		t.Fatalf("want timeout skip, got %v", rep)
+	if sb.Report() != nil {
+		t.Fatalf("nil sandbox reported %v", sb.Report())
 	}
-	if f.String() != before {
-		t.Fatal("function mutated by rolled-back in-place pass")
+	defer func() {
+		if r := recover(); r != "kaboom" {
+			t.Fatalf("want the pass's panic to propagate, recovered %v", r)
+		}
+	}()
+	sb.RunInPlaceIn("boom", f, f.Parent, func(*ir.Func) bool { panic("kaboom") })
+	t.Fatal("nil sandbox swallowed the panic")
+}
+
+// TestPipelineRollbackInvalidatesAnalyses: a pass that mutates f and
+// then panics is rolled back to a snapshot with fresh block and
+// instruction pointers, so a later RunInfo pass must not read analyses
+// cached before the failure. The dominator tree cached by "dom" would
+// confine CSE to the entry block and miss the loop body's redundancy.
+func TestPipelineRollbackInvalidatesAnalyses(t *testing.T) {
+	const src = `
+void g(int *a, int *b, int x, int y, int n) {
+	for (int i = 0; i < n; i++) {
+		a[i] = x * y + 1;
+		b[i] = x * y + 2;
+	}
+}`
+	dom := passes.FuncPass{Name: "dom", Run: func(*ir.Func) bool { return false },
+		RunInfo: func(_ *ir.Func, fi *analysis.FuncInfo) bool { fi.Dom(); return false }}
+	boom := passes.FuncPass{Name: "boom", Run: func(f *ir.Func) bool {
+		f.Blocks = f.Blocks[:1]
+		panic("kaboom")
+	}}
+	cse := passes.FuncPass{Name: "cse", Run: passes.CSE, RunInfo: passes.CSEInfo}
+	mem2reg := passes.FuncPass{Name: "mem2reg", Run: passes.Mem2Reg}
+	run := func(ps ...passes.FuncPass) (string, *passes.Degraded) {
+		m := lower(t, src)
+		sb := &passes.Sandbox{}
+		(&passes.Pipeline{Passes: ps}).RunSandboxed(m, sb)
+		return m.String(), sb.Report()
+	}
+	promoted, _ := run(mem2reg)
+	want, rep := run(mem2reg, dom, cse)
+	if rep != nil || want == promoted {
+		t.Fatalf("reference pipeline degraded (%v) or CSE found nothing to do", rep)
+	}
+	got, rep := run(mem2reg, dom, boom, cse)
+	if rep == nil || len(rep.Skips) != 1 || rep.Skips[0].Pass != "boom" {
+		t.Fatalf("want exactly the boom skip, got %v", rep)
+	}
+	if got != want {
+		t.Fatalf("rolled-back pass changed the pipeline's result:\nwant:\n%s\ngot:\n%s", want, got)
 	}
 }
 

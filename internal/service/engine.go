@@ -491,10 +491,14 @@ func (e *Engine) runJob(j *job) (res jobResult) {
 	cfg := j.req.Config
 	defer func() { obs.EndSpan(tr, "engine:compile", span, cfg.Name) }()
 	cfg.Parallelism = e.cfg.FuncParallelism
+	// Pre-pipeline canonicalization of IR input runs under its own
+	// sandbox (nil = fail-hard) so its skips land on the same report.
+	var pre *passes.Sandbox
 	if !e.cfg.DisableFailSoft {
 		cfg.FailSoft = true
 		cfg.PassBudget = e.cfg.PassBudget
 		cfg.Guard = e.breakers
+		pre = &passes.Sandbox{Budget: cfg.PassBudget, Guard: cfg.Guard}
 	}
 	var out *rolag.Result
 	var err error
@@ -502,30 +506,18 @@ func (e *Engine) runJob(j *job) (res jobResult) {
 		var m *ir.Module
 		m, err = irparse.ParseModule(j.req.Source)
 		if err == nil {
-			// Pre-pipeline canonicalization of IR input runs under its
-			// own sandbox so its skips land on the same report.
-			var pre *passes.Sandbox
-			if cfg.FailSoft {
-				pre = &passes.Sandbox{Budget: cfg.PassBudget, Guard: cfg.Guard}
-				passes.Standard().RunSandboxed(m, pre)
-			} else {
-				passes.Standard().Run(m)
-			}
+			passes.Standard().RunSandboxed(m, pre)
 			// The parsed module is reachable by nothing else, but clone
 			// anyway so a future module-input API cannot quietly alias
 			// cache-owned memory.
 			cfg.CloneInput = true
 			out, err = rolag.OptimizeContext(j.ctx, m, cfg)
-			if err == nil && pre != nil {
-				if rep := pre.Report(); rep != nil {
-					if out.Degraded == nil {
-						out.Degraded = rep
-					} else {
-						rep.Skips = append(rep.Skips, out.Degraded.Skips...)
-						out.Degraded = rep
-					}
-				}
+		}
+		if rep := pre.Report(); err == nil && rep != nil {
+			if out.Degraded != nil {
+				rep.Skips = append(rep.Skips, out.Degraded.Skips...)
 			}
+			out.Degraded = rep
 		}
 	} else {
 		out, err = rolag.BuildContext(j.ctx, j.req.Source, cfg)

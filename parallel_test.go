@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"rolag"
+	"rolag/internal/workloads/tsvc"
 )
 
 // multiFuncSource synthesizes one translation unit with nf functions
@@ -140,5 +141,49 @@ func TestParallelReplaysGlobalNames(t *testing.T) {
 	}
 	if neg.Module.String() != res.Module.String() {
 		t.Error("Parallelism: -1 module differs from Parallelism: 8")
+	}
+}
+
+// TestFailSoftMatchesFailHard: a nil sandbox (fail-hard) and a real one
+// run the same stage code, so when nothing fails the fail-soft module
+// must be byte-identical to the fail-hard one, serially and in
+// parallel, and carry no degradation report.
+func TestFailSoftMatchesFailHard(t *testing.T) {
+	srcs := map[string]string{"multi": multiFuncSource(41, 16)}
+	for _, k := range tsvc.Kernels() {
+		srcs[k.Name] = k.Src
+	}
+	configs := []struct {
+		name string
+		cfg  rolag.Config
+	}{
+		{"rolag", rolag.Config{Opt: rolag.OptRoLAG}},
+		{"rolag-unroll8-flatten-ext", rolag.Config{Opt: rolag.OptRoLAG, Unroll: 8, Flatten: true, Options: rolag.Extensions()}},
+		{"reroll-unroll4", rolag.Config{Opt: rolag.OptLLVMReroll, Unroll: 4}},
+	}
+	for _, tc := range configs {
+		for _, par := range []int{1, 8} {
+			t.Run(fmt.Sprintf("%s/p%d", tc.name, par), func(t *testing.T) {
+				for name, src := range srcs {
+					hard, soft := tc.cfg, tc.cfg
+					hard.Parallelism, soft.Parallelism = par, par
+					soft.FailSoft = true
+					hres, err := rolag.Build(src, hard)
+					if err != nil {
+						t.Fatalf("%s fail-hard: %v", name, err)
+					}
+					sres, err := rolag.Build(src, soft)
+					if err != nil {
+						t.Fatalf("%s fail-soft: %v", name, err)
+					}
+					if sres.Degraded != nil {
+						t.Errorf("%s: fail-soft run degraded: %v", name, sres.Degraded)
+					}
+					if h, s := hres.Module.String(), sres.Module.String(); h != s {
+						t.Errorf("%s: fail-soft module differs from fail-hard\n--- fail-hard ---\n%s\n--- fail-soft ---\n%s", name, h, s)
+					}
+				}
+			})
+		}
 	}
 }

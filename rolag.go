@@ -118,7 +118,9 @@ type Config struct {
 	// corrupt final module still fail hard.
 	FailSoft bool
 	// PassBudget is the fail-soft per-pass wall-clock budget
-	// (0 = passes.DefaultPassBudget). Ignored unless FailSoft is set.
+	// (0 = passes.DefaultPassBudget), checked after each pass returns: an
+	// over-budget execution is rolled back, never cut short. Ignored
+	// unless FailSoft is set.
 	PassBudget time.Duration
 	// Guard, when set with FailSoft, is consulted before and notified
 	// after every sandboxed pass execution; the service engine passes
@@ -228,16 +230,6 @@ func Build(src string, cfg Config) (*Result, error) {
 // the sandbox; frontend (parse/typecheck/lowering) errors still fail
 // hard, because without IR there is nothing correct to fall back to.
 func BuildContext(ctx context.Context, src string, cfg Config) (*Result, error) {
-	if !cfg.FailSoft {
-		m, err := Compile(src, cfg.Name)
-		if err != nil {
-			return nil, err
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return optimizeContext(ctx, m, cfg, nil)
-	}
 	name := cfg.Name
 	if name == "" {
 		name = "module"
@@ -259,9 +251,13 @@ func BuildContext(ctx context.Context, src string, cfg Config) (*Result, error) 
 	return optimizeContext(ctx, m, cfg, sb)
 }
 
-// sandbox builds one fail-soft sandbox; tr lets sandboxed pass
-// executions show up as spans on the request's trace.
+// sandbox builds one fail-soft sandbox, or returns nil (fail-hard)
+// unless cfg.FailSoft is set; tr lets sandboxed pass executions show up
+// as spans on the request's trace.
 func (cfg Config) sandbox(tr obs.TraceContext) *passes.Sandbox {
+	if !cfg.FailSoft {
+		return nil
+	}
 	return &passes.Sandbox{Budget: cfg.PassBudget, Guard: cfg.Guard, Trace: tr}
 }
 
@@ -284,11 +280,7 @@ func Optimize(m *ir.Module, cfg Config) (*Result, error) {
 // transformed (unless cfg.CloneInput is set); the error tells the
 // caller to discard it.
 func OptimizeContext(ctx context.Context, m *ir.Module, cfg Config) (*Result, error) {
-	var sb *passes.Sandbox
-	if cfg.FailSoft {
-		sb = cfg.sandbox(obs.TraceFrom(ctx))
-	}
-	return optimizeContext(ctx, m, cfg, sb)
+	return optimizeContext(ctx, m, cfg, cfg.sandbox(obs.TraceFrom(ctx)))
 }
 
 // optimizeContext is the shared pipeline body. With sb == nil it is the
@@ -305,18 +297,11 @@ func optimizeContext(ctx context.Context, m *ir.Module, cfg Config, sb *passes.S
 	tr := obs.TraceFrom(ctx)
 	if cfg.Unroll >= 2 {
 		st := obs.Now()
-		subs, pick := stageSandboxes(cfg, sb, tr, len(m.Funcs), workers)
-		err := forEachFunc(ctx, m, workers, func(i int, f *ir.Func) {
-			if s := pick(i); s != nil {
-				k := cfg.Unroll
-				s.RunShadow("unroll", f, func(sf *ir.Func) bool {
-					return unroll.UnrollAll(sf, k) > 0
-				})
-			} else {
-				unroll.UnrollAll(f, cfg.Unroll)
-			}
+		err := forEachFuncIn(ctx, m, cfg, sb, func(_ int, f *ir.Func, s *passes.Sandbox) {
+			s.RunShadow("unroll", f, func(f *ir.Func) bool {
+				return unroll.UnrollAll(f, cfg.Unroll) > 0
+			})
 		})
-		absorbAll(sb, subs)
 		obs.EndSpan(tr, "stage:unroll", st, m.Name)
 		if err != nil {
 			return nil, err
@@ -374,32 +359,21 @@ func optimizeContext(ctx context.Context, m *ir.Module, cfg Config, sb *passes.S
 	case OptLLVMReroll:
 		st := obs.Now()
 		rerolled := make([]int, len(m.Funcs))
-		subs, pick := stageSandboxes(cfg, sb, tr, len(m.Funcs), workers)
-		err := forEachFunc(ctx, m, workers, func(i int, f *ir.Func) {
+		err := forEachFuncIn(ctx, m, cfg, sb, func(i int, f *ir.Func, s *passes.Sandbox) {
+			// n and the private collector c count only when the
+			// execution committed.
 			c, rec := newRec()
-			if s := pick(i); s != nil {
-				// n is fresh per function and only read when the runner
-				// committed, so an abandoned (timed-out) goroutine writing
-				// it later races with nothing; the same holds for the
-				// private collector c.
-				var n int
-				if _, ok := s.RunShadow("reroll", f, func(sf *ir.Func) bool {
-					n = reroll.RerollFuncObs(sf, rec)
-					return n > 0
-				}); ok {
-					rerolled[i] = n
-					if recs != nil {
-						recs[i] = c
-					}
-				}
-			} else {
-				rerolled[i] = reroll.RerollFuncObs(f, rec)
+			var n int
+			if _, ok := s.RunShadow("reroll", f, func(f *ir.Func) bool {
+				n = reroll.RerollFuncObs(f, rec)
+				return n > 0
+			}); ok {
+				rerolled[i] = n
 				if recs != nil {
 					recs[i] = c
 				}
 			}
 		})
-		absorbAll(sb, subs)
 		obs.EndSpan(tr, "stage:reroll", st, m.Name)
 		if err != nil {
 			return nil, err
@@ -423,30 +397,21 @@ func optimizeContext(ctx context.Context, m *ir.Module, cfg Config, sb *passes.S
 		if workers > 1 {
 			sinks = make([]*ir.Module, len(m.Funcs))
 		}
-		subs, pick := stageSandboxes(cfg, sb, tr, len(m.Funcs), workers)
-		err := forEachFunc(ctx, m, workers, func(i int, f *ir.Func) {
+		err := forEachFuncIn(ctx, m, cfg, sb, func(i int, f *ir.Func, s *passes.Sandbox) {
 			sink := m
 			if sinks != nil {
 				sink = ir.NewModule(m.Name + ".stage")
 				sinks[i] = sink
 			}
+			// RoLAG appends constant-table globals to sink, which a
+			// rollback resets along with the function body.
 			c, rec := newRec()
-			if s := pick(i); s != nil {
-				// RoLAG appends constant-table globals, so it runs in place
-				// (same goroutine) behind a snapshot rather than on an
-				// abandonable shadow; see Sandbox.RunInPlaceIn.
-				var st *rl.Stats
-				if _, ok := s.RunInPlaceIn("rolag", f, sink, func(sf *ir.Func) bool {
-					st = rl.RollFuncInto(sf, opts, nil, sink, rec)
-					return st.LoopsRolled > 0
-				}); ok && st != nil {
-					stats[i] = st
-					if recs != nil {
-						recs[i] = c
-					}
-				}
-			} else {
-				stats[i] = rl.RollFuncInto(f, opts, nil, sink, rec)
+			var st *rl.Stats
+			if _, ok := s.RunInPlaceIn("rolag", f, sink, func(f *ir.Func) bool {
+				st = rl.RollFuncInto(f, opts, nil, sink, rec)
+				return st.LoopsRolled > 0
+			}); ok {
+				stats[i] = st
 				if recs != nil {
 					recs[i] = c
 				}
@@ -457,7 +422,6 @@ func optimizeContext(ctx context.Context, m *ir.Module, cfg Config, sb *passes.S
 				rl.AdoptStagedGlobals(m, sink)
 			}
 		}
-		absorbAll(sb, subs)
 		obs.EndSpan(tr, "stage:rolag", spanStart, m.Name)
 		if err != nil {
 			return nil, err
@@ -470,15 +434,9 @@ func optimizeContext(ctx context.Context, m *ir.Module, cfg Config, sb *passes.S
 		mergeRemarks()
 		if cfg.Flatten {
 			fst := obs.Now()
-			fsubs, fpick := stageSandboxes(cfg, sb, tr, len(m.Funcs), workers)
-			err := forEachFunc(ctx, m, workers, func(i int, f *ir.Func) {
-				if s := fpick(i); s != nil {
-					s.RunShadow("flatten", f, passes.Flatten)
-				} else {
-					passes.Flatten(f)
-				}
+			err := forEachFuncIn(ctx, m, cfg, sb, func(_ int, f *ir.Func, s *passes.Sandbox) {
+				s.RunShadow("flatten", f, passes.Flatten)
 			})
-			absorbAll(sb, fsubs)
 			obs.EndSpan(tr, "stage:flatten", fst, m.Name)
 			if err != nil {
 				return nil, err
@@ -502,9 +460,7 @@ func optimizeContext(ctx context.Context, m *ir.Module, cfg Config, sb *passes.S
 	}
 	res.SizeAfter = profit.Module(m)
 	res.BinaryAfter = binary.Module(m)
-	if sb != nil {
-		res.Degraded = sb.Report()
-	}
+	res.Degraded = sb.Report()
 	return res, nil
 }
 
@@ -513,26 +469,9 @@ func optimizeContext(ctx context.Context, m *ir.Module, cfg Config, sb *passes.S
 // when parallelism is enabled.
 func runStandard(ctx context.Context, m *ir.Module, cfg Config, sb *passes.Sandbox) error {
 	p := passes.Standard()
-	workers := cfg.workers()
-	tr := obs.TraceFrom(ctx)
-	if workers <= 1 {
-		if sb != nil {
-			p.RunSandboxed(m, sb)
-		} else {
-			p.Run(m)
-		}
-		return nil
-	}
-	subs, pick := stageSandboxes(cfg, sb, tr, len(m.Funcs), workers)
-	err := forEachFunc(ctx, m, workers, func(i int, f *ir.Func) {
-		if s := pick(i); s != nil {
-			p.RunFuncSandboxed(f, s)
-		} else {
-			p.RunFunc(f)
-		}
+	return forEachFuncIn(ctx, m, cfg, sb, func(_ int, f *ir.Func, s *passes.Sandbox) {
+		p.RunFuncSandboxed(f, s)
 	})
-	absorbAll(sb, subs)
-	return err
 }
 
 // forEachFunc applies work to every defined function of m: in index
@@ -605,31 +544,28 @@ func forEachFunc(ctx context.Context, m *ir.Module, workers int, work func(i int
 	return nil
 }
 
-// stageSandboxes hands out the sandbox each function of one pipeline
-// stage runs under. Fail-hard stages get nil; serial fail-soft stages
-// share sb; parallel fail-soft stages get one private sandbox per
-// function (a Sandbox is not safe for concurrent use), which absorbAll
-// merges back into sb in function order after the stage.
-func stageSandboxes(cfg Config, sb *passes.Sandbox, tr obs.TraceContext, n, workers int) ([]*passes.Sandbox, func(i int) *passes.Sandbox) {
-	if sb == nil {
-		return nil, func(int) *passes.Sandbox { return nil }
-	}
+// forEachFuncIn is forEachFunc for one pipeline stage under sb, the
+// job's sandbox from cfg.sandbox (nil when fail-hard). Serially every
+// function runs under sb; in parallel each gets its own cfg.sandbox (a
+// Sandbox is not safe for concurrent use), whose report is absorbed
+// into sb in function order after the stage, so the merged report
+// matches a serial run's.
+func forEachFuncIn(ctx context.Context, m *ir.Module, cfg Config, sb *passes.Sandbox, work func(i int, f *ir.Func, s *passes.Sandbox)) error {
+	workers := cfg.workers()
 	if workers <= 1 {
-		return nil, func(int) *passes.Sandbox { return sb }
+		return forEachFunc(ctx, m, workers, func(i int, f *ir.Func) { work(i, f, sb) })
 	}
-	subs := make([]*passes.Sandbox, n)
-	for i := range subs {
-		subs[i] = cfg.sandbox(tr)
-	}
-	return subs, func(i int) *passes.Sandbox { return subs[i] }
-}
-
-func absorbAll(sb *passes.Sandbox, subs []*passes.Sandbox) {
+	subs := make([]*passes.Sandbox, len(m.Funcs))
+	err := forEachFunc(ctx, m, workers, func(i int, f *ir.Func) {
+		subs[i] = cfg.sandbox(obs.TraceFrom(ctx))
+		work(i, f, subs[i])
+	})
 	for _, sub := range subs {
 		if sub != nil {
 			sb.Absorb(sub)
 		}
 	}
+	return err
 }
 
 // CheckEquiv verifies behavioural equivalence of one function across two
