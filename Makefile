@@ -1,26 +1,26 @@
 # Build/test entry points. `make ci` is the tier-1 gate plus the race
 # detector over the whole tree, a short differential-fuzzing smoke, the
-# fault-injection chaos smoke, the core-optimizer benchmark smoke, the
-# assembly-backend smoke, the cost-model calibration gate, the cluster
+# fault-injection chaos smoke, the bare-optimizer speed smoke (a short
+# tsvc-unroll8 run of the repository benchmark), the assembly-backend smoke, the cost-model calibration gate, the cluster
 # smoke (3 shards + router under a zipfian burst), and the cluster
 # chaos smoke (faulty links + a shard crash-restarted from its cache
 # snapshot mid-burst), and the fleet-telemetry smoke (traced burst
 # through the router; every sampled trace must stitch across processes
 # and the latency aggregation must be self-consistent), and the
 # repository benchmark module's own vet and tests. The three
-# cluster smokes share one harness, cmd/rolag-loadgen. `make bench-core`
-# regenerates the machine-readable optimizer perf record
-# (results/BENCH_core.json), `make bench-cluster` the cluster one
-# (results/BENCH_cluster.json), `make bench-chaos` the survivability
-# one (results/BENCH_chaos.json), and `make bench-fleet` the
-# fleet-telemetry one (results/BENCH_fleet.json). The repository
+# cluster smokes share one harness, cmd/rolag-loadgen. `make
+# bench-smoke-record` rewrites the speed smoke's record on this machine
+# (results/bench-smoke-tsvc.jsonl), `make bench-cluster` the cluster
+# one (results/BENCH_cluster.json), `make bench-chaos` the
+# survivability one (results/BENCH_chaos.json), and `make bench-fleet`
+# the fleet-telemetry one (results/BENCH_fleet.json). The repository
 # benchmark, which times the production cold path layer by layer, is
 # `bash benchmark/run.sh` (see benchmark/README.md).
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test race bench-module fuzz-smoke chaos-smoke bench-smoke explain-smoke asm-smoke calib-check cluster-smoke chaos-cluster-smoke fleet-smoke ci calib bench-core bench-cluster bench-chaos bench-fleet serve clean
+.PHONY: all build vet test race bench-module fuzz-smoke chaos-smoke bench-smoke explain-smoke asm-smoke calib-check cluster-smoke chaos-cluster-smoke fleet-smoke ci calib bench-smoke-record bench-cluster bench-chaos bench-fleet serve clean
 
 all: build
 
@@ -107,15 +107,31 @@ calib-check:
 calib:
 	$(GO) run ./cmd/experiments -run calib -check
 
-# One-iteration core benchmark gated against the committed baseline:
-# fails if the output JSON is malformed (the gate parses it) or if
-# ns-per-function regresses by more than 2x. The comparison is
-# normalized per corpus function, so the small smoke corpus is
-# comparable to the full committed baseline.
+# Bare-optimizer speed smoke: a 3 s run of the repository benchmark's
+# tsvc-unroll8 workload (rolag.Build with Unroll 8, Flatten and RoLAG,
+# then the backend, over the 151 TSVC kernels; no service, no sandbox).
+# It fails if the run's output is not correct, if any operation failed,
+# or if throughput_ops falls below half of the record's. The record
+# holds both benchmark output lines (provenance: rev, nproc, Go
+# version; then the metrics), taken on the machine that runs the gate
+# by `make bench-smoke-record`. BENCH_SMOKE_RECORD names another record.
+BENCH_SMOKE = bash benchmark/run.sh --workload tsvc-unroll8 --seed 1 --seconds 3 --trace 0
+BENCH_SMOKE_RECORD ?= results/bench-smoke-tsvc.jsonl
+
 bench-smoke:
-	$(GO) run ./cmd/rolag-bench -n 120 -iters 1 \
-		-out $(or $(TMPDIR),/tmp)/rolag-bench-smoke.json \
-		-check results/BENCH_core.json -max-slowdown 2
+	@set -e; \
+	got=$$($(BENCH_SMOKE) | tail -n 1); \
+	echo "bench-smoke: $$got"; \
+	ops='s/.*"throughput_ops":{"value":\([0-9.]*\).*/\1/p'; \
+	g=$$(printf '%s\n' "$$got" | sed -n "$$ops"); \
+	r=$$(tail -n 1 $(BENCH_SMOKE_RECORD) | sed -n "$$ops"); \
+	printf '%s\n' "$$got" | grep -q '"correct":true' || { echo "bench-smoke: output not correct"; exit 1; }; \
+	printf '%s\n' "$$got" | grep -q '"failed":0,' || { echo "bench-smoke: failed operations"; exit 1; }; \
+	awk -v g="$$g" -v r="$$r" 'BEGIN { \
+		if (g == "" || r == "") { print "bench-smoke: throughput_ops missing"; exit 1 } \
+		printf "bench-smoke: throughput %.1f ops/s, record %.1f (ratio %.2f, floor 0.50)\n", g, r, g / r; \
+		if (g < 0.5 * r) { print "bench-smoke: throughput below half the record"; exit 1 } \
+	}'
 
 # Cluster smoke: spawn a local 3-shard cluster plus router and push a
 # 500-request zipfian burst through it (a quarter of it shard-direct, so
@@ -151,9 +167,10 @@ fleet-smoke:
 
 ci: vet build race bench-module fuzz-smoke chaos-smoke bench-smoke explain-smoke asm-smoke calib-check cluster-smoke chaos-cluster-smoke fleet-smoke
 
-# Full core-optimizer benchmark; regenerates the committed baseline.
-bench-core:
-	$(GO) run ./cmd/rolag-bench -n 300 -iters 5 -out results/BENCH_core.json
+# Rewrites the speed smoke's record with one run on this machine.
+bench-smoke-record:
+	$(BENCH_SMOKE) > $(BENCH_SMOKE_RECORD).tmp
+	mv $(BENCH_SMOKE_RECORD).tmp $(BENCH_SMOKE_RECORD)
 
 # Full cluster benchmark; regenerates the committed baseline.
 bench-cluster:

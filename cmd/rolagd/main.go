@@ -7,7 +7,7 @@
 //	rolagd [-addr :8723] [-workers N] [-cache N] [-max-inflight N]
 //	       [-request-timeout 30s] [-shutdown-timeout 10s]
 //	       [-pass-budget 10s] [-breaker-threshold 5] [-breaker-cooldown 30s]
-//	       [-fail-hard] [-func-parallel N] [-phase-timing=false]
+//	       [-fail-hard] [-func-parallel N]
 //	       [-trace=false] [-trace-buf N] [-log text|json]
 //	       [-shard-id a -peers a=http://h1:8723,b=http://h2:8723,...]
 //	       [-vnodes 128] [-peer-timeout 250ms]
@@ -46,7 +46,9 @@
 // X-Trace-Id header), echoed back in the X-Trace-Id response header,
 // attached to every structured log line, and used to label the request's
 // spans — HTTP handling, engine compile, sandboxed passes, pipeline
-// stages, and RoLAG phases — in the /debug/trace export.
+// stages, and RoLAG phases — in the /debug/trace export. Per-phase
+// RoLAG timings are always recorded and exported as
+// rolagd_phase_seconds at /metrics.
 //
 // Overload: when more than -max-inflight requests are in flight the
 // daemon sheds with HTTP 429 and a Retry-After header instead of
@@ -105,7 +107,6 @@ func main() {
 	breakerCooldown := flag.Duration("breaker-cooldown", 0, "open-breaker cooldown before a half-open probe (0 = default)")
 	failHard := flag.Bool("fail-hard", false, "disable the fail-soft sandbox: a broken pass fails the whole job")
 	funcParallel := flag.Int("func-parallel", 0, "functions optimized concurrently within one job (0/1 = serial, negative = GOMAXPROCS); output is byte-identical")
-	phaseTiming := flag.Bool("phase-timing", true, "record per-phase RoLAG timings (exported as rolagd_phase_seconds)")
 	trace := flag.Bool("trace", true, "record per-request spans (exported at /debug/trace)")
 	traceBuf := flag.Int("trace-buf", obs.DefaultTraceCapacity, "span ring-buffer capacity (oldest spans are overwritten)")
 	logFormat := flag.String("log", "text", "structured log format: text or json")
@@ -142,7 +143,7 @@ func main() {
 		}
 	}
 
-	obs.EnableSpanStats(*phaseTiming)
+	obs.EnableSpanStats(true)
 	obs.SetTraceCapacity(*traceBuf)
 	obs.EnableTracing(*trace)
 	d := daemon.New(daemon.Config{
@@ -175,7 +176,7 @@ func main() {
 	go func() { errCh <- srv.ListenAndServe() }()
 	logger.Info("listening", "addr", *addr, "workers", d.Engine().Workers(),
 		"shard", *shardID, "peers", len(peers),
-		"trace", *trace, "phase_timing", *phaseTiming)
+		"trace", *trace)
 
 	select {
 	case err := <-errCh:

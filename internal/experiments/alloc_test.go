@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"rolag"
-	"rolag/internal/experiments"
 	"rolag/internal/workloads/angha"
 )
 
@@ -72,7 +71,10 @@ func TestRollAllocBudget(t *testing.T) {
 
 // BenchmarkRollAngha compiles a fixed slice of the canonical corpus
 // with RoLAG per iteration; allocs/op is the headline metric the
-// allocation-lean work targets.
+// allocation-lean work targets. It is also the optimizer's profiling
+// entry point:
+//
+//	go test ./internal/experiments -run '^$' -bench RollAngha -cpuprofile cpu.prof
 func BenchmarkRollAngha(b *testing.B) {
 	funcs := angha.Generate(60, 20220402)
 	cfg := rolag.Config{Opt: rolag.OptRoLAG}
@@ -84,54 +86,5 @@ func BenchmarkRollAngha(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-	}
-}
-
-// BenchmarkRollAnghaParallel is BenchmarkRollAngha with function-level
-// parallelism enabled (Parallelism = GOMAXPROCS); output is
-// byte-identical, so the delta is pure pipeline overhead or speedup.
-func BenchmarkRollAnghaParallel(b *testing.B) {
-	funcs := angha.Generate(60, 20220402)
-	cfg := rolag.Config{Opt: rolag.OptRoLAG, Parallelism: -1}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, fn := range funcs {
-			if _, err := rolag.Build(fn.Src, cfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// TestCoreBenchSmoke runs the harness at minimum size and checks the
-// result is structurally sound — every phase present, percentiles
-// ordered, iteration data consistent with the summary.
-func TestCoreBenchSmoke(t *testing.T) {
-	res, err := experiments.RunCoreBench(experiments.CoreBenchConfig{N: 20, Iterations: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Schema != "rolag-bench/v1" {
-		t.Errorf("schema = %q", res.Schema)
-	}
-	if res.Functions != 20 || len(res.Iterations) != 2 {
-		t.Errorf("functions=%d iterations=%d, want 20 and 2", res.Functions, len(res.Iterations))
-	}
-	if res.LoopsRolled == 0 {
-		t.Error("corpus rolled nothing; the harness is measuring a no-op")
-	}
-	if res.WallP50Seconds <= 0 || res.WallP99Seconds < res.WallP50Seconds {
-		t.Errorf("bad wall percentiles: p50=%g p99=%g", res.WallP50Seconds, res.WallP99Seconds)
-	}
-	if res.NsPerFunction <= 0 || res.AllocsPerIteration == 0 {
-		t.Errorf("bad normalization: ns/func=%g allocs=%d", res.NsPerFunction, res.AllocsPerIteration)
-	}
-	want := map[string]bool{"seed": true, "align": true, "schedule": true, "codegen": true}
-	for _, ph := range res.Phases {
-		delete(want, ph.Phase)
-	}
-	if len(want) != 0 {
-		t.Errorf("phases missing from result: %v", want)
 	}
 }

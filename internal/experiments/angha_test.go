@@ -6,8 +6,10 @@ import (
 	"rolag/internal/experiments"
 )
 
+// TestRunAngha runs the corpus at the size and seed of the committed
+// records (the AnghaConfig defaults) and pins its numbers to the golden.
 func TestRunAngha(t *testing.T) {
-	s, err := experiments.RunAngha(experiments.AnghaConfig{N: 800})
+	s, err := experiments.RunAngha(experiments.AnghaConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,4 +29,5 @@ func TestRunAngha(t *testing.T) {
 	if s.MeanReduction < 3 {
 		t.Errorf("mean reduction %.2f%% too small", s.MeanReduction)
 	}
+	checkGolden(t, "angha", anghaGolden(s))
 }

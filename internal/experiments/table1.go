@@ -30,21 +30,9 @@ type Table1Row struct {
 
 // RunTable1 builds every Table I program stand-in with and without RoLAG
 // and reports the deltas.
-func RunTable1() ([]Table1Row, error) { return RunTable1Scaled(1) }
-
-// RunTable1Scaled runs Table I with every program's function count
-// multiplied by frac (minimum 4 functions); the benchmarks use small
-// fractions to keep iterations cheap while cmd/experiments runs the full
-// scale.
-func RunTable1Scaled(frac float64) ([]Table1Row, error) {
+func RunTable1() ([]Table1Row, error) {
 	var rows []Table1Row
 	for _, p := range programs.Table() {
-		if frac < 1 {
-			p.NumFuncs = int(float64(p.NumFuncs) * frac)
-			if p.NumFuncs < 4 {
-				p.NumFuncs = 4
-			}
-		}
 		var before, after int
 		var rolled, llvm int
 		for _, fn := range p.Functions() {

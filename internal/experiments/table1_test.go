@@ -31,4 +31,5 @@ func TestRunTable1(t *testing.T) {
 	if neg == 0 {
 		t.Error("expected at least one regressing program (paper: typeset, sha, xz_s, mcf_s)")
 	}
+	checkGolden(t, "table1", table1Golden(rows))
 }

@@ -65,6 +65,8 @@ type TSVCSummary struct {
 	// Loops rolled with special nodes disabled (the paper's 19 vs 84,
 	// Fig. 19).
 	AffectedNoSpecial int
+	// MeanNoSpecial is the suite mean with special nodes disabled.
+	MeanNoSpecial float64
 	// Kernels profitably rolled with the beyond-paper extensions
 	// (min/max reductions) enabled.
 	AffectedExtensions int
@@ -245,7 +247,7 @@ func RunTSVC(cfg TSVCConfig) (*TSVCSummary, error) {
 // identical per-kernel results.
 func aggregateTSVC(cfg *TSVCConfig, kernels []tsvc.Kernel, builds [][numVariants]tsvcBuild) (*TSVCSummary, error) {
 	summary := &TSVCSummary{NodeCounts: make(map[rl.NodeKind]int)}
-	var extSum float64
+	var extSum, noSpecialSum float64
 	var perfSum float64
 	var perfN int
 	for i, kr := range kernels {
@@ -268,6 +270,7 @@ func aggregateTSVC(cfg *TSVCConfig, kernels []tsvc.Kernel, builds [][numVariants
 		if b[vNoSpecial].rolled > 0 && b[vNoSpecial].binaryAfter < b[vNoSpecial].binaryBefore {
 			summary.AffectedNoSpecial++
 		}
+		noSpecialSum += pct(res.SizeBase, b[vNoSpecial].binaryAfter)
 		if cfg.WithExtensions {
 			if b[vExt].rolled > 0 && b[vExt].binaryAfter < b[vExt].binaryBefore {
 				summary.AffectedExtensions++
@@ -298,6 +301,9 @@ func aggregateTSVC(cfg *TSVCConfig, kernels []tsvc.Kernel, builds [][numVariants
 		summary.MeanRoLAG += r.RedRoLAG() / n
 		summary.MeanOracle += r.RedOracle() / n
 		summary.MeanFlat += r.RedFlat() / n
+	}
+	if len(summary.Results) > 0 {
+		summary.MeanNoSpecial = noSpecialSum / n
 	}
 	if perfN > 0 {
 		summary.RelPerf = perfSum / float64(perfN)

@@ -6,9 +6,12 @@ import (
 	"rolag/internal/experiments"
 )
 
+// TestRunTSVC runs the full suite the way cmd/experiments does
+// (extensions and §V.D included) and pins its numbers to the golden.
 func TestRunTSVC(t *testing.T) {
 	cfg := experiments.DefaultTSVCConfig()
 	cfg.MeasurePerf = true
+	cfg.WithExtensions = true
 	s, err := experiments.RunTSVC(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -37,6 +40,7 @@ func TestRunTSVC(t *testing.T) {
 	if s.AffectedNoSpecial >= s.AffectedRoLAG {
 		t.Errorf("no-special %d >= full %d; special nodes should matter", s.AffectedNoSpecial, s.AffectedRoLAG)
 	}
+	checkGolden(t, "tsvc", tsvcGolden(s))
 }
 
 func TestTSVCExtensions(t *testing.T) {

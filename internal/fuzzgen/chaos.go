@@ -43,13 +43,17 @@ type ChaosOracle struct {
 }
 
 // DefaultChaosBudget and DefaultChaosStall are the campaign defaults:
-// honest passes finish in microseconds, injected stalls in 250ms, so a
-// 100ms budget separates the two with two decades of margin each way.
-// Race-detector builds stretch both by raceDelayScale to keep the
-// margins against the instrumentation slowdown.
+// honest passes finish in microseconds and injected stalls last the
+// budget plus chaosStallMargin, so every stall overruns the budget by
+// construction. Race-detector builds stretch the budget by
+// raceDelayScale to keep honest passes under it despite the
+// instrumentation slowdown; the stall follows the budget, so a race
+// build stalls 1.15s rather than 2.5s.
 const (
 	DefaultChaosBudget = 100 * time.Millisecond * raceDelayScale
-	DefaultChaosStall  = 250 * time.Millisecond * raceDelayScale
+	DefaultChaosStall  = DefaultChaosBudget + chaosStallMargin
+
+	chaosStallMargin = 150 * time.Millisecond
 )
 
 func (o *ChaosOracle) seeds() int {

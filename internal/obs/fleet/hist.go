@@ -14,15 +14,14 @@ import (
 )
 
 // LatencyBounds are the request-latency histogram bucket upper bounds
-// in seconds — the same bounds as rolagd's compile-latency histogram,
-// so per-route request histograms and engine compile histograms render
-// on the same axis.
+// in seconds. rolagd's compile-latency histogram is a Hist too, so
+// per-route request histograms and engine compile histograms render on
+// the same axis.
 var LatencyBounds = []float64{
 	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5,
 }
 
-// Inf stands in for +Inf so snapshots stay JSON-encodable (matching
-// the sentinel the service package uses for its bucket bounds).
+// Inf stands in for +Inf so snapshots stay JSON-encodable.
 const Inf = 1e308
 
 // Bucket is one cumulative histogram bucket, Prometheus-style.

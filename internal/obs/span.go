@@ -20,10 +20,9 @@ const maxSpanClasses = 32
 
 // SpanClass identifies one registered span kind whose durations are
 // accumulated into a process-wide histogram when span stats are
-// enabled (rolagd's rolagd_phase_seconds series and cmd/rolag-bench's
-// per-phase percentiles both read these, so daemon and harness always
-// agree on phase boundaries). The timed region also becomes a trace
-// event when tracing is on.
+// enabled (rolagd's rolagd_phase_seconds series reads these). The
+// timed region also becomes a trace event when tracing is on, so the
+// metrics and the trace agree on phase boundaries.
 type SpanClass int
 
 type spanCounters struct {

@@ -7,13 +7,13 @@ import (
 )
 
 // Phase identifies one stage of the RoLAG pipeline for timing. Each
-// phase is a registered obs span class, so the same histograms feed
-// cmd/rolag-bench (per-phase p50/p99), rolagd's rolagd_phase_seconds
-// metrics, and — when tracing is on — per-request trace events; every
-// consumer agrees on phase boundaries by construction. Enable/reset/
-// snapshot live in internal/obs (EnableSpanStats, ResetSpanStats,
-// SpanStats); the accounting is safe under the parallel pipeline
-// because the obs counters are plain atomics.
+// phase is a registered obs span class, so the same timed region feeds
+// rolagd's rolagd_phase_seconds metrics and — when tracing is on —
+// per-request trace events; both agree on phase boundaries by
+// construction. Enable/reset/snapshot live in internal/obs
+// (EnableSpanStats, ResetSpanStats, SpanStats); the accounting is safe
+// under the parallel pipeline because the obs counters are plain
+// atomics.
 type Phase int
 
 // Pipeline phases, in execution order.

@@ -10,16 +10,12 @@ import (
 
 	"rolag/internal/fuzzgen"
 	"rolag/internal/obs"
+	"rolag/internal/obs/fleet"
 )
 
-// latencyBounds are the upper bounds (seconds) of the compile-latency
-// histogram buckets; a final implicit +Inf bucket catches the rest.
-var latencyBounds = [...]float64{
-	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5,
-}
-
-// metrics is the engine's hot-path instrumentation: plain atomics, no
-// locks, safe to bump from every worker concurrently.
+// metrics is the engine's hot-path instrumentation, safe to bump from
+// every worker concurrently: plain atomics, plus the latency
+// histogram's short lock once per fresh compile.
 type metrics struct {
 	requests    atomic.Int64
 	cacheHits   atomic.Int64
@@ -44,9 +40,9 @@ type metrics struct {
 	snapshotEntries  atomic.Int64
 	snapshotWarmHits atomic.Int64
 
-	latencyBuckets [len(latencyBounds) + 1]atomic.Int64
-	latencyCount   atomic.Int64
-	latencyNanos   atomic.Int64
+	// latency is the fresh-compile latency histogram
+	// (rolagd_compile_seconds).
+	latency fleet.Hist
 
 	// skipMu guards passSkipped; the per-pass breakdown is off the hot
 	// path (bumped only when a pass actually degrades).
@@ -99,28 +95,7 @@ func (m *metrics) skipPass(pass string) {
 	m.skipMu.Unlock()
 }
 
-func (m *metrics) observeCompile(d time.Duration) {
-	sec := d.Seconds()
-	idx := len(latencyBounds)
-	for i, ub := range latencyBounds {
-		if sec <= ub {
-			idx = i
-			break
-		}
-	}
-	m.latencyBuckets[idx].Add(1)
-	m.latencyCount.Add(1)
-	m.latencyNanos.Add(int64(d))
-}
-
-// Bucket is one cumulative histogram bucket in a MetricsSnapshot.
-type Bucket struct {
-	// LE is the bucket's inclusive upper bound in seconds; the last
-	// bucket's bound is +Inf and serialized as such.
-	LE float64 `json:"le"`
-	// Count is cumulative, Prometheus-style.
-	Count int64 `json:"count"`
-}
+func (m *metrics) observeCompile(d time.Duration) { m.latency.Observe(d.Seconds()) }
 
 // MetricsSnapshot is a consistent-enough point-in-time copy of the
 // engine counters, suitable for JSON or Prometheus text rendering.
@@ -165,15 +140,14 @@ type MetricsSnapshot struct {
 	BreakerOpens int64            `json:"breaker_opens"`
 	Breakers     []BreakerInfo    `json:"breakers,omitempty"`
 
-	LatencyCount      int64    `json:"latency_count"`
-	LatencySumSeconds float64  `json:"latency_sum_seconds"`
-	LatencyBuckets    []Bucket `json:"latency_buckets"`
+	LatencyCount      int64          `json:"latency_count"`
+	LatencySumSeconds float64        `json:"latency_sum_seconds"`
+	LatencyBuckets    []fleet.Bucket `json:"latency_buckets"`
 
 	// Phases mirrors the process-wide RoLAG per-phase span histograms
-	// (obs.SpanStats) — the exact histograms cmd/rolag-bench reads, so
-	// the daemon's rolagd_phase_seconds series and the benchmark harness
-	// always agree on phase boundaries. Empty unless span stats are
-	// enabled (rolagd -phase-timing, on by default).
+	// (obs.SpanStats), so the rolagd_phase_seconds series and the
+	// per-request trace agree on phase boundaries. Empty unless span
+	// stats are enabled (rolagd always enables them).
 	Phases []PhaseStat `json:"phases,omitempty"`
 
 	// Remarks is the per-(pass, reason) count of optimization remarks
@@ -195,7 +169,7 @@ type PhaseStat struct {
 	// SumSeconds is the total wall-clock spent in the phase.
 	SumSeconds float64 `json:"sum_seconds"`
 	// Buckets is the cumulative latency histogram (last bucket +Inf).
-	Buckets []Bucket `json:"buckets"`
+	Buckets []fleet.Bucket `json:"buckets"`
 }
 
 // RemarkCount is one rolagd_remarks_total series: how many remarks a
@@ -224,11 +198,11 @@ func phaseStats() []PhaseStat {
 		var cum int64
 		for i, ub := range obs.SpanBounds {
 			cum += int64(t.Buckets[i])
-			st.Buckets = append(st.Buckets, Bucket{LE: ub, Count: cum})
+			st.Buckets = append(st.Buckets, fleet.Bucket{LE: ub, Count: cum})
 		}
 		// Durations above the last bound count only toward Count, so the
 		// +Inf bucket is the total.
-		st.Buckets = append(st.Buckets, Bucket{LE: inf, Count: st.Count})
+		st.Buckets = append(st.Buckets, fleet.Bucket{LE: fleet.Inf, Count: st.Count})
 		out = append(out, st)
 	}
 	return out
@@ -244,6 +218,7 @@ func (s *MetricsSnapshot) HitRate() float64 {
 }
 
 func (m *metrics) snapshot() MetricsSnapshot {
+	lat := m.latency.Snapshot()
 	s := MetricsSnapshot{
 		Requests:          m.requests.Load(),
 		CacheHits:         m.cacheHits.Load(),
@@ -265,8 +240,9 @@ func (m *metrics) snapshot() MetricsSnapshot {
 		SnapshotWarmHits:  m.snapshotWarmHits.Load(),
 		Degraded:          m.degraded.Load(),
 		Shed:              m.shed.Load(),
-		LatencyCount:      m.latencyCount.Load(),
-		LatencySumSeconds: float64(m.latencyNanos.Load()) / 1e9,
+		LatencyCount:      lat.Count,
+		LatencySumSeconds: lat.SumSeconds,
+		LatencyBuckets:    lat.Buckets,
 		Phases:            phaseStats(),
 		Fuzz:              fuzzgen.Snapshot(),
 	}
@@ -289,20 +265,8 @@ func (m *metrics) snapshot() MetricsSnapshot {
 		}
 		return s.Remarks[i].Reason < s.Remarks[j].Reason
 	})
-	var cum int64
-	for i := range m.latencyBuckets {
-		cum += m.latencyBuckets[i].Load()
-		le := inf
-		if i < len(latencyBounds) {
-			le = latencyBounds[i]
-		}
-		s.LatencyBuckets = append(s.LatencyBuckets, Bucket{LE: le, Count: cum})
-	}
 	return s
 }
-
-// inf stands in for +Inf so the snapshot stays JSON-encodable.
-const inf = 1e308
 
 // WritePrometheus renders the snapshot in the Prometheus text exposition
 // format (counters, one gauge, and the compile-latency histogram).
@@ -391,27 +355,33 @@ func (s *MetricsSnapshot) WritePrometheus(w io.Writer) {
 		fmt.Fprintf(w, "# HELP rolagd_phase_seconds Wall-clock of RoLAG pipeline phases.\n")
 		fmt.Fprintf(w, "# TYPE rolagd_phase_seconds histogram\n")
 		for _, ph := range s.Phases {
-			for _, b := range ph.Buckets {
-				if b.LE >= inf {
-					fmt.Fprintf(w, "rolagd_phase_seconds_bucket{phase=%q,le=\"+Inf\"} %d\n", ph.Phase, b.Count)
-				} else {
-					fmt.Fprintf(w, "rolagd_phase_seconds_bucket{phase=%q,le=\"%g\"} %d\n", ph.Phase, b.LE, b.Count)
-				}
-			}
-			fmt.Fprintf(w, "rolagd_phase_seconds_sum{phase=%q} %g\n", ph.Phase, ph.SumSeconds)
-			fmt.Fprintf(w, "rolagd_phase_seconds_count{phase=%q} %d\n", ph.Phase, ph.Count)
+			writeHist(w, "rolagd_phase_seconds", fmt.Sprintf("phase=%q", ph.Phase), ph.Buckets, ph.SumSeconds, ph.Count)
 		}
 	}
 
 	fmt.Fprintf(w, "# HELP rolagd_compile_seconds Latency of fresh compilations.\n")
 	fmt.Fprintf(w, "# TYPE rolagd_compile_seconds histogram\n")
-	for _, b := range s.LatencyBuckets {
-		if b.LE >= inf {
-			fmt.Fprintf(w, "rolagd_compile_seconds_bucket{le=\"+Inf\"} %d\n", b.Count)
-		} else {
-			fmt.Fprintf(w, "rolagd_compile_seconds_bucket{le=\"%g\"} %d\n", b.LE, b.Count)
-		}
+	writeHist(w, "rolagd_compile_seconds", "", s.LatencyBuckets, s.LatencySumSeconds, s.LatencyCount)
+}
+
+// writeHist renders one histogram series's cumulative bucket, sum and
+// count lines; labels (`k="v",...`, possibly empty) prefix each
+// series's label set.
+func writeHist(w io.Writer, name, labels string, buckets []fleet.Bucket, sum float64, count int64) {
+	sep := ""
+	if labels != "" {
+		sep = ","
 	}
-	fmt.Fprintf(w, "rolagd_compile_seconds_sum %g\n", s.LatencySumSeconds)
-	fmt.Fprintf(w, "rolagd_compile_seconds_count %d\n", s.LatencyCount)
+	for _, b := range buckets {
+		le := "+Inf"
+		if b.LE < fleet.Inf {
+			le = fmt.Sprintf("%g", b.LE)
+		}
+		fmt.Fprintf(w, "%s_bucket{%s%sle=%q} %d\n", name, labels, sep, le, b.Count)
+	}
+	if labels != "" {
+		labels = "{" + labels + "}"
+	}
+	fmt.Fprintf(w, "%s_sum%s %g\n", name, labels, sum)
+	fmt.Fprintf(w, "%s_count%s %d\n", name, labels, count)
 }
