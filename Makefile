@@ -1,15 +1,17 @@
-# Build/test entry points. `make ci` is the tier-1 gate plus the race
-# detector over the whole tree, a short differential-fuzzing smoke, the
-# fault-injection chaos smoke, the bare-optimizer speed smoke (a short
-# tsvc-unroll8 run of the repository benchmark), the assembly-backend smoke, the cost-model calibration gate, the cluster
-# smoke (3 shards + router under a zipfian burst), and the cluster
-# chaos smoke (faulty links + a shard crash-restarted from its cache
-# snapshot mid-burst), and the fleet-telemetry smoke (traced burst
-# through the router; every sampled trace must stitch across processes
-# and the latency aggregation must be self-consistent), and the
-# repository benchmark module's own vet and tests. The three
-# cluster smokes share one harness, cmd/rolag-loadgen. `make
-# bench-smoke-record` rewrites the speed smoke's record on this machine
+# Build/test entry points. `make ci` is the tier-1 gate plus a gofmt
+# check of every tracked Go file, the race detector over the whole
+# tree, a short differential-fuzzing smoke, the fault-injection chaos
+# smoke, the bare-optimizer speed smoke (a short tsvc-unroll8 run of
+# the repository benchmark), the assembly-backend smoke, the
+# cost-model calibration gate, the cluster smoke (3 shards + router
+# under a zipfian burst), and the cluster chaos smoke (faulty links +
+# a shard crash-restarted from its cache snapshot mid-burst), and the
+# fleet-telemetry smoke (traced burst through the router; every
+# sampled trace must stitch across processes and the latency
+# aggregation must be self-consistent), and the repository benchmark
+# module's own vet and tests. The three cluster smokes share one
+# harness, cmd/rolag-loadgen. `make bench-smoke-record` rewrites the
+# speed smoke's record on this machine
 # (results/bench-smoke-tsvc.jsonl), `make bench-cluster` the cluster
 # one (results/BENCH_cluster.json), `make bench-chaos` the
 # survivability one (results/BENCH_chaos.json), and `make bench-fleet`
@@ -20,7 +22,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test race bench-module fuzz-smoke chaos-smoke bench-smoke explain-smoke asm-smoke calib-check cluster-smoke chaos-cluster-smoke fleet-smoke ci calib bench-smoke-record bench-cluster bench-chaos bench-fleet serve clean
+.PHONY: all build vet fmt test race bench-module fuzz-smoke chaos-smoke bench-smoke explain-smoke asm-smoke calib-check cluster-smoke chaos-cluster-smoke fleet-smoke ci calib bench-smoke-record bench-cluster bench-chaos bench-fleet serve clean
 
 all: build
 
@@ -29,6 +31,11 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Fails when gofmt would rewrite any tracked Go file, and lists them.
+fmt:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "fmt: gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -165,7 +172,7 @@ fleet-smoke:
 	$(GO) run ./cmd/rolag-loadgen -fleet -shards 3 -requests 300 -n 120 -rate 400 \
 		-out $(or $(TMPDIR),/tmp)/rolag-fleet-smoke.json
 
-ci: vet build race bench-module fuzz-smoke chaos-smoke bench-smoke explain-smoke asm-smoke calib-check cluster-smoke chaos-cluster-smoke fleet-smoke
+ci: vet fmt build race bench-module fuzz-smoke chaos-smoke bench-smoke explain-smoke asm-smoke calib-check cluster-smoke chaos-cluster-smoke fleet-smoke
 
 # Rewrites the speed smoke's record with one run on this machine.
 bench-smoke-record:

@@ -66,10 +66,10 @@ func (am *Manager) InvalidateAll() {
 // whole (the analyses are cheap relative to the queries they serve, and
 // fine-grained dirty tracking is not worth the bookkeeping).
 type FuncInfo struct {
-	f     *ir.Func
-	users map[ir.Value][]*ir.Instr
-	index map[*ir.Instr]int
-	dom   *DomInfo
+	f      *ir.Func
+	users  map[ir.Value][]*ir.Instr
+	index  map[*ir.Instr]int
+	dom    *DomInfo
 	intern *Interner
 }
 

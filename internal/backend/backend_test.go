@@ -3,13 +3,16 @@ package backend_test
 import (
 	"bytes"
 	"debug/elf"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"rolag"
 	"rolag/internal/backend"
+	"rolag/internal/workloads/tsvc"
 )
 
 func buildExample(t *testing.T, path string, opt rolag.Optimization) *rolag.Result {
@@ -75,7 +78,11 @@ func TestLowerExamples(t *testing.T) {
 
 // TestAssemblerAgreement assembles the printed assembly with the system
 // assembler (when present) and checks the built-in encoder agrees on
-// the total .text size, function by function via symbol sizes.
+// the total .text size, function by function via symbol sizes, and
+// that the assembled .rodata holds exactly the lowered data with its
+// alignment padding. The examples carry little data, so every 10th
+// TSVC kernel (Unroll 8 + Flatten + RoLAG, with the suite's global
+// arrays) is assembled too.
 func TestAssemblerAgreement(t *testing.T) {
 	as, err := exec.LookPath("as")
 	if err != nil {
@@ -88,38 +95,78 @@ func TestAssemblerAgreement(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", path, err)
 			}
-			obj := filepath.Join(t.TempDir(), "out.o")
-			cmd := exec.Command(as, "--64", "-o", obj, "--", "-")
-			cmd.Stdin = bytes.NewReader([]byte(r.Asm()))
-			if outb, err := cmd.CombinedOutput(); err != nil {
-				t.Fatalf("%s opt=%v: as failed: %v\n%s\nasm:\n%s", path, opt, err, outb, r.Asm())
-			}
-			ef, err := elf.Open(obj)
-			if err != nil {
-				t.Fatal(err)
-			}
-			syms, err := ef.Symbols()
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, sym := range syms {
-				if elf.ST_TYPE(sym.Info) != elf.STT_FUNC {
-					continue
-				}
-				if got := r.Code.FuncSize(sym.Name); got != int64(sym.Size) {
-					t.Errorf("%s opt=%v: %s: encoder says %d bytes, assembler says %d",
-						path, opt, sym.Name, got, sym.Size)
-				}
-			}
-			text := ef.Section(".text")
-			if text == nil {
-				t.Fatalf("%s opt=%v: no .text section", path, opt)
-			}
-			if int64(text.Size) != r.Code.Text {
-				t.Errorf("%s opt=%v: .text size: encoder %d, assembler %d",
-					path, opt, r.Code.Text, text.Size)
-			}
-			ef.Close()
+			checkAssembled(t, as, fmt.Sprintf("%s opt=%v", path, opt), r)
 		}
+	}
+	ks := tsvc.Kernels()
+	for i := 0; i < len(ks); i += 10 {
+		k := ks[i]
+		res, err := rolag.Build(k.Src, rolag.Config{Name: k.Name, Unroll: 8, Opt: rolag.OptRoLAG, Flatten: true})
+		if err != nil {
+			t.Fatalf("%s: %v", k.Name, err)
+		}
+		r, err := backend.Compile(res.Module, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", k.Name, err)
+		}
+		checkAssembled(t, as, "tsvc "+k.Name, r)
+	}
+}
+
+// checkAssembled assembles r's printed assembly with as and compares
+// the object file against the encoder and the lowered data.
+func checkAssembled(t *testing.T, as, label string, r *backend.Result) {
+	t.Helper()
+	obj := filepath.Join(t.TempDir(), "out.o")
+	cmd := exec.Command(as, "--64", "-o", obj, "--", "-")
+	cmd.Stdin = strings.NewReader(r.Asm())
+	if outb, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("%s: as failed: %v\n%s\nasm:\n%s", label, err, outb, r.Asm())
+	}
+	ef, err := elf.Open(obj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ef.Close()
+	syms, err := ef.Symbols()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sym := range syms {
+		if elf.ST_TYPE(sym.Info) != elf.STT_FUNC {
+			continue
+		}
+		if got := r.Code.FuncSize(sym.Name); got != int64(sym.Size) {
+			t.Errorf("%s: %s: encoder says %d bytes, assembler says %d",
+				label, sym.Name, got, sym.Size)
+		}
+	}
+	text := ef.Section(".text")
+	if text == nil {
+		t.Fatalf("%s: no .text section", label)
+	}
+	if int64(text.Size) != r.Code.Text {
+		t.Errorf("%s: .text size: encoder %d, assembler %d", label, r.Code.Text, text.Size)
+	}
+	// The lowered data, each symbol zero-padded to its alignment.
+	var want []byte
+	for _, s := range r.Mach.Rodata {
+		for s.Align > 1 && int64(len(want))%s.Align != 0 {
+			want = append(want, 0)
+		}
+		want = append(want, s.Data...)
+	}
+	var got []byte
+	if ro := ef.Section(".rodata"); ro != nil {
+		if got, err = ro.Data(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if int64(len(got)) != r.Code.Rodata {
+		t.Errorf("%s: .rodata size: encoder %d, assembler %d", label, r.Code.Rodata, len(got))
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s: assembled .rodata (%d bytes) differs from the lowered data (%d bytes)",
+			label, len(got), len(want))
 	}
 }

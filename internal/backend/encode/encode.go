@@ -24,10 +24,10 @@ type asm struct {
 	b []byte
 }
 
-func (a *asm) byte(v ...byte)  { a.b = append(a.b, v...) }
-func (a *asm) imm8(v int64)    { a.b = append(a.b, byte(v)) }
-func (a *asm) imm16(v int64)   { a.b = append(a.b, byte(v), byte(v>>8)) }
-func (a *asm) imm32(v int64)   { a.b = append(a.b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24)) }
+func (a *asm) byte(v ...byte) { a.b = append(a.b, v...) }
+func (a *asm) imm8(v int64)   { a.b = append(a.b, byte(v)) }
+func (a *asm) imm16(v int64)  { a.b = append(a.b, byte(v), byte(v>>8)) }
+func (a *asm) imm32(v int64)  { a.b = append(a.b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24)) }
 func (a *asm) imm64(v int64) {
 	a.imm32(v)
 	a.imm32(v >> 32)

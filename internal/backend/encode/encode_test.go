@@ -9,8 +9,8 @@ import (
 )
 
 // Shorthand builders for the golden table.
-func r(reg mach.Reg) mach.Operand            { return mach.RegOp(reg) }
-func imm(v int64) mach.Operand               { return mach.ImmOp(v) }
+func r(reg mach.Reg) mach.Operand             { return mach.RegOp(reg) }
+func imm(v int64) mach.Operand                { return mach.ImmOp(v) }
 func mem(base mach.Reg, d int64) mach.Operand { return mach.MemOp(base, d) }
 func memIdx(base, idx mach.Reg, scale int8, d int64) mach.Operand {
 	return mach.MemIdxOp(base, idx, scale, d)
@@ -226,9 +226,9 @@ func TestRodataSize(t *testing.T) {
 // of guessing on shapes the selector never emits.
 func TestUnsupportedShapesError(t *testing.T) {
 	bad := []*mach.Inst{
-		ins(mach.OMov, 8, mem(mach.RAX, 0), mem(mach.RBX, 0)),      // mem->mem
-		ins(mach.OLea, 8, r(mach.RAX), r(mach.RBX)),                // lea from reg
-		{Op: mach.OMov, Sz: 8, Src: imm(1 << 40), Dst: r(mach.RAX)}, // needs movabs
+		ins(mach.OMov, 8, mem(mach.RAX, 0), mem(mach.RBX, 0)),                 // mem->mem
+		ins(mach.OLea, 8, r(mach.RAX), r(mach.RBX)),                           // lea from reg
+		{Op: mach.OMov, Sz: 8, Src: imm(1 << 40), Dst: r(mach.RAX)},           // needs movabs
 		ins(mach.OMov, 8, mem(mach.RAX, 0), memIdx(mach.RBX, mach.RSP, 1, 0)), // rsp index
 	}
 	for i, in := range bad {

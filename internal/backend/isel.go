@@ -78,13 +78,13 @@ func gprSize(t ir.Type) int8 {
 // global access: one of frame slot + disp, rip-relative sym + disp, or
 // base reg (+ index*scale) + disp.
 type addr struct {
-	frame   bool
-	slot    int
-	sym     string
-	base    mach.Reg // NoReg unless register-based
-	index   mach.Reg // NoReg if none
-	scale   int8
-	disp    int64
+	frame bool
+	slot  int
+	sym   string
+	base  mach.Reg // NoReg unless register-based
+	index mach.Reg // NoReg if none
+	scale int8
+	disp  int64
 }
 
 func (a addr) operand() mach.Operand {

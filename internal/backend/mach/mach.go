@@ -118,7 +118,7 @@ type Operand struct {
 }
 
 // RegOp, ImmOp, MemOp, SymOp, FrameOp, IncomingOp build operands.
-func RegOp(r Reg) Operand  { return Operand{Kind: KReg, Reg: r} }
+func RegOp(r Reg) Operand   { return Operand{Kind: KReg, Reg: r} }
 func ImmOp(v int64) Operand { return Operand{Kind: KImm, Imm: v} }
 func MemOp(base Reg, disp int64) Operand {
 	return Operand{Kind: KMem, Base: base, Index: NoReg, Scale: 1, Imm: disp}
@@ -210,8 +210,8 @@ const (
 	// Conversions. SrcSz/Sz give the integer width where relevant.
 	OCvtss2sd
 	OCvtsd2ss
-	OCvtsi2ss // int(SrcSz) -> f32
-	OCvtsi2sd // int(SrcSz) -> f64
+	OCvtsi2ss  // int(SrcSz) -> f32
+	OCvtsi2sd  // int(SrcSz) -> f64
 	OCvttss2si // f32 -> int(Sz)
 	OCvttsd2si // f64 -> int(Sz)
 )

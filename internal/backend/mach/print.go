@@ -2,7 +2,9 @@ package mach
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Register name tables, indexed by hardware encoding 0..15.
@@ -166,7 +168,13 @@ func (p *printer) inst(in *Inst) string {
 		}
 		return two("imul" + suf)
 	case OShl, OShr, OSar:
-		m := map[Op]string{OShl: "shl", OShr: "shr", OSar: "sar"}[in.Op]
+		m := "sar"
+		switch in.Op {
+		case OShl:
+			m = "shl"
+		case OShr:
+			m = "shr"
+		}
 		if in.Src.Kind == KImm {
 			return fmt.Sprintf("%s%s\t$%d, %s", m, suf, in.Src.Imm, p.operand(in.Dst, in.Sz))
 		}
@@ -291,28 +299,71 @@ func Print(m *Module, ann map[string]int64) string {
 		}
 		fmt.Fprintf(&b, "\t.size\t%s, .-%s\n", name, name)
 	}
-	if len(m.Rodata) > 0 {
-		b.WriteString("\n\t.section\t.rodata\n")
-		for _, s := range m.Rodata {
-			if s.Align > 1 {
-				fmt.Fprintf(&b, "\t.balign\t%d\n", s.Align)
+	if len(m.Rodata) == 0 {
+		return b.String()
+	}
+	// Data can outweigh the code many times over (every TSVC module
+	// carries the suite's arrays), and callers such as the service cache
+	// keep the whole backing array, so the result is sized exactly.
+	var out strings.Builder
+	out.Grow(b.Len() + rodataLen(m.Rodata))
+	out.WriteString(b.String())
+	writeRodata(&out, m.Rodata)
+	return out.String()
+}
+
+const (
+	rodataHeader = "\n\t.section\t.rodata\n"
+	balignPrefix = "\t.balign\t"
+	bytePrefix   = "\t.byte\t"
+	bytesPerLine = 16
+	hexDigits    = "0123456789abcdef"
+)
+
+// rodataLen is the exact length of writeRodata's output.
+func rodataLen(syms []RodataSym) int {
+	n := len(rodataHeader)
+	for _, s := range syms {
+		if s.Align > 1 {
+			n += len(balignPrefix) + len(strconv.FormatInt(s.Align, 10)) + len("\n")
+		}
+		// sanitizeLabel writes one byte per rune (an invalid byte
+		// counts as one rune and becomes '_').
+		n += utf8.RuneCountInString(s.Name) + len(":\n")
+		// A line of k bytes is the prefix, k "0xhh, " and a "\n" in
+		// place of the last ", ".
+		lines := (len(s.Data) + bytesPerLine - 1) / bytesPerLine
+		n += lines*(len(bytePrefix)-len(", ")+len("\n")) + len(s.Data)*len("0xhh, ")
+	}
+	return n
+}
+
+// writeRodata prints the .rodata section: per symbol its alignment,
+// its label, and its bytes as .byte lines of up to 16.
+func writeRodata(b *strings.Builder, syms []RodataSym) {
+	b.WriteString(rodataHeader)
+	var line [len(bytePrefix) + bytesPerLine*len("0xhh, ")]byte
+	copy(line[:], bytePrefix)
+	for _, s := range syms {
+		if s.Align > 1 {
+			b.WriteString(balignPrefix)
+			b.WriteString(strconv.FormatInt(s.Align, 10))
+			b.WriteByte('\n')
+		}
+		b.WriteString(sanitizeLabel(s.Name))
+		b.WriteString(":\n")
+		for data := s.Data; len(data) > 0; {
+			chunk := data[:min(len(data), bytesPerLine)]
+			data = data[len(chunk):]
+			n := len(bytePrefix)
+			for _, c := range chunk {
+				line[n], line[n+1], line[n+2], line[n+3] = '0', 'x', hexDigits[c>>4], hexDigits[c&15]
+				line[n+4], line[n+5] = ',', ' '
+				n += 6
 			}
-			fmt.Fprintf(&b, "%s:\n", sanitizeLabel(s.Name))
-			for i := 0; i < len(s.Data); i += 16 {
-				end := i + 16
-				if end > len(s.Data) {
-					end = len(s.Data)
-				}
-				b.WriteString("\t.byte\t")
-				for j := i; j < end; j++ {
-					if j > i {
-						b.WriteString(", ")
-					}
-					fmt.Fprintf(&b, "0x%02x", s.Data[j])
-				}
-				b.WriteByte('\n')
-			}
+			// The last byte's ", " becomes the newline.
+			line[n-2] = '\n'
+			b.Write(line[:n-1])
 		}
 	}
-	return b.String()
 }

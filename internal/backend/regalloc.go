@@ -119,9 +119,9 @@ type allocator struct {
 	intervals map[mach.Reg]*interval
 	// hint maps a vreg to a copy-related register — another vreg or a
 	// physical register (a parameter's incoming argument register).
-	hint      map[mach.Reg]mach.Reg
-	callPos   []int
-	hasCalls  bool
+	hint     map[mach.Reg]mach.Reg
+	callPos  []int
+	hasCalls bool
 	// busyUntil[phys] is the last position at which isel reads the
 	// physical register directly (incoming parameters); it cannot be
 	// allocated to an interval starting at or before that.
