@@ -1,7 +1,7 @@
 # Build/test entry points. `make ci` is the tier-1 gate plus a gofmt
 # check of every tracked Go file, the race detector over the whole
 # tree, a short differential-fuzzing smoke, the fault-injection chaos
-# smoke, the bare-optimizer speed smoke (a short tsvc-unroll8 run of
+# smoke, the speed smoke (short tsvc-unroll8 and angha-cold runs of
 # the repository benchmark), the assembly-backend smoke, the
 # cost-model calibration gate, the cluster smoke (3 shards + router
 # under a zipfian burst), and the cluster chaos smoke (faulty links +
@@ -11,9 +11,9 @@
 # aggregation must be self-consistent), and the repository benchmark
 # module's own vet and tests. The three cluster smokes share one
 # harness, cmd/rolag-loadgen. `make bench-smoke-record` rewrites the
-# speed smoke's record on this machine
-# (results/bench-smoke-tsvc.jsonl), `make bench-cluster` the cluster
-# one (results/BENCH_cluster.json), `make bench-chaos` the
+# speed smoke's records on this machine
+# (results/bench-smoke-{tsvc,angha}.jsonl), `make bench-cluster` the
+# cluster one (results/BENCH_cluster.json), `make bench-chaos` the
 # survivability one (results/BENCH_chaos.json), and `make bench-fleet`
 # the fleet-telemetry one (results/BENCH_fleet.json). The repository
 # benchmark, which times the production cold path layer by layer, is
@@ -114,31 +114,49 @@ calib-check:
 calib:
 	$(GO) run ./cmd/experiments -run calib -check
 
-# Bare-optimizer speed smoke: a 3 s run of the repository benchmark's
-# tsvc-unroll8 workload (rolag.Build with Unroll 8, Flatten and RoLAG,
-# then the backend, over the 151 TSVC kernels; no service, no sandbox).
-# It fails if the run's output is not correct, if any operation failed,
-# or if throughput_ops falls below half of the record's. The record
-# holds both benchmark output lines (provenance: rev, nproc, Go
-# version; then the metrics), taken on the machine that runs the gate
-# by `make bench-smoke-record`. BENCH_SMOKE_RECORD names another record.
+# Speed smoke: two 3 s runs of the repository benchmark. The
+# tsvc-unroll8 leg is the bare optimizer (rolag.Build with Unroll 8,
+# Flatten and RoLAG, then the backend, over the 151 TSVC kernels; no
+# service, no sandbox); the angha-cold leg is the production cold path
+# (fail-soft rolagd, every request a cache miss). Each leg fails if its
+# output is not correct, if any operation failed, or if throughput_ops
+# falls below half of its record's; the angha-cold leg also fails if
+# alloc_kb_per_op exceeds 1.25x its record's, which catches a return of
+# per-execution body clones in the sandbox. Each record holds both
+# benchmark output lines (provenance: rev, nproc, Go version; then the
+# metrics), taken on the machine that runs the gate by `make
+# bench-smoke-record`. BENCH_SMOKE_RECORD and BENCH_SMOKE_ANGHA_RECORD
+# name other records.
 BENCH_SMOKE = bash benchmark/run.sh --workload tsvc-unroll8 --seed 1 --seconds 3 --trace 0
 BENCH_SMOKE_RECORD ?= results/bench-smoke-tsvc.jsonl
+BENCH_SMOKE_ANGHA = bash benchmark/run.sh --workload angha-cold --seed 1 --seconds 3 --trace 0
+BENCH_SMOKE_ANGHA_RECORD ?= results/bench-smoke-angha.jsonl
 
 bench-smoke:
 	@set -e; \
-	got=$$($(BENCH_SMOKE) | tail -n 1); \
-	echo "bench-smoke: $$got"; \
-	ops='s/.*"throughput_ops":{"value":\([0-9.]*\).*/\1/p'; \
-	g=$$(printf '%s\n' "$$got" | sed -n "$$ops"); \
-	r=$$(tail -n 1 $(BENCH_SMOKE_RECORD) | sed -n "$$ops"); \
-	printf '%s\n' "$$got" | grep -q '"correct":true' || { echo "bench-smoke: output not correct"; exit 1; }; \
-	printf '%s\n' "$$got" | grep -q '"failed":0,' || { echo "bench-smoke: failed operations"; exit 1; }; \
-	awk -v g="$$g" -v r="$$r" 'BEGIN { \
-		if (g == "" || r == "") { print "bench-smoke: throughput_ops missing"; exit 1 } \
-		printf "bench-smoke: throughput %.1f ops/s, record %.1f (ratio %.2f, floor 0.50)\n", g, r, g / r; \
-		if (g < 0.5 * r) { print "bench-smoke: throughput below half the record"; exit 1 } \
-	}'
+	metric() { sed -n "s/.*\"$$1\":{\"value\":\([0-9.e+-]*\).*/\1/p"; }; \
+	gate() { \
+		leg=$$1 record=$$2 alloc_max=$$3; shift 3; \
+		got=$$("$$@" | tail -n 1); \
+		echo "bench-smoke $$leg: $$got"; \
+		printf '%s\n' "$$got" | grep -q '"correct":true' || { echo "bench-smoke $$leg: output not correct"; exit 1; }; \
+		printf '%s\n' "$$got" | grep -q '"failed":0,' || { echo "bench-smoke $$leg: failed operations"; exit 1; }; \
+		awk -v leg="$$leg" -v max="$$alloc_max" \
+			-v g="$$(printf '%s\n' "$$got" | metric throughput_ops)" \
+			-v r="$$(tail -n 1 $$record | metric throughput_ops)" \
+			-v ga="$$(printf '%s\n' "$$got" | metric alloc_kb_per_op)" \
+			-v ra="$$(tail -n 1 $$record | metric alloc_kb_per_op)" 'BEGIN { \
+			if (g == "" || r == "") { print "bench-smoke " leg ": throughput_ops missing"; exit 1 } \
+			printf "bench-smoke %s: throughput %.1f ops/s, record %.1f (ratio %.2f, floor 0.50)\n", leg, g, r, g / r; \
+			if (g < 0.5 * r) { print "bench-smoke " leg ": throughput below half the record"; exit 1 } \
+			if (max == "") exit 0; \
+			if (ga == "" || ra == "") { print "bench-smoke " leg ": alloc_kb_per_op missing"; exit 1 } \
+			printf "bench-smoke %s: alloc %.1f KiB/op, record %.1f (ratio %.2f, ceiling %.2f)\n", leg, ga, ra, ga / ra, max; \
+			if (ga > max * ra) { print "bench-smoke " leg ": alloc_kb_per_op above the ceiling"; exit 1 } \
+		}'; \
+	}; \
+	gate tsvc-unroll8 $(BENCH_SMOKE_RECORD) "" $(BENCH_SMOKE); \
+	gate angha-cold $(BENCH_SMOKE_ANGHA_RECORD) 1.25 $(BENCH_SMOKE_ANGHA)
 
 # Cluster smoke: spawn a local 3-shard cluster plus router and push a
 # 500-request zipfian burst through it (a quarter of it shard-direct, so
@@ -174,10 +192,13 @@ fleet-smoke:
 
 ci: vet fmt build race bench-module fuzz-smoke chaos-smoke bench-smoke explain-smoke asm-smoke calib-check cluster-smoke chaos-cluster-smoke fleet-smoke
 
-# Rewrites the speed smoke's record with one run on this machine.
+# Rewrites the speed smoke's records with one run of each leg on this
+# machine.
 bench-smoke-record:
 	$(BENCH_SMOKE) > $(BENCH_SMOKE_RECORD).tmp
 	mv $(BENCH_SMOKE_RECORD).tmp $(BENCH_SMOKE_RECORD)
+	$(BENCH_SMOKE_ANGHA) > $(BENCH_SMOKE_ANGHA_RECORD).tmp
+	mv $(BENCH_SMOKE_ANGHA_RECORD).tmp $(BENCH_SMOKE_ANGHA_RECORD)
 
 # Full cluster benchmark; regenerates the committed baseline.
 bench-cluster:

@@ -69,6 +69,41 @@ func TestRollAllocBudget(t *testing.T) {
 	}
 }
 
+// sandboxAllocRatio caps fail-soft allocations on the pinned function
+// as a multiple of fail-hard ones. The sandbox checkpoints the function
+// before every pass execution (21 per function here); measured at
+// ~1.3x with identity-preserving checkpoints, against ~2.2x when every
+// execution deep-cloned the body.
+const sandboxAllocRatio = 1.5
+
+// TestSandboxAllocOverhead is the allocation gate on the fail-soft
+// sandbox: its per-execution checkpoints must stay cheap next to the
+// work of the passes they protect.
+func TestSandboxAllocOverhead(t *testing.T) {
+	fn := pinnedCorpusFunc(t)
+	allocs := func(cfg rolag.Config) float64 {
+		res, err := rolag.Build(fn.Src, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats == nil || res.Stats.LoopsRolled == 0 || res.Degraded != nil {
+			t.Fatalf("pinned function %s must roll cleanly; stats %+v, degraded %v", fn.Name, res.Stats, res.Degraded)
+		}
+		return testing.AllocsPerRun(10, func() {
+			if _, err := rolag.Build(fn.Src, cfg); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	hard := allocs(rolag.Config{Opt: rolag.OptRoLAG})
+	soft := allocs(rolag.Config{Opt: rolag.OptRoLAG, FailSoft: true})
+	t.Logf("fail-soft %.0f allocs/op, fail-hard %.0f (%.2fx)", soft, hard, soft/hard)
+	if soft > sandboxAllocRatio*hard {
+		t.Errorf("rolag.Build(%s): fail-soft %.0f allocs/op is %.2fx fail-hard %.0f, limit %.1fx",
+			fn.Name, soft, soft/hard, hard, sandboxAllocRatio)
+	}
+}
+
 // BenchmarkRollAngha compiles a fixed slice of the canonical corpus
 // with RoLAG per iteration; allocs/op is the headline metric the
 // allocation-lean work targets. It is also the optimizer's profiling

@@ -65,91 +65,6 @@ func CloneFunc(f *Func, m *Module, name string) *Func {
 	return nf
 }
 
-// CloneBlocks returns a deep copy of f's blocks that keeps referring to
-// f's own parameters, globals and callees. Swapping f.Blocks with the
-// returned slice restores (or snapshots) the body — used by
-// transformations that must be rolled back when not profitable.
-func CloneBlocks(f *Func) []*Block {
-	vmap := make(map[Value]Value)
-	bmap := make(map[*Block]*Block, len(f.Blocks))
-	out := make([]*Block, 0, len(f.Blocks))
-	for _, b := range f.Blocks {
-		nb := &Block{Name: b.Name, Parent: f}
-		out = append(out, nb)
-		bmap[b] = nb
-	}
-	for bi, b := range f.Blocks {
-		nb := out[bi]
-		for _, in := range b.Instrs {
-			ni := &Instr{
-				Name:   in.Name,
-				Op:     in.Op,
-				Typ:    in.Typ,
-				Pred:   in.Pred,
-				Callee: in.Callee,
-				Alloc:  in.Alloc,
-				Parent: nb,
-			}
-			nb.Instrs = append(nb.Instrs, ni)
-			vmap[in] = ni
-		}
-	}
-	for bi, b := range f.Blocks {
-		nb := out[bi]
-		for ii, in := range b.Instrs {
-			ni := nb.Instrs[ii]
-			if len(in.Operands) > 0 {
-				ni.Operands = make([]Value, len(in.Operands))
-				for oi, op := range in.Operands {
-					ni.Operands[oi] = mapValue(op, vmap)
-				}
-			}
-			if len(in.Blocks) > 0 {
-				ni.Blocks = make([]*Block, len(in.Blocks))
-				for i, tb := range in.Blocks {
-					ni.Blocks[i] = bmap[tb]
-				}
-			}
-		}
-	}
-	return out
-}
-
-// ShadowFunc returns a detached deep copy of f's body for sandboxed
-// pass execution. The shadow shares f's Params (so cloned operands keep
-// referring to the same values and committing the body back needs no
-// remapping), keeps f's Parent (so global references verify), and
-// carries f's name counter (so names generated while transforming the
-// shadow are exactly the names in-place execution would have produced).
-// The shadow is NOT registered in Parent.Funcs; the sandbox keeps it as
-// the rollback snapshot of an in-place pass execution.
-func ShadowFunc(f *Func) *Func {
-	sh := &Func{
-		Name:        f.Name,
-		Sig:         f.Sig,
-		Params:      f.Params,
-		Parent:      f.Parent,
-		ReadOnly:    f.ReadOnly,
-		nameCounter: f.nameCounter,
-	}
-	sh.Blocks = CloneBlocks(f)
-	for _, b := range sh.Blocks {
-		b.Parent = sh
-	}
-	return sh
-}
-
-// AdoptBody commits a shadow produced by ShadowFunc back into f: the
-// shadow's blocks (reparented to f) and its name-counter state replace
-// f's. After adoption the shadow must not be used again.
-func (f *Func) AdoptBody(sh *Func) {
-	f.Blocks = sh.Blocks
-	for _, b := range f.Blocks {
-		b.Parent = f
-	}
-	f.nameCounter = sh.nameCounter
-}
-
 func mapValue(v Value, vmap map[Value]Value) Value {
 	if nv, ok := vmap[v]; ok {
 		return nv

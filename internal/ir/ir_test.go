@@ -177,22 +177,134 @@ func TestCloneFuncIndependence(t *testing.T) {
 	}
 }
 
-func TestCloneBlocksRestores(t *testing.T) {
-	m := NewModule("t")
-	f := buildSumFunc(m)
-	before := f.String()
-	snapshot := CloneBlocks(f)
-	// Wreck the function.
-	f.Blocks[1].Instrs = f.Blocks[1].Instrs[:2]
-	f.Blocks = f.Blocks[:1]
-	// Restore.
-	f.Blocks = snapshot
+// bodyObjects lists f's blocks and instructions in body order.
+func bodyObjects(f *Func) (blocks []*Block, instrs []*Instr) {
+	for _, b := range f.Blocks {
+		blocks = append(blocks, b)
+		instrs = append(instrs, b.Instrs...)
+	}
+	return blocks, instrs
+}
+
+// checkRestored fails unless f prints as want and holds exactly the
+// given block and instruction objects, in order.
+func checkRestored(t *testing.T, f *Func, want string, blocks []*Block, instrs []*Instr) {
+	t.Helper()
 	if err := f.Verify(); err != nil {
 		t.Fatalf("verify after restore: %v", err)
 	}
-	after := f.String()
-	if before != after {
-		t.Errorf("restored body differs:\n%s\nvs\n%s", before, after)
+	if got := f.String(); got != want {
+		t.Fatalf("restored body differs:\n%s\nvs\n%s", got, want)
+	}
+	gotB, gotI := bodyObjects(f)
+	if len(gotB) != len(blocks) || len(gotI) != len(instrs) {
+		t.Fatalf("restored %d blocks/%d instrs, want %d/%d", len(gotB), len(gotI), len(blocks), len(instrs))
+	}
+	for i := range blocks {
+		if gotB[i] != blocks[i] || gotB[i].Parent != f {
+			t.Fatalf("block %d is not the original object", i)
+		}
+	}
+	for i := range instrs {
+		if gotI[i] != instrs[i] {
+			t.Fatalf("instruction %d is not the original object", i)
+		}
+	}
+}
+
+// wreck edits f through every IR editing path and returns a name
+// generated while doing so.
+func wreck(f *Func) string {
+	entry, loop, exit := f.Blocks[0], f.Blocks[1], f.Blocks[2]
+	iv, acc := loop.Instrs[0], loop.Instrs[1]
+	nacc := loop.Instrs[2]
+	// Operand edits.
+	nacc.SetOperand(1, ConstInt(I32, 7))
+	f.ReplaceAllUses(iv, acc)
+	// Phi edge edits: retarget one edge, add another.
+	iv.Blocks[0] = exit
+	AddIncoming(acc, ConstInt(I32, 3), exit)
+	// Instruction list edits, with new names.
+	name := f.UniqueName("i")
+	extra := &Instr{Op: OpAdd, Typ: I32, Name: name, Operands: []Value{acc, acc}}
+	loop.InsertAt(2, extra)
+	loop.Remove(nacc)
+	entry.Append(&Instr{Op: OpRet, Typ: Void})
+	// Block list edits.
+	nb := f.NewBlock("loop")
+	NewBuilder(nb).Ret(ConstInt(I32, 1))
+	f.RemoveBlock(exit)
+	return name
+}
+
+func TestCheckpointRestoresIdentity(t *testing.T) {
+	m := NewModule("t")
+	f := buildSumFunc(m)
+	want := f.String()
+	blocks, instrs := bodyObjects(f)
+	var ck Checkpoint
+	ck.Take(f)
+	name := wreck(f)
+	if f.String() == want {
+		t.Fatal("wreck left the body unchanged")
+	}
+	ck.Restore()
+	checkRestored(t, f, want, blocks, instrs)
+	// The name counter is rewound: the same request yields the same name.
+	if again := f.UniqueName("i"); again != name {
+		t.Errorf("name after Restore = %q, want the rewound %q", again, name)
+	}
+}
+
+func TestCheckpointRestoreKeepNames(t *testing.T) {
+	m := NewModule("t")
+	f := buildSumFunc(m)
+	want := f.String()
+	blocks, instrs := bodyObjects(f)
+	var ck Checkpoint
+	ck.Take(f)
+	name := wreck(f)
+	ck.RestoreKeepNames()
+	checkRestored(t, f, want, blocks, instrs)
+	if again := f.UniqueName("i"); again == name {
+		t.Errorf("RestoreKeepNames rewound the name counter: %q again", again)
+	}
+}
+
+// TestCheckpointBufferOwnership restores one checkpoint, then takes and
+// mutates under the same Checkpoint again: the slabs the first Restore
+// handed to the body must not be reused by the second Take.
+func TestCheckpointBufferOwnership(t *testing.T) {
+	m := NewModule("t")
+	f := buildSumFunc(m)
+	want := f.String()
+	blocks, instrs := bodyObjects(f)
+	var ck Checkpoint
+	ck.Take(f)
+	wreck(f)
+	ck.Restore()
+	ck.Take(f)
+	wreck(f)
+	ck.Restore()
+	checkRestored(t, f, want, blocks, instrs)
+
+	// A Take after a Restore must not alias the restored body's slices:
+	// editing the body in place leaves the new snapshot intact.
+	ck.Take(f)
+	f.Blocks[1].Instrs[2].SetOperand(0, ConstInt(I32, 9))
+	f.Blocks[1].Instrs[0] = f.Blocks[1].Instrs[1]
+	f.Blocks[0] = f.Blocks[2]
+	ck.Restore()
+	checkRestored(t, f, want, blocks, instrs)
+}
+
+func TestCheckpointTakeAfterCommitReusesBuffers(t *testing.T) {
+	m := NewModule("t")
+	f := buildSumFunc(m)
+	var ck Checkpoint
+	ck.Take(f)
+	if n := testing.AllocsPerRun(100, func() { ck.Take(f) }); n != 0 {
+		t.Errorf("Take after a commit allocated %v times, want 0", n)
 	}
 }
 

@@ -54,15 +54,16 @@ func (f *Func) Verify() error {
 	}
 
 	// Name uniqueness and block well-formedness.
-	names := make(map[string]bool)
+	nInstrs := f.NumInstrs()
+	names := make(map[string]bool, len(f.Params)+nInstrs)
 	for _, p := range f.Params {
 		if names[p.Name] {
 			return errf(nil, nil, "duplicate name %%%s", p.Name)
 		}
 		names[p.Name] = true
 	}
-	blockNames := make(map[string]bool)
-	defined := make(map[Value]bool)
+	blockNames := make(map[string]bool, len(f.Blocks))
+	defined := make(map[Value]bool, len(f.Params)+nInstrs)
 	for _, p := range f.Params {
 		defined[p] = true
 	}
@@ -140,7 +141,7 @@ func (f *Func) Verify() error {
 	// then each non-phi use must be dominated by its definition.
 	dom := f.dominators()
 	blockIndex := make(map[*Block]int, len(f.Blocks))
-	instrIndex := make(map[*Instr]int)
+	instrIndex := make(map[*Instr]int, nInstrs)
 	for bi, b := range f.Blocks {
 		blockIndex[b] = bi
 		for ii, in := range b.Instrs {

@@ -14,8 +14,8 @@ type FuncPass struct {
 	// analysis cache: the pass may read cached analyses from the
 	// FuncInfo and must report whether it changed the function (the
 	// pipeline invalidates the cache on change, and after a sandbox
-	// rollback, which restores a snapshot with fresh instruction
-	// pointers).
+	// rollback, since the pass may have cached analyses of the body it
+	// mutated before the checkpoint was restored).
 	RunInfo func(*ir.Func, *analysis.FuncInfo) bool
 }
 

@@ -100,14 +100,16 @@ type Guard interface {
 const DefaultPassBudget = 10 * time.Second
 
 // Sandbox runs passes under checkpoint/rollback, in place and in the
-// calling goroutine: every execution snapshots the function
-// (ir.ShadowFunc) and, for passes that append globals (RoLAG's codegen
-// creates constant tables), marks the module's globals. The IR verifier
-// is the commit gate: a panic, a budget overrun (measured after the
-// pass returns), or a verifier complaint restores the snapshot, and the
-// pipeline continues from the checkpoint with the pass skipped,
-// recorded in the Report. A pass is never abandoned mid-run; the
-// caller's request deadline bounds the job as a whole.
+// calling goroutine: every execution takes an ir.Checkpoint of the
+// function and, for passes that append globals (RoLAG's codegen creates
+// constant tables), marks the module's globals. The IR verifier is the
+// commit gate: a panic, a budget overrun (measured after the pass
+// returns), or a verifier complaint restores the checkpoint, which puts
+// the same block and instruction objects back in their saved state, and
+// the pipeline continues with the pass skipped, recorded in the Report.
+// The sandbox owns one checkpoint whose buffers every committed
+// execution reuses. A pass is never abandoned mid-run; the caller's
+// request deadline bounds the job as a whole.
 //
 // A nil *Sandbox is the fail-hard mode: passes run directly and their
 // panics propagate. A Sandbox is not safe for concurrent use; the
@@ -124,6 +126,7 @@ type Sandbox struct {
 	Trace obs.TraceContext
 
 	report Degraded
+	ck     ir.Checkpoint
 }
 
 func (s *Sandbox) budget() time.Duration {
@@ -180,7 +183,7 @@ func (s *Sandbox) RunInPlaceIn(pass string, f *ir.Func, sink *ir.Module, run fun
 	}
 	span := obs.Now()
 	defer obs.EndSpan(s.Trace, "pass:"+pass, span, f.Name)
-	snapshot := ir.ShadowFunc(f)
+	s.ck.Take(f)
 	var gmark ir.GlobalsMark
 	if sink != nil {
 		gmark = sink.MarkGlobals()
@@ -201,7 +204,7 @@ func (s *Sandbox) RunInPlaceIn(pass string, f *ir.Func, sink *ir.Module, run fun
 		}
 	}
 	if skip != nil {
-		f.AdoptBody(snapshot)
+		s.ck.Restore()
 		if sink != nil {
 			sink.ResetGlobals(gmark)
 		}

@@ -1,11 +1,13 @@
 package passes_test
 
 import (
+	"maps"
 	"strings"
 	"testing"
 	"time"
 
 	"rolag/internal/analysis"
+	"rolag/internal/faultpoint"
 	"rolag/internal/ir"
 	"rolag/internal/passes"
 )
@@ -219,11 +221,71 @@ func TestNilSandboxIsFailHard(t *testing.T) {
 	t.Fatal("nil sandbox swallowed the panic")
 }
 
-// TestPipelineRollbackInvalidatesAnalyses: a pass that mutates f and
-// then panics is rolled back to a snapshot with fresh block and
-// instruction pointers, so a later RunInfo pass must not read analyses
-// cached before the failure. The dominator tree cached by "dom" would
-// confine CSE to the entry block and miss the loop body's redundancy.
+// TestRollbackPreservesIdentityUnderFaults injects every fault kind at
+// a real pass and checks that the rollback puts the very same
+// instruction objects back, printing byte-identically, so an analysis
+// index taken before the execution still describes the function.
+func TestRollbackPreservesIdentityUnderFaults(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		kind   faultpoint.Kind
+		reason passes.SkipReason
+	}{
+		{"panic", faultpoint.KindPanic, passes.SkipPanic},
+		{"error", faultpoint.KindError, passes.SkipError},
+		{"corrupt", faultpoint.KindCorrupt, passes.SkipVerify},
+		{"stall", faultpoint.KindStall, passes.SkipTimeout},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer faultpoint.Reset()
+			faultpoint.Enable(faultpoint.Options{Stall: 60 * time.Millisecond})
+			faultpoint.Arm("pass:mem2reg", tc.kind, 1)
+			sb := &passes.Sandbox{}
+			if tc.kind == faultpoint.KindStall {
+				sb.Budget = 10 * time.Millisecond
+			}
+			_, f := lowerF(t)
+			before := f.String()
+			var instrs []*ir.Instr
+			for _, b := range f.Blocks {
+				instrs = append(instrs, b.Instrs...)
+			}
+			idx := analysis.NewManager().Info(f).Index()
+
+			if _, ok := sb.RunShadow("mem2reg", f, passes.Mem2Reg); ok {
+				t.Fatal("faulted execution committed")
+			}
+			if rep := sb.Report(); rep == nil || rep.Skips[0].Reason != tc.reason {
+				t.Fatalf("want a %s skip, got %v", tc.reason, rep)
+			}
+			if got := f.String(); got != before {
+				t.Fatalf("rolled-back body differs:\n%s\nvs\n%s", got, before)
+			}
+			var got []*ir.Instr
+			for _, b := range f.Blocks {
+				got = append(got, b.Instrs...)
+			}
+			if len(got) != len(instrs) {
+				t.Fatalf("rolled back to %d instructions, want %d", len(got), len(instrs))
+			}
+			for i := range got {
+				if got[i] != instrs[i] {
+					t.Fatalf("instruction %d (%s) is not the original object", i, got[i])
+				}
+			}
+			if fresh := analysis.NewManager().Info(f).Index(); !maps.Equal(idx, fresh) {
+				t.Fatal("index taken before the execution no longer describes the function")
+			}
+		})
+	}
+}
+
+// TestPipelineRollbackInvalidatesAnalyses: a RunInfo pass that mutates
+// f, caches an analysis of the mutated body and then panics is rolled
+// back, so a later RunInfo pass must not read analyses cached during the
+// failed execution. The dominator tree "boom" cached of its one-block
+// body would confine CSE to the entry block and miss the loop body's
+// redundancy.
 func TestPipelineRollbackInvalidatesAnalyses(t *testing.T) {
 	const src = `
 void g(int *a, int *b, int x, int y, int n) {
@@ -232,12 +294,12 @@ void g(int *a, int *b, int x, int y, int n) {
 		b[i] = x * y + 2;
 	}
 }`
-	dom := passes.FuncPass{Name: "dom", Run: func(*ir.Func) bool { return false },
-		RunInfo: func(_ *ir.Func, fi *analysis.FuncInfo) bool { fi.Dom(); return false }}
-	boom := passes.FuncPass{Name: "boom", Run: func(f *ir.Func) bool {
-		f.Blocks = f.Blocks[:1]
-		panic("kaboom")
-	}}
+	boom := passes.FuncPass{Name: "boom", Run: func(*ir.Func) bool { return false },
+		RunInfo: func(f *ir.Func, fi *analysis.FuncInfo) bool {
+			f.Blocks = f.Blocks[:1]
+			fi.Dom()
+			panic("kaboom")
+		}}
 	cse := passes.FuncPass{Name: "cse", Run: passes.CSE, RunInfo: passes.CSEInfo}
 	mem2reg := passes.FuncPass{Name: "mem2reg", Run: passes.Mem2Reg}
 	run := func(ps ...passes.FuncPass) (string, *passes.Degraded) {
@@ -247,11 +309,11 @@ void g(int *a, int *b, int x, int y, int n) {
 		return m.String(), sb.Report()
 	}
 	promoted, _ := run(mem2reg)
-	want, rep := run(mem2reg, dom, cse)
+	want, rep := run(mem2reg, cse)
 	if rep != nil || want == promoted {
 		t.Fatalf("reference pipeline degraded (%v) or CSE found nothing to do", rep)
 	}
-	got, rep := run(mem2reg, dom, boom, cse)
+	got, rep := run(mem2reg, boom, cse)
 	if rep == nil || len(rep.Skips) != 1 || rep.Skips[0].Pass != "boom" {
 		t.Fatalf("want exactly the boom skip, got %v", rep)
 	}

@@ -167,7 +167,8 @@ func rollBlockOnce(f *ir.Func, bi int, opts *Options, stats *Stats, am *analysis
 
 // tryRoll builds the alignment graph, runs the scheduling analysis,
 // generates the loop, and keeps it only if the cost model deems it
-// smaller (Fig. 5). On any failure the function body is restored.
+// smaller (Fig. 5). On any failure the function body is restored in
+// place and am's cached analyses of f stay valid.
 func tryRoll(f *ir.Func, bi int, opts *Options, stats *Stats, am *analysis.Manager, sink *ir.Module, rec *obs.Recorder, groups []*SeedGroup) (*ir.Block, error) {
 	b := f.Blocks[bi]
 	fi := am.Info(f)
@@ -199,7 +200,11 @@ func tryRoll(f *ir.Func, bi int, opts *Options, stats *Stats, am *analysis.Manag
 	}
 
 	t = phaseStart()
-	snapshot := ir.CloneBlocks(f)
+	// Codegen is speculative: checkpoint the body so a rejected roll
+	// puts the same blocks and instructions back, which keeps fi (and
+	// every other pointer into the body) describing f again.
+	var ck ir.Checkpoint
+	ck.Take(f)
 	gmark := sink.MarkGlobals()
 	// Costs are function-local: the rodata term counts only the constant
 	// tables THIS roll adds (the delta over the pre-roll sink), not
@@ -212,17 +217,15 @@ func tryRoll(f *ir.Func, bi int, opts *Options, stats *Stats, am *analysis.Manag
 	costBefore := opts.Model.FuncUsers(f, fi.Users())
 
 	generateLoopInto(f, b, graph, sched, opts, fi.Users(), sink)
-	// The body was rewritten; everything cached about f is stale.
-	am.Invalidate(f)
 
-	costAfter := opts.Model.FuncUsers(f, am.Info(f).Users()) + rodataSize(sink) - rodataBefore
+	// Price the rewritten body from transient use-lists: am keeps fi,
+	// which describes the pre-roll body a rejection restores.
+	costAfter := opts.Model.FuncUsers(f, f.Users()) + rodataSize(sink) - rodataBefore
 	if !opts.AlwaysRoll && costAfter >= costBefore {
 		// Not profitable: restore the body and drop added globals. The
-		// snapshot swaps in cloned instruction pointers, so the
-		// analyses must be invalidated again for the restored body.
-		f.Blocks = snapshot
+		// names codegen generated stay burned, as they always have.
+		ck.RestoreKeepNames()
 		sink.ResetGlobals(gmark)
-		am.Invalidate(f)
 		stats.NotProfitable++
 		phaseEnd(rec, PhaseCodegen, t)
 		err := &errAbort{code: "not-profitable", reason: fmt.Sprintf("not profitable (%d >= %d bytes)", costAfter, costBefore)}
@@ -237,6 +240,8 @@ func tryRoll(f *ir.Func, bi int, opts *Options, stats *Stats, am *analysis.Manag
 		}
 		return nil, err
 	}
+	// The roll is kept; everything cached about f is stale.
+	am.Invalidate(f)
 	stats.LoopsRolled++
 	stats.InstrsRolled += len(graph.Matched)
 	graph.AddNodeCounts(stats.NodeCounts)

@@ -6,6 +6,7 @@ import (
 
 	"rolag/internal/interp"
 	"rolag/internal/ir"
+	"rolag/internal/obs"
 	"rolag/internal/rolag"
 )
 
@@ -437,5 +438,59 @@ func TestStatsAccounting(t *testing.T) {
 	total.Add(stats)
 	if total.LoopsRolled != 2*stats.LoopsRolled {
 		t.Error("Stats.Add broken")
+	}
+}
+
+// TestRejectedAttemptKeepsLoopBlockSkipped pins that RoLAG never rescans
+// a loop block it generated, even after a later attempt on the same
+// block is rejected and the body restored. The shape is AnghaBench's
+// call sequence behind an arithmetic chain: the calls roll into
+// roll.loop, the revisited entry then offers a chain seed that is not
+// profitable, and the function must keep the loop block's identity
+// through that rollback for the skip set to recognise it.
+func TestRejectedAttemptKeepsLoopBlockSkipped(t *testing.T) {
+	src := `
+int g;
+extern void sink2(char *p, int x);
+void f(char *p) {
+	int c0 = g + 25;
+	int c1 = c0 + 81;
+	int c2 = c1 ^ 30;
+	int c3 = c2 | 5;
+	int c4 = c3 | 94;
+	int c5 = c4 + 18;
+	int c6 = c5 ^ 61;
+	g = c6;
+	sink2(p + 0, 0);
+	sink2(p + 8, 1);
+	sink2(p + 16, 2);
+	sink2(p + 24, 3);
+}`
+	m := compile(t, src)
+	f := m.FindFunc("f")
+	c := &obs.Collector{}
+	stats := rolag.RollFuncInto(f, nil, nil, nil, &obs.Recorder{Remarks: c})
+	if err := m.Verify(); err != nil {
+		t.Fatalf("verify after roll: %v\n%s", err, f)
+	}
+	if stats.LoopsRolled != 1 || stats.NotProfitable != 1 {
+		t.Fatalf("want 1 roll and 1 rejected attempt, got %+v\n%s", stats, f)
+	}
+	var names []string
+	for _, b := range f.Blocks {
+		names = append(names, b.Name)
+	}
+	if got := strings.Join(names, " "); got != "entry roll.loop roll.exit" {
+		t.Fatalf("blocks = %q, want entry roll.loop roll.exit", got)
+	}
+	// entry twice (the roll, then the revisit whose attempt is rejected)
+	// and roll.exit once; a scan of roll.loop would make it 4.
+	if stats.BlocksScanned != 3 {
+		t.Errorf("BlocksScanned = %d, want 3: the generated loop block was rescanned", stats.BlocksScanned)
+	}
+	for _, rm := range c.Remarks() {
+		if strings.HasPrefix(rm.Block, "roll.loop") {
+			t.Errorf("remark on generated loop block: %+v", rm)
+		}
 	}
 }
