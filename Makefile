@@ -51,12 +51,15 @@ bench-module:
 	$(GO) -C benchmark test ./...
 
 # Short differential-fuzzing run over every native fuzz target; any
-# counterexample fails the build and lands in
-# internal/fuzzgen/testdata/fuzz/.
+# counterexample fails the build and lands in the package's
+# testdata/fuzz/. FuzzParseModule's inputs are kilobytes of IR text,
+# which the default 60 s minimizer would spend the whole run shrinking,
+# so its minimization is capped at 1 s.
 fuzz-smoke:
 	$(GO) test ./internal/fuzzgen -run '^$$' -fuzz '^FuzzGenerated$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fuzzgen -run '^$$' -fuzz '^FuzzMutated$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fuzzgen -run '^$$' -fuzz '^FuzzSource$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/irparse -run '^$$' -fuzz '^FuzzParseModule$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 
 # Fault-injection chaos smoke: the seeded chaos suite under the race
 # detector plus a short rolag-fuzz -chaos campaign. Violations of the

@@ -7,7 +7,7 @@
 //	rolagd [-addr :8723] [-workers N] [-cache N] [-max-inflight N]
 //	       [-request-timeout 30s] [-shutdown-timeout 10s]
 //	       [-pass-budget 10s] [-breaker-threshold 5] [-breaker-cooldown 30s]
-//	       [-fail-hard] [-func-parallel N]
+//	       [-fail-hard]
 //	       [-trace=false] [-trace-buf N] [-log text|json]
 //	       [-shard-id a -peers a=http://h1:8723,b=http://h2:8723,...]
 //	       [-vnodes 128] [-peer-timeout 250ms]
@@ -106,7 +106,6 @@ func main() {
 	breakerThreshold := flag.Int("breaker-threshold", 0, "consecutive pass failures that open its breaker (0 = default)")
 	breakerCooldown := flag.Duration("breaker-cooldown", 0, "open-breaker cooldown before a half-open probe (0 = default)")
 	failHard := flag.Bool("fail-hard", false, "disable the fail-soft sandbox: a broken pass fails the whole job")
-	funcParallel := flag.Int("func-parallel", 0, "functions optimized concurrently within one job (0/1 = serial, negative = GOMAXPROCS); output is byte-identical")
 	trace := flag.Bool("trace", true, "record per-request spans (exported at /debug/trace)")
 	traceBuf := flag.Int("trace-buf", obs.DefaultTraceCapacity, "span ring-buffer capacity (oldest spans are overwritten)")
 	logFormat := flag.String("log", "text", "structured log format: text or json")
@@ -156,7 +155,6 @@ func main() {
 			PassBudget:       *passBudget,
 			BreakerThreshold: *breakerThreshold,
 			BreakerCooldown:  *breakerCooldown,
-			FuncParallelism:  *funcParallel,
 		},
 		RequestCap:       *requestTimeout,
 		Log:              logger,

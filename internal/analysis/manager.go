@@ -12,9 +12,8 @@ import (
 // every query. Results are memoized per *ir.Func and stay valid until a
 // pass mutates the function and calls Invalidate.
 //
-// A Manager is NOT safe for concurrent use: the parallel pipeline gives
-// every function worker its own Manager, mirroring how each worker owns
-// the functions it mutates.
+// A Manager is NOT safe for concurrent use: each compilation job owns
+// the Managers it creates, as it owns the functions it mutates.
 type Manager struct {
 	infos map[*ir.Func]*FuncInfo
 	// nocache forces every Info call to return a fresh, empty FuncInfo,

@@ -37,8 +37,9 @@ const (
 	ClassRemark = "remark"
 	// ClassBackend: the x86-64 backend rejected a module the pipeline
 	// produced, or encoding the same module twice yielded different
-	// bytes. Determinism here is what lets the serial and parallel
-	// service pipelines report identical per-function byte counts.
+	// bytes. Determinism here is what lets the serial experiment drivers
+	// and the concurrent service engine report identical per-function
+	// byte counts.
 	ClassBackend = "backend"
 )
 
@@ -244,10 +245,10 @@ func (o *Oracle) Check(src string) (fail *Failure, exercised bool) {
 
 // checkBackend asserts every pipeline output lowers and encodes through
 // the x86-64 backend, and that two independent backend runs over the
-// same module produce byte-identical machine code. The engine's serial
-// and parallel pipelines both hand their output modules to this
-// backend, so per-module determinism is exactly the contract that makes
-// their reported byte counts interchangeable.
+// same module produce byte-identical machine code. The serial
+// experiment drivers and the service engine both hand their output
+// modules to this backend, so per-module determinism is exactly the
+// contract that makes their reported byte counts interchangeable.
 func checkBackend(variant string, m *ir.Module) *Failure {
 	r1, err := backend.Compile(m, nil)
 	if err != nil {

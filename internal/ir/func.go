@@ -300,18 +300,6 @@ func (m *Module) ResetGlobals(mark GlobalsMark) {
 	m.globalCounter = mark.counter
 }
 
-// AdoptGlobal moves a global created in another module (a staging sink
-// used by the parallel pipeline) into m, renaming it to a fresh
-// m-unique name derived from base. Instructions referencing g through
-// its pointer stay valid; only the name changes. Adopting staged
-// globals in deterministic order replays the exact name sequence a
-// serial pipeline would have produced.
-func (m *Module) AdoptGlobal(g *Global, base string) {
-	g.Name = m.uniqueGlobalName(base)
-	g.Parent = m
-	m.Globals = append(m.Globals, g)
-}
-
 // FindFunc returns the function with the given name, or nil.
 func (m *Module) FindFunc(name string) *Func {
 	for _, f := range m.Funcs {

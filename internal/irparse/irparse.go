@@ -17,8 +17,18 @@ import (
 	"strconv"
 	"strings"
 
+	"rolag/internal/cc"
 	"rolag/internal/ir"
 )
+
+// maxDepth bounds how tall a parsed type may be, counting one level per
+// array, struct and pointer derivation. The parser, the printer and
+// every later walk over a type recurse once per level, and Go cannot
+// recover from stack exhaustion, so a deeper input is a parse error.
+// Array constants are bounded too: parseConst descends one array level
+// of the constant's type per nested constant. It is the mini-C
+// frontend's limit, so any module the frontend accepts round-trips.
+const maxDepth = cc.MaxDepth
 
 // ParseModule parses a textual module.
 func ParseModule(src string) (*ir.Module, error) {
@@ -227,12 +237,24 @@ func (p *parser) parse() error {
 
 // parseType parses a type, with trailing '*' for pointers.
 func (p *parser) parseType() (ir.Type, error) {
+	t, _, err := p.parseNested(0)
+	return t, err
+}
+
+// parseNested parses a type nested inside depth enclosing array and
+// struct types and returns it with its height (i32 is 1, [2 x i32*] is
+// 3). depth plus the height may not exceed maxDepth.
+func (p *parser) parseNested(depth int) (ir.Type, int, error) {
+	if depth >= maxDepth {
+		return nil, 0, p.errf("type nested deeper than %d levels", maxDepth)
+	}
 	var t ir.Type
+	h := 1
 	switch {
 	case p.tok.kind == tWord:
 		name := p.tok.text
 		if err := p.next(); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		switch name {
 		case "void":
@@ -243,11 +265,11 @@ func (p *parser) parseType() (ir.Type, error) {
 			t = ir.F64
 		default:
 			if !strings.HasPrefix(name, "i") {
-				return nil, p.errf("unknown type %q", name)
+				return nil, 0, p.errf("unknown type %q", name)
 			}
 			bits, err := strconv.Atoi(name[1:])
 			if err != nil || bits <= 0 || bits > 64 {
-				return nil, p.errf("unknown type %q", name)
+				return nil, 0, p.errf("unknown type %q", name)
 			}
 			t = ir.IntType{Bits: bits}
 		}
@@ -257,65 +279,70 @@ func (p *parser) parseType() (ir.Type, error) {
 			st = p.mod.AddStruct(&ir.StructType{TypeName: p.tok.text})
 		}
 		if err := p.next(); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		t = st
 	case p.isPunct("["):
 		if err := p.next(); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if p.tok.kind != tInt {
-			return nil, p.errf("expected array length")
+			return nil, 0, p.errf("expected array length")
 		}
 		n := int(p.tok.i)
 		if err := p.next(); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if !p.isWord("x") {
-			return nil, p.errf("expected 'x' in array type")
+			return nil, 0, p.errf("expected 'x' in array type")
 		}
 		if err := p.next(); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		elem, err := p.parseType()
+		elem, eh, err := p.parseNested(depth + 1)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
+		h = eh + 1
 		if err := p.expectPunct("]"); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		t = ir.ArrayOf(n, elem)
 	case p.isPunct("{"):
 		if err := p.next(); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		st := &ir.StructType{}
 		for !p.isPunct("}") {
-			ft, err := p.parseType()
+			ft, fh, err := p.parseNested(depth + 1)
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
+			h = max(h, fh+1)
 			st.Fields = append(st.Fields, ft)
 			if p.isPunct(",") {
 				if err := p.next(); err != nil {
-					return nil, err
+					return nil, 0, err
 				}
 			}
 		}
 		if err := p.next(); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		t = st
 	default:
-		return nil, p.errf("expected type, found %q", p.tok.text)
+		return nil, 0, p.errf("expected type, found %q", p.tok.text)
 	}
 	for p.isPunct("*") {
+		if h++; depth+h > maxDepth {
+			return nil, 0, p.errf("type nested deeper than %d levels", maxDepth)
+		}
 		if err := p.next(); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		t = ir.Ptr(t)
 	}
-	return t, nil
+	return t, h, nil
 }
 
 func (p *parser) parseTypeDef() error {
@@ -334,6 +361,11 @@ func (p *parser) parseTypeDef() error {
 	}
 	if err := p.next(); err != nil {
 		return err
+	}
+	// The body must be a struct literal: a named reference such as
+	// "type %a = %b" would register %b's type a second time as %a.
+	if !p.isPunct("{") {
+		return p.errf("type definition body must be a struct")
 	}
 	body, err := p.parseType()
 	if err != nil {

@@ -1,7 +1,9 @@
 package irparse_test
 
 import (
+	"strings"
 	"testing"
+	"time"
 
 	"rolag/internal/cc"
 	"rolag/internal/interp"
@@ -92,6 +94,79 @@ func TestParseErrors(t *testing.T) {
 			t.Errorf("case %d: expected a parse error", i)
 		}
 	}
+}
+
+// nestedStruct is a type definition whose body is levels tall: levels-1
+// nested struct types around an i8.
+func nestedStruct(levels int) string {
+	n := levels - 1
+	return "type %t = " + strings.Repeat("{", n) + "i8" + strings.Repeat("}", n) + "\n"
+}
+
+// nestedArray is a global whose type is levels tall: levels-1 nested
+// array types around an i8.
+func nestedArray(levels int) string {
+	n := levels - 1
+	return "@g = global " + strings.Repeat("[1 x ", n) + "i8" + strings.Repeat("]", n) + " zeroinitializer\n"
+}
+
+// nestedConst is a constant global whose initializer nests levels-1
+// array constants deep, matching a type levels tall.
+func nestedConst(levels int) string {
+	n := levels - 1
+	return "@g = constant " + strings.Repeat("[1 x ", n) + "i8" + strings.Repeat("]", n) +
+		" " + strings.Repeat("[", n) + "7" + strings.Repeat("]", n) + "\n"
+}
+
+// nestedPointer is a type definition whose single field is a pointer
+// chain levels-1 tall.
+func nestedPointer(levels int) string {
+	return "type %t = {i8" + strings.Repeat("*", levels-2) + "}\n"
+}
+
+// TestParseDepthLimit: types and constants up to cc.MaxDepth levels
+// parse and round-trip; one level more is an ordinary parse error, not
+// a stack overflow that kills the process.
+func TestParseDepthLimit(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		src  func(levels int) string
+	}{
+		{"struct", nestedStruct},
+		{"array", nestedArray},
+		{"const", nestedConst},
+		{"pointer", nestedPointer},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := tc.src(cc.MaxDepth)
+			m, err := irparse.ParseModule(src)
+			if err != nil {
+				t.Fatalf("%d levels: %v", cc.MaxDepth, err)
+			}
+			text := m.String()
+			parsed, err := irparse.ParseModule(text)
+			if err != nil {
+				t.Fatalf("%d levels: reparse: %v", cc.MaxDepth, err)
+			}
+			if parsed.String() != text {
+				t.Errorf("%d levels: round-trip differs", cc.MaxDepth)
+			}
+			if _, err := irparse.ParseModule(tc.src(cc.MaxDepth + 1)); err == nil ||
+				!strings.Contains(err.Error(), "deeper than") {
+				t.Errorf("%d levels: want a depth error, got %v", cc.MaxDepth+1, err)
+			}
+		})
+	}
+	t.Run("struct-2M", func(t *testing.T) {
+		start := time.Now()
+		_, err := irparse.ParseModule(nestedStruct(2_000_000))
+		if err == nil || !strings.Contains(err.Error(), "deeper than") {
+			t.Errorf("want a depth error, got %v", err)
+		}
+		if d := time.Since(start); d > 2*time.Second {
+			t.Errorf("rejecting took %v, want under 2s", d)
+		}
+	})
 }
 
 func TestRoundTripCorpus(t *testing.T) {

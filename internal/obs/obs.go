@@ -11,10 +11,10 @@
 //   - Remarks: typed records of optimizer decisions (why a region did
 //     or did not roll) carrying function/block/instruction provenance.
 //     Remarks are collected per function into plain Collectors (no
-//     locks, no timestamps, no pointers), so streams are byte-identical
-//     across runs and across serial/parallel pipelines after the
-//     deterministic in-function-order merge. Remarks are pulled, not
-//     pushed: a nil *Recorder disables them with no global state.
+//     locks, no timestamps, no pointers) and appended in function
+//     order, so streams are byte-identical across runs. Remarks are
+//     pulled, not pushed: a nil *Recorder disables them with no global
+//     state.
 //   - Span stats: per-class duration histograms (the RoLAG phase
 //     timers), process-wide atomics behind the stats gate.
 //   - Tracing: per-request trace IDs with wall-clock spans recorded

@@ -60,9 +60,9 @@ type Remark struct {
 }
 
 // Collector accumulates remarks for one function. It is append-only
-// and NOT safe for concurrent use: the parallel pipeline gives every
-// function a private Collector and merges them in function order, so
-// the merged stream is byte-identical to a serial run's.
+// and NOT safe for concurrent use: the pipeline gives every function
+// execution a private Collector and keeps it only when the execution
+// commits, appending kept remarks in function order.
 type Collector struct {
 	remarks []Remark
 }

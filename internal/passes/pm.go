@@ -76,8 +76,7 @@ func (p *Pipeline) RunSandboxed(m *ir.Module, sb *Sandbox) bool {
 }
 
 // RunFuncSandboxed applies the pipeline to one function under sb (nil =
-// fail-hard). The parallel pipeline calls it with a private
-// per-function sandbox; serial callers share one.
+// fail-hard); one job's functions share its sandbox.
 func (p *Pipeline) RunFuncSandboxed(f *ir.Func, sb *Sandbox) bool {
 	return p.runFunc(f, sb, analysis.NewManager())
 }

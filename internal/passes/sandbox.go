@@ -145,17 +145,6 @@ func (s *Sandbox) Report() *Degraded {
 	return &s.report
 }
 
-// Absorb appends other's degradation report to s's and clears other.
-// The parallel pipeline gives every concurrently-optimized function a
-// private sandbox (a Sandbox is not safe for concurrent use) and then
-// absorbs them into the job's sandbox in function order, so the
-// aggregate report is deterministic and matches what a serial run over
-// the same outcomes would have recorded.
-func (s *Sandbox) Absorb(other *Sandbox) {
-	s.report.Skips = append(s.report.Skips, other.report.Skips...)
-	other.report.Skips = nil
-}
-
 // RunShadow executes a module-pure pass on f under the sandbox; it is
 // RunInPlaceIn with no globals sink.
 func (s *Sandbox) RunShadow(pass string, f *ir.Func, run func(*ir.Func) bool) (changed, ok bool) {
@@ -165,9 +154,9 @@ func (s *Sandbox) RunShadow(pass string, f *ir.Func, run func(*ir.Func) bool) (c
 // RunInPlaceIn executes one pass on f and commits it only if it does not
 // panic, finishes within budget, and leaves f verifier-clean; otherwise
 // f's body and, when sink is set, the globals appended to sink are
-// restored. sink is the module receiving the pass's new globals: f.Parent
-// serially, a private staging module in the parallel pipeline (see
-// rolag.RollFuncInto). It returns (changed, ok): ok reports that the
+// restored. sink is the module receiving the pass's new globals (f.Parent
+// for RoLAG, whose codegen creates constant tables), or nil for a pass
+// that adds none. It returns (changed, ok): ok reports that the
 // execution was committed (so captured closure state may be read),
 // changed is the pass's own report. On a nil receiver the pass runs
 // directly and ok is always true.

@@ -2,6 +2,7 @@ package passes_test
 
 import (
 	"maps"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -151,6 +152,50 @@ func TestRunInPlaceRollsBackGlobals(t *testing.T) {
 	}
 	if err := m.Verify(); err != nil {
 		t.Fatalf("module broken after rollback: %v", err)
+	}
+}
+
+// TestRollbackRewindsGlobalNames: a rolled-back pass leaves no trace in
+// global names. The failed pass asks the module's unique-name counter
+// for two "roll.cdata" names (the module already holds one, so both get
+// a ".N" suffix) and then panics; a committed pass that follows must
+// get exactly the names it gets when the failed pass never ran.
+func TestRollbackRewindsGlobalNames(t *testing.T) {
+	addTables := func(m *ir.Module) {
+		m.NewGlobal("roll.cdata", ir.I32, nil)
+		m.NewGlobal("roll.cdata", ir.I32, nil)
+	}
+	names := func(withFailure bool) []string {
+		m, f := lowerF(t)
+		m.NewGlobal("roll.cdata", ir.I32, nil)
+		n := len(m.Globals)
+		sb := &passes.Sandbox{}
+		if withFailure {
+			if _, ok := sb.RunInPlaceIn("rolag", f, m, func(*ir.Func) bool {
+				addTables(m)
+				panic("codegen died")
+			}); ok {
+				t.Fatal("panicking pass committed")
+			}
+		}
+		if _, ok := sb.RunInPlaceIn("rolag", f, m, func(*ir.Func) bool {
+			addTables(m)
+			return true
+		}); !ok {
+			t.Fatal("healthy pass did not commit")
+		}
+		var out []string
+		for _, g := range m.Globals[n:] {
+			out = append(out, g.Name)
+		}
+		return out
+	}
+	want, got := names(false), names(true)
+	if len(want) != 2 || want[0] == "roll.cdata" || want[1] == "roll.cdata" {
+		t.Fatalf("baseline names %v: want two suffixed roll.cdata names", want)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("after a rolled-back pass the committed pass named its globals %v, want %v", got, want)
 	}
 }
 

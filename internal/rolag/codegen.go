@@ -12,18 +12,14 @@ import (
 func GenerateLoop(f *ir.Func, b *ir.Block, g *Graph, sched *Schedule, opts *Options) {
 	// Users are needed to find external uses of matched instructions;
 	// compute before any mutation.
-	generateLoopInto(f, b, g, sched, opts, f.Users(), f.Parent)
+	generateLoopInto(f, b, g, sched, opts, f.Users())
 }
 
 // generateLoopInto is GenerateLoop with the pre-mutation def-use chains
-// supplied by the caller (from the analysis cache) and an explicit sink
-// module for the constant-table globals codegen creates. The parallel
-// pipeline passes a private staging module as sink so concurrent
-// functions never touch the shared module; the serial path passes
-// f.Parent.
-func generateLoopInto(f *ir.Func, b *ir.Block, g *Graph, sched *Schedule, opts *Options, users map[ir.Value][]*ir.Instr, sink *ir.Module) {
+// supplied by the caller (from the analysis cache). The constant-table
+// globals codegen creates go to f.Parent.
+func generateLoopInto(f *ir.Func, b *ir.Block, g *Graph, sched *Schedule, opts *Options, users map[ir.Value][]*ir.Instr) {
 	lanes := g.Root.Lanes()
-	mod := sink
 
 	// Create the loop and exit blocks right after b.
 	loopB := &ir.Block{Name: f.UniqueName("roll.loop"), Parent: f}
@@ -89,7 +85,7 @@ func generateLoopInto(f *ir.Func, b *ir.Block, g *Graph, sched *Schedule, opts *
 	iv := loop.Phi(ir.I64, "roll.iv")
 	ir.AddIncoming(iv, ir.ConstInt(ir.I64, 0), b)
 	cg := &codegen{
-		f: f, mod: mod, b: b, loopB: loopB, exitB: exitB,
+		f: f, b: b, loopB: loopB, exitB: exitB,
 		pre: pre, loop: loop, iv: iv, lanes: lanes, opts: opts, graph: g,
 	}
 	for _, n := range sched.Emission {
@@ -120,7 +116,6 @@ type recurrencePatch struct {
 
 type codegen struct {
 	f     *ir.Func
-	mod   *ir.Module
 	b     *ir.Block // preheader
 	loopB *ir.Block
 	exitB *ir.Block
@@ -205,15 +200,8 @@ func (cg *codegen) genMismatch(n *Node) ir.Value {
 		for _, v := range n.Vals {
 			arr.Elems = append(arr.Elems, v.(ir.Const))
 		}
-		glob := cg.mod.NewGlobal("roll.cdata", arr.Typ, arr)
+		glob := cg.f.Parent.NewGlobal("roll.cdata", arr.Typ, arr)
 		glob.ReadOnly = true
-		// When cg.mod is a parallel staging sink rather than the real
-		// module, claim the real module as parent immediately: the
-		// verifier checks operand ownership against f.Parent, and the
-		// sandbox verifies the function before the staged global is
-		// adopted. Adoption only renames and re-lists; it restores the
-		// same parent. A no-op in the serial pipeline (cg.mod == f.Parent).
-		glob.Parent = cg.f.Parent
 		p := cg.loop.GEP(glob, ir.ConstInt(ir.I64, 0), cg.iv)
 		return cg.loop.Load(p)
 	}

@@ -30,26 +30,18 @@ func RollFunc(f *ir.Func, opts *Options) *Stats {
 	return RollFuncInto(f, opts, nil, nil, nil)
 }
 
-// RollFuncInto is RollFunc with the analysis cache, the global sink,
-// and the observability recorder made explicit. am carries cached
-// per-function analyses (nil for a private cache). sink is the module
-// that receives the constant-table globals codegen creates (nil for
-// f.Parent); the parallel pipeline passes a private staging module per
-// function and later adopts the staged globals into the real module in
-// deterministic function order, replaying the serial name sequence.
-// Cost decisions compare before and after deltas, so pricing rodata
-// against the sink instead of the full module changes nothing. rec
-// collects optimization remarks and carries the request trace; nil
-// disables both with zero added allocations on the hot path.
+// RollFuncInto is RollFunc with the analysis cache and the
+// observability recorder made explicit. am carries cached per-function
+// analyses (nil for a private cache). sink must be nil or f.Parent:
+// codegen's constant-table globals always go to f.Parent. rec collects
+// optimization remarks and carries the request trace; nil disables both
+// with zero added allocations on the hot path.
 func RollFuncInto(f *ir.Func, opts *Options, am *analysis.Manager, sink *ir.Module, rec *obs.Recorder) *Stats {
 	if opts == nil {
 		opts = DefaultOptions()
 	}
 	if am == nil {
 		am = analysis.NewManager()
-	}
-	if sink == nil {
-		sink = f.Parent
 	}
 	stats := NewStats()
 	if f.IsDecl() {
@@ -74,7 +66,7 @@ func RollFuncInto(f *ir.Func, opts *Options, am *analysis.Manager, sink *ir.Modu
 		}
 		revisits[b.Name]++
 		stats.BlocksScanned++
-		rolled, loopBlock := rollBlockOnce(f, i, opts, stats, am, sink, rec)
+		rolled, loopBlock := rollBlockOnce(f, i, opts, stats, am, rec)
 		if rolled {
 			skip[loopBlock] = true
 			// Revisit the (now shorter) preheader for further seed
@@ -86,38 +78,10 @@ func RollFuncInto(f *ir.Func, opts *Options, am *analysis.Manager, sink *ir.Modu
 	return stats
 }
 
-// AdoptStagedGlobals moves every global staged in sink into m, in
-// staging order, renaming each one against m's namespace. The parallel
-// pipeline rolls functions concurrently into private sinks and then
-// adopts each sink in module function order; because uniqueGlobalName
-// numbering is driven purely by the order of requests for a base name,
-// this replays the exact name sequence the serial pipeline produces.
-func AdoptStagedGlobals(m, sink *ir.Module) {
-	for _, g := range sink.Globals {
-		m.AdoptGlobal(g, globalBase(g.Name))
-	}
-	sink.Globals = nil
-}
-
-// globalBase strips the ".N" uniquing suffix a staging sink may have
-// appended, recovering the base name codegen asked for.
-func globalBase(name string) string {
-	i := strings.LastIndexByte(name, '.')
-	if i < 0 || i == len(name)-1 {
-		return name
-	}
-	for _, c := range name[i+1:] {
-		if c < '0' || c > '9' {
-			return name
-		}
-	}
-	return name[:i]
-}
-
 // rollBlockOnce tries the seed groups of block f.Blocks[bi] in priority
 // order until one rolls profitably. It reports whether a roll happened
 // and the created loop block.
-func rollBlockOnce(f *ir.Func, bi int, opts *Options, stats *Stats, am *analysis.Manager, sink *ir.Module, rec *obs.Recorder) (bool, *ir.Block) {
+func rollBlockOnce(f *ir.Func, bi int, opts *Options, stats *Stats, am *analysis.Manager, rec *obs.Recorder) (bool, *ir.Block) {
 	failed := make(map[string]bool)
 	for {
 		b := f.Blocks[bi]
@@ -157,7 +121,7 @@ func rollBlockOnce(f *ir.Func, bi int, opts *Options, stats *Stats, am *analysis
 			})
 		}
 		sig := signature(b, idx, attempt...)
-		loopBlock, err := tryRoll(f, bi, opts, stats, am, sink, rec, attempt)
+		loopBlock, err := tryRoll(f, bi, opts, stats, am, rec, attempt)
 		if err == nil {
 			return true, loopBlock
 		}
@@ -169,7 +133,7 @@ func rollBlockOnce(f *ir.Func, bi int, opts *Options, stats *Stats, am *analysis
 // generates the loop, and keeps it only if the cost model deems it
 // smaller (Fig. 5). On any failure the function body is restored in
 // place and am's cached analyses of f stay valid.
-func tryRoll(f *ir.Func, bi int, opts *Options, stats *Stats, am *analysis.Manager, sink *ir.Module, rec *obs.Recorder, groups []*SeedGroup) (*ir.Block, error) {
+func tryRoll(f *ir.Func, bi int, opts *Options, stats *Stats, am *analysis.Manager, rec *obs.Recorder, groups []*SeedGroup) (*ir.Block, error) {
 	b := f.Blocks[bi]
 	fi := am.Info(f)
 	lanes := len(groups[0].Instrs)
@@ -205,27 +169,26 @@ func tryRoll(f *ir.Func, bi int, opts *Options, stats *Stats, am *analysis.Manag
 	// every other pointer into the body) describing f again.
 	var ck ir.Checkpoint
 	ck.Take(f)
-	gmark := sink.MarkGlobals()
+	m := f.Parent
+	gmark := m.MarkGlobals()
 	// Costs are function-local: the rodata term counts only the constant
-	// tables THIS roll adds (the delta over the pre-roll sink), not
-	// whatever the sink already holds. The serial pipeline sinks into the
-	// shared module while the parallel one uses private staging modules,
-	// so absolute sink sizes differ between the two — the delta is the
-	// same in both, which keeps the profit decision and the remark cost
-	// fields byte-identical across Parallelism values.
-	rodataBefore := rodataSize(sink)
+	// tables THIS roll adds (the delta over the pre-roll module), not
+	// whatever the module already holds, because a roll's cost is a
+	// property of the roll alone, not of what earlier functions left
+	// behind.
+	rodataBefore := rodataSize(m)
 	costBefore := opts.Model.FuncUsers(f, fi.Users())
 
-	generateLoopInto(f, b, graph, sched, opts, fi.Users(), sink)
+	generateLoopInto(f, b, graph, sched, opts, fi.Users())
 
 	// Price the rewritten body from transient use-lists: am keeps fi,
 	// which describes the pre-roll body a rejection restores.
-	costAfter := opts.Model.FuncUsers(f, f.Users()) + rodataSize(sink) - rodataBefore
+	costAfter := opts.Model.FuncUsers(f, f.Users()) + rodataSize(m) - rodataBefore
 	if !opts.AlwaysRoll && costAfter >= costBefore {
 		// Not profitable: restore the body and drop added globals. The
 		// names codegen generated stay burned, as they always have.
 		ck.RestoreKeepNames()
-		sink.ResetGlobals(gmark)
+		m.ResetGlobals(gmark)
 		stats.NotProfitable++
 		phaseEnd(rec, PhaseCodegen, t)
 		err := &errAbort{code: "not-profitable", reason: fmt.Sprintf("not profitable (%d >= %d bytes)", costAfter, costBefore)}

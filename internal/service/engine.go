@@ -69,14 +69,6 @@ type Config struct {
 	// BreakerCooldown is how long an open breaker refuses a pass before
 	// admitting a half-open probe (0 = DefaultBreakerCooldown).
 	BreakerCooldown time.Duration
-	// FuncParallelism is passed through to rolag.Config.Parallelism for
-	// every job: how many functions of one module each pipeline stage
-	// optimizes concurrently (0 or 1 = serial, negative = GOMAXPROCS).
-	// Output is byte-identical for any value. Jobs are already spread
-	// across Workers, so this mainly helps modules with many functions
-	// on lightly loaded engines; the per-pass circuit breakers are safe
-	// to share across the extra goroutines.
-	FuncParallelism int
 	// PeerFetch, when set, is consulted on every local cache miss
 	// before compiling: the cluster layer uses it to ask the key's home
 	// shard for the entry (fetch-on-miss peer caching). It returns the
@@ -490,7 +482,6 @@ func (e *Engine) runJob(j *job) (res jobResult) {
 	start := time.Now()
 	cfg := j.req.Config
 	defer func() { obs.EndSpan(tr, "engine:compile", span, cfg.Name) }()
-	cfg.Parallelism = e.cfg.FuncParallelism
 	// Pre-pipeline canonicalization of IR input runs under its own
 	// sandbox (nil = fail-hard) so its skips land on the same report.
 	var pre *passes.Sandbox

@@ -27,9 +27,8 @@ const cacheKeyVersion = "v3"
 // engine sets them itself on every job, and a degraded result is never
 // stored, so the cache only ever holds outputs equal to what the
 // fail-hard pipeline would produce for the same key. Config.Parallelism
-// is engine-set as well, and the parallel pipeline's output is
-// byte-identical to serial by contract, so it cannot split the key
-// space either. Config.Remarks IS part of the key: remarks travel in
+// has no effect on the pipeline, so it cannot split the key space
+// either. Config.Remarks IS part of the key: remarks travel in
 // the Response, so a remark-less cached result must not satisfy a
 // request that asked for them (and vice versa — remark streams are
 // deterministic, so a remarks=true entry answers every remarks=true

@@ -9,16 +9,15 @@ import (
 	"rolag/internal/obs"
 )
 
-// TestPhaseMetrics drives RoLAG compilations with span stats enabled
-// and function-level parallelism on, then checks that the per-phase
-// histograms surface in the snapshot and in the Prometheus exposition
-// with cumulative buckets.
+// TestPhaseMetrics drives RoLAG compilations with span stats enabled,
+// then checks that the per-phase histograms surface in the snapshot and
+// in the Prometheus exposition with cumulative buckets.
 func TestPhaseMetrics(t *testing.T) {
 	obs.EnableSpanStats(true)
 	defer obs.EnableSpanStats(false)
 	obs.ResetSpanStats()
 
-	e := New(Config{FuncParallelism: 4})
+	e := New(Config{})
 	defer e.Close(context.Background())
 
 	for _, fn := range corpus(t, 12) {

@@ -1,9 +1,9 @@
 package rolag_test
 
 // Determinism contract of Config.Remarks: the remark stream must be
-// byte-identical across runs and across Parallelism values, because
-// remarks travel through the service cache and into committed
-// experiment artifacts — any run-varying byte would poison both.
+// byte-identical across runs, because remarks travel through the
+// service cache and into committed experiment artifacts — any
+// run-varying byte would poison both.
 
 import (
 	"bytes"
@@ -86,54 +86,6 @@ func TestRemarksDeterministic(t *testing.T) {
 			}
 			if !bytes.Contains(a, []byte(passedName)) {
 				t.Errorf("no %s remark across the corpus; corpus or emitter drifted", passedName)
-			}
-		})
-	}
-}
-
-// TestRemarksParallelMatchesSerial: per-function collectors merged in
-// function order must make the parallel remark stream byte-identical to
-// the serial one, for the plain and the fail-soft pipeline alike. Uses
-// the multi-function translation unit from the parallelism tests so
-// several workers genuinely race on one module.
-func TestRemarksParallelMatchesSerial(t *testing.T) {
-	src := multiFuncSource(41, 16) + loopSource(5)
-	for _, tc := range []struct {
-		name string
-		cfg  rolag.Config
-	}{
-		{"rolag", rolag.Config{Opt: rolag.OptRoLAG, Remarks: true}},
-		{"rolag-failsoft", rolag.Config{Opt: rolag.OptRoLAG, Remarks: true, FailSoft: true}},
-		{"reroll-unroll4", rolag.Config{Opt: rolag.OptLLVMReroll, Unroll: 4, Remarks: true}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			serial := tc.cfg
-			serial.Parallelism = 1
-			sres, err := rolag.Build(src, serial)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(sres.Remarks) == 0 {
-				t.Fatal("serial run produced no remarks; the comparison is vacuous")
-			}
-			for _, par := range []int{8, -1} {
-				pcfg := tc.cfg
-				pcfg.Parallelism = par
-				pres, err := rolag.Build(src, pcfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var sb, pb bytes.Buffer
-				if err := obs.WriteJSON(&sb, sres.Remarks); err != nil {
-					t.Fatal(err)
-				}
-				if err := obs.WriteJSON(&pb, pres.Remarks); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(sb.Bytes(), pb.Bytes()) {
-					t.Errorf("Parallelism %d remark stream differs from serial\n--- serial ---\n%s\n--- parallel ---\n%s",
-						par, sb.Bytes(), pb.Bytes())
-				}
 			}
 		})
 	}

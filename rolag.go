@@ -13,9 +13,6 @@ package rolag
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"rolag/internal/cc"
@@ -124,41 +121,23 @@ type Config struct {
 	PassBudget time.Duration
 	// Guard, when set with FailSoft, is consulted before and notified
 	// after every sandboxed pass execution; the service engine passes
-	// its per-pass circuit breakers here. With Parallelism > 1 the Guard
-	// is consulted from several goroutines at once, so implementations
-	// must be safe for concurrent use (the engine's breakers are).
+	// its per-pass circuit breakers here.
 	Guard Guard
 	// Remarks collects structured optimization remarks: every rolling
 	// decision (seed selection, per-node alignment, scheduling
 	// rejection, cost verdict, reroll outcome) lands in Result.Remarks
 	// with function/block/instruction provenance. The stream is
-	// deterministic — byte-identical across runs and across Parallelism
-	// values (per-function collectors merge in function order) — and
-	// under FailSoft remarks from rolled-back executions are discarded
-	// with the execution, so a "rolled" remark exists iff the roll is in
-	// the output. Off (the default) the hot path pays nil checks only.
+	// deterministic — byte-identical across runs, in function order —
+	// and under FailSoft remarks from rolled-back executions are
+	// discarded with the execution, so a "rolled" remark exists iff the
+	// roll is in the output. Off (the default) the hot path pays nil
+	// checks only.
 	Remarks bool
-	// Parallelism caps how many functions each pipeline stage optimizes
-	// concurrently: 0 or 1 runs serially, n > 1 uses up to n workers,
-	// and a negative value uses GOMAXPROCS. Every stage is
-	// function-local — RoLAG's constant-table globals are staged in
-	// per-function sink modules and spliced into the real module in
-	// function order, replaying the serial name sequence — so the output
-	// module is byte-identical for every Parallelism value, and
-	// fail-soft degradation reports merge in function order.
+	// Parallelism is ignored; every stage runs serially, in function
+	// order, on the caller's goroutine.
+	//
+	// Deprecated: kept only because benchmark/compile.go reads it.
 	Parallelism int
-}
-
-// workers resolves Parallelism to a concrete worker count.
-func (cfg Config) workers() int {
-	switch {
-	case cfg.Parallelism < 0:
-		return runtime.GOMAXPROCS(0)
-	case cfg.Parallelism <= 1:
-		return 1
-	default:
-		return cfg.Parallelism
-	}
 }
 
 // Result is the outcome of one compilation.
@@ -242,7 +221,7 @@ func BuildContext(ctx context.Context, src string, cfg Config) (*Result, error) 
 		return nil, fmt.Errorf("rolag: internal error: %w", err)
 	}
 	sb := cfg.sandbox(obs.TraceFrom(ctx))
-	if err := runStandard(ctx, m, cfg, sb); err != nil {
+	if err := runStandard(ctx, m, sb); err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
@@ -293,12 +272,11 @@ func optimizeContext(ctx context.Context, m *ir.Module, cfg Config, sb *passes.S
 	if cfg.CloneInput {
 		m = ir.CloneModule(m)
 	}
-	workers := cfg.workers()
 	tr := obs.TraceFrom(ctx)
 	if cfg.Unroll >= 2 {
 		st := obs.Now()
-		err := forEachFuncIn(ctx, m, cfg, sb, func(_ int, f *ir.Func, s *passes.Sandbox) {
-			s.RunShadow("unroll", f, func(f *ir.Func) bool {
+		err := forEachFunc(ctx, m, func(f *ir.Func) {
+			sb.RunShadow("unroll", f, func(f *ir.Func) bool {
 				return unroll.UnrollAll(f, cfg.Unroll) > 0
 			})
 		})
@@ -306,7 +284,7 @@ func optimizeContext(ctx context.Context, m *ir.Module, cfg Config, sb *passes.S
 		if err != nil {
 			return nil, err
 		}
-		if err := runStandard(ctx, m, cfg, sb); err != nil {
+		if err := runStandard(ctx, m, sb); err != nil {
 			return nil, err
 		}
 		if sb == nil {
@@ -325,63 +303,43 @@ func optimizeContext(ctx context.Context, m *ir.Module, cfg Config, sb *passes.S
 		SizeBefore:   profit.Module(m),
 		BinaryBefore: binary.Module(m),
 	}
-	// Per-function remark collectors; merged into res.Remarks in
-	// function order after each stage, so the stream is byte-identical
-	// for every Parallelism value. Under fail-soft, a function's
-	// collector is kept only when its execution committed — remarks
-	// from rolled-back attempts vanish with the rollback.
-	var recs []*obs.Collector
-	if cfg.Remarks {
-		recs = make([]*obs.Collector, len(m.Funcs))
-	}
-	// newRec hands the per-function recorder to the optimizer; it stays
-	// nil — zero hot-path allocations — unless remarks or tracing are on.
+	// newRec hands one function's execution a private remark collector
+	// and the recorder the optimizer writes through; both stay nil —
+	// zero hot-path allocations — unless remarks or tracing are on. The
+	// collector's remarks join the result only when the execution
+	// commits, so under fail-soft remarks from rolled-back attempts
+	// vanish with the rollback.
 	newRec := func() (*obs.Collector, *obs.Recorder) {
-		if recs == nil && !tr.Active() {
+		if !cfg.Remarks && !tr.Active() {
 			return nil, nil
 		}
 		var c *obs.Collector
-		if recs != nil {
+		if cfg.Remarks {
 			c = &obs.Collector{}
 		}
 		return c, &obs.Recorder{Remarks: c, Trace: tr}
-	}
-	mergeRemarks := func() {
-		for i, c := range recs {
-			if c != nil {
-				res.Remarks = append(res.Remarks, c.Remarks()...)
-				recs[i] = nil
-			}
-		}
 	}
 	switch cfg.Opt {
 	case OptNone:
 	case OptLLVMReroll:
 		st := obs.Now()
-		rerolled := make([]int, len(m.Funcs))
-		err := forEachFuncIn(ctx, m, cfg, sb, func(i int, f *ir.Func, s *passes.Sandbox) {
-			// n and the private collector c count only when the
-			// execution committed.
+		err := forEachFunc(ctx, m, func(f *ir.Func) {
+			// n and the collector c count only when the execution
+			// committed.
 			c, rec := newRec()
 			var n int
-			if _, ok := s.RunShadow("reroll", f, func(f *ir.Func) bool {
+			if _, ok := sb.RunShadow("reroll", f, func(f *ir.Func) bool {
 				n = reroll.RerollFuncObs(f, rec)
 				return n > 0
 			}); ok {
-				rerolled[i] = n
-				if recs != nil {
-					recs[i] = c
-				}
+				res.Rerolled += n
+				res.Remarks = append(res.Remarks, c.Remarks()...)
 			}
 		})
 		obs.EndSpan(tr, "stage:reroll", st, m.Name)
 		if err != nil {
 			return nil, err
 		}
-		for _, n := range rerolled {
-			res.Rerolled += n
-		}
-		mergeRemarks()
 	case OptRoLAG:
 		spanStart := obs.Now()
 		opts := cfg.Options
@@ -389,53 +347,27 @@ func optimizeContext(ctx context.Context, m *ir.Module, cfg Config, sb *passes.S
 			opts = rl.DefaultOptions()
 		}
 		res.Stats = rl.NewStats()
-		// Parallel workers stage their constant-table globals in private
-		// sink modules; the sinks are adopted into m in function order
-		// below, replaying the serial global-name sequence.
-		stats := make([]*rl.Stats, len(m.Funcs))
-		var sinks []*ir.Module
-		if workers > 1 {
-			sinks = make([]*ir.Module, len(m.Funcs))
-		}
-		err := forEachFuncIn(ctx, m, cfg, sb, func(i int, f *ir.Func, s *passes.Sandbox) {
-			sink := m
-			if sinks != nil {
-				sink = ir.NewModule(m.Name + ".stage")
-				sinks[i] = sink
-			}
-			// RoLAG appends constant-table globals to sink, which a
+		err := forEachFunc(ctx, m, func(f *ir.Func) {
+			// RoLAG appends constant-table globals to m, which a
 			// rollback resets along with the function body.
 			c, rec := newRec()
 			var st *rl.Stats
-			if _, ok := s.RunInPlaceIn("rolag", f, sink, func(f *ir.Func) bool {
-				st = rl.RollFuncInto(f, opts, nil, sink, rec)
+			if _, ok := sb.RunInPlaceIn("rolag", f, m, func(f *ir.Func) bool {
+				st = rl.RollFuncInto(f, opts, nil, m, rec)
 				return st.LoopsRolled > 0
 			}); ok {
-				stats[i] = st
-				if recs != nil {
-					recs[i] = c
-				}
+				res.Stats.Add(st)
+				res.Remarks = append(res.Remarks, c.Remarks()...)
 			}
 		})
-		for _, sink := range sinks {
-			if sink != nil {
-				rl.AdoptStagedGlobals(m, sink)
-			}
-		}
 		obs.EndSpan(tr, "stage:rolag", spanStart, m.Name)
 		if err != nil {
 			return nil, err
 		}
-		for _, st := range stats {
-			if st != nil {
-				res.Stats.Add(st)
-			}
-		}
-		mergeRemarks()
 		if cfg.Flatten {
 			fst := obs.Now()
-			err := forEachFuncIn(ctx, m, cfg, sb, func(_ int, f *ir.Func, s *passes.Sandbox) {
-				s.RunShadow("flatten", f, passes.Flatten)
+			err := forEachFunc(ctx, m, func(f *ir.Func) {
+				sb.RunShadow("flatten", f, passes.Flatten)
 			})
 			obs.EndSpan(tr, "stage:flatten", fst, m.Name)
 			if err != nil {
@@ -450,7 +382,7 @@ func optimizeContext(ctx context.Context, m *ir.Module, cfg Config, sb *passes.S
 	}
 	if !cfg.SkipCleanup && cfg.Opt != OptNone {
 		st := obs.Now()
-		if err := runStandard(ctx, m, cfg, sb); err != nil {
+		if err := runStandard(ctx, m, sb); err != nil {
 			return nil, err
 		}
 		obs.EndSpan(tr, "stage:cleanup", st, m.Name)
@@ -465,107 +397,28 @@ func optimizeContext(ctx context.Context, m *ir.Module, cfg Config, sb *passes.S
 }
 
 // runStandard runs the canonicalization pipeline over the module,
-// sandboxed when sb is set and across cfg.workers() functions at a time
-// when parallelism is enabled.
-func runStandard(ctx context.Context, m *ir.Module, cfg Config, sb *passes.Sandbox) error {
+// sandboxed when sb is set.
+func runStandard(ctx context.Context, m *ir.Module, sb *passes.Sandbox) error {
 	p := passes.Standard()
-	return forEachFuncIn(ctx, m, cfg, sb, func(_ int, f *ir.Func, s *passes.Sandbox) {
-		p.RunFuncSandboxed(f, s)
+	return forEachFunc(ctx, m, func(f *ir.Func) {
+		p.RunFuncSandboxed(f, sb)
 	})
 }
 
-// forEachFunc applies work to every defined function of m: in index
-// order on the calling goroutine when workers <= 1, otherwise across a
-// bounded worker pool. work must confine its effects to the function
-// itself plus caller state indexed by i — the module is shared. The
-// context is checked before each function. A panic in any worker is
-// re-raised on the caller (lowest function index wins), preserving the
-// fail-hard contract; the original stack is lost but the value is not.
-func forEachFunc(ctx context.Context, m *ir.Module, workers int, work func(i int, f *ir.Func)) error {
-	funcs := m.Funcs
-	if workers > len(funcs) {
-		workers = len(funcs)
-	}
-	if workers <= 1 {
-		for i, f := range funcs {
-			if f.IsDecl() {
-				continue
-			}
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			work(i, f)
+// forEachFunc applies work to every defined function of m, in index
+// order on the calling goroutine. The context is checked before each
+// function.
+func forEachFunc(ctx context.Context, m *ir.Module, work func(f *ir.Func)) error {
+	for _, f := range m.Funcs {
+		if f.IsDecl() {
+			continue
 		}
-		return nil
-	}
-	errs := make([]error, len(funcs))
-	panics := make([]any, len(funcs))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(funcs) {
-					return
-				}
-				f := funcs[i]
-				if f.IsDecl() {
-					continue
-				}
-				if err := ctx.Err(); err != nil {
-					errs[i] = err
-					continue
-				}
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							panics[i] = r
-						}
-					}()
-					work(i, f)
-				}()
-			}
-		}()
-	}
-	wg.Wait()
-	for _, r := range panics {
-		if r != nil {
-			panic(r)
-		}
-	}
-	for _, err := range errs {
-		if err != nil {
+		if err := ctx.Err(); err != nil {
 			return err
 		}
+		work(f)
 	}
 	return nil
-}
-
-// forEachFuncIn is forEachFunc for one pipeline stage under sb, the
-// job's sandbox from cfg.sandbox (nil when fail-hard). Serially every
-// function runs under sb; in parallel each gets its own cfg.sandbox (a
-// Sandbox is not safe for concurrent use), whose report is absorbed
-// into sb in function order after the stage, so the merged report
-// matches a serial run's.
-func forEachFuncIn(ctx context.Context, m *ir.Module, cfg Config, sb *passes.Sandbox, work func(i int, f *ir.Func, s *passes.Sandbox)) error {
-	workers := cfg.workers()
-	if workers <= 1 {
-		return forEachFunc(ctx, m, workers, func(i int, f *ir.Func) { work(i, f, sb) })
-	}
-	subs := make([]*passes.Sandbox, len(m.Funcs))
-	err := forEachFunc(ctx, m, workers, func(i int, f *ir.Func) {
-		subs[i] = cfg.sandbox(obs.TraceFrom(ctx))
-		work(i, f, subs[i])
-	})
-	for _, sub := range subs {
-		if sub != nil {
-			sb.Absorb(sub)
-		}
-	}
-	return err
 }
 
 // CheckEquiv verifies behavioural equivalence of one function across two
