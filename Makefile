@@ -60,6 +60,7 @@ fuzz-smoke:
 	$(GO) test ./internal/fuzzgen -run '^$$' -fuzz '^FuzzMutated$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fuzzgen -run '^$$' -fuzz '^FuzzSource$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/irparse -run '^$$' -fuzz '^FuzzParseModule$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/rolagdapi -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime $(FUZZTIME)
 
 # Fault-injection chaos smoke: the seeded chaos suite under the race
 # detector plus a short rolag-fuzz -chaos campaign. Violations of the

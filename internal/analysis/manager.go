@@ -7,10 +7,11 @@ import (
 )
 
 // Manager caches per-function analyses so the optimization hot paths
-// (seed collection, alignment, scheduling, codegen, cost modelling,
-// DCE/CSE) stop recomputing use-def chains and position indexes on
-// every query. Results are memoized per *ir.Func and stay valid until a
-// pass mutates the function and calls Invalidate.
+// (seed collection, alignment, scheduling, CSE) stop recomputing
+// position indexes and dominators on every query. Results are memoized
+// per *ir.Func and stay valid until a pass mutates the function and
+// calls Invalidate. Def-use chains are not cached here: the IR keeps
+// them current itself (ir.Instr.Users).
 //
 // A Manager is NOT safe for concurrent use: each compilation job owns
 // the Managers it creates, as it owns the functions it mutates.
@@ -66,7 +67,6 @@ func (am *Manager) InvalidateAll() {
 // fine-grained dirty tracking is not worth the bookkeeping).
 type FuncInfo struct {
 	f      *ir.Func
-	users  map[ir.Value][]*ir.Instr
 	index  map[*ir.Instr]int
 	dom    *DomInfo
 	intern *Interner
@@ -74,15 +74,6 @@ type FuncInfo struct {
 
 // Func returns the function this info describes.
 func (fi *FuncInfo) Func() *ir.Func { return fi.f }
-
-// Users returns the function's def-use chains (ir.Func.Users), computed
-// once. Callers must not mutate the map.
-func (fi *FuncInfo) Users() map[ir.Value][]*ir.Instr {
-	if fi.users == nil {
-		fi.users = fi.f.Users()
-	}
-	return fi.users
-}
 
 // Index returns a map from every instruction to its position within its
 // own block. Positions of instructions in different blocks are not

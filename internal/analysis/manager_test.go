@@ -25,16 +25,7 @@ func TestManagerCachesAnalyses(t *testing.T) {
 	if fi != am.Info(f) {
 		t.Fatal("Info returned distinct FuncInfo for the same function")
 	}
-	u1, u2 := fi.Users(), fi.Users()
-	if len(u1) == 0 {
-		t.Fatal("empty users map")
-	}
 	// Memoized accessors must return the same map, not a recomputation.
-	u1[nil] = nil
-	if _, ok := u2[nil]; !ok {
-		t.Error("Users recomputed instead of memoized")
-	}
-	delete(u1, nil)
 	i1 := fi.Index()
 	i1[nil] = -1
 	if _, ok := fi.Index()[nil]; !ok {
@@ -51,23 +42,21 @@ func TestManagerCachesAnalyses(t *testing.T) {
 
 // TestManagerInvalidationContract is the ISSUE 4 contract test: a pass
 // that mutates a function and invalidates it must observe fresh
-// users/index analyses afterward — new instructions appear, deleted
-// ones are gone.
+// index analysis afterward — new instructions appear, deleted ones are
+// gone.
 func TestManagerInvalidationContract(t *testing.T) {
 	_, f := managerTestFunc(t)
 	am := analysis.NewManager()
 	fi := am.Info(f)
-	staleUsers := fi.Users()
 	staleIndex := fi.Index()
 
-	// Mutate: append a new add instruction to the entry block, using an
-	// existing instruction result if one exists, else a param.
+	// Mutate: insert a new add instruction before the entry block's
+	// terminator.
 	entry := f.Blocks[0]
 	var opnd ir.Value = f.Params[1]
 	in := &ir.Instr{Op: ir.OpAdd, Name: f.Name + ".m", Typ: ir.I32,
-		Operands: []ir.Value{opnd, opnd}, Parent: entry}
-	entry.Instrs = append(entry.Instrs[:len(entry.Instrs)-1],
-		in, entry.Instrs[len(entry.Instrs)-1])
+		Operands: []ir.Value{opnd, opnd}}
+	entry.InsertAt(len(entry.Instrs)-1, in)
 
 	if _, ok := staleIndex[in]; ok {
 		t.Fatal("stale index already knows the new instruction")
@@ -81,9 +70,8 @@ func TestManagerInvalidationContract(t *testing.T) {
 	if _, ok := fresh.Index()[in]; !ok {
 		t.Error("fresh index is missing the appended instruction")
 	}
-	if len(fresh.Users()[opnd]) != len(staleUsers[opnd])+1 {
-		t.Errorf("fresh users[%v] = %d, want %d (stale %d plus the new use)",
-			opnd, len(fresh.Users()[opnd]), len(staleUsers[opnd])+1, len(staleUsers[opnd]))
+	if got := fresh.Index()[in]; got != len(entry.Instrs)-2 {
+		t.Errorf("fresh index of the new instruction = %d, want %d", got, len(entry.Instrs)-2)
 	}
 
 	am.InvalidateAll()

@@ -119,6 +119,16 @@ func ultimateBase(v ir.Value) ir.Value {
 	}
 }
 
+// IdentifiedRoot returns the identified object (alloca or global) that
+// pointer v points into, or nil when its root is not identified. Two
+// pointers with different identified roots never alias.
+func IdentifiedRoot(v ir.Value) ir.Value {
+	if r := ultimateBase(v); identified(r) {
+		return r
+	}
+	return nil
+}
+
 // identified reports whether v is an identified memory object (alloca or
 // global) whose address is distinct from every other identified object.
 func identified(v ir.Value) bool {

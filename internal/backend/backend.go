@@ -42,7 +42,6 @@ func Lower(m *ir.Module, rec *obs.Recorder) (*mach.Module, error) {
 			ml:         ml,
 			irf:        irf,
 			f:          f,
-			users:      irf.Users(),
 			vreg:       make(map[ir.Value]mach.Reg),
 			phiTmp:     make(map[*ir.Instr]mach.Reg),
 			allocaSlot: make(map[*ir.Instr]int),

@@ -101,10 +101,9 @@ func (a addr) operand() mach.Operand {
 }
 
 type isel struct {
-	ml    *modLower
-	irf   *ir.Func
-	f     *mach.Func
-	users map[ir.Value][]*ir.Instr
+	ml  *modLower
+	irf *ir.Func
+	f   *mach.Func
 
 	vreg       map[ir.Value]mach.Reg
 	phiTmp     map[*ir.Instr]mach.Reg
@@ -271,8 +270,8 @@ func isAddrUser(u *ir.Instr, v ir.Value) bool {
 	return false
 }
 
-func (s *isel) allAddrUsers(v ir.Value) bool {
-	for _, u := range s.users[v] {
+func (s *isel) allAddrUsers(v *ir.Instr) bool {
+	for _, u := range v.Users() {
 		if !isAddrUser(u, v) {
 			return false
 		}
@@ -312,7 +311,7 @@ func (s *isel) phiNeedsTmp(b *ir.Block, p *ir.Instr) bool {
 		}
 		return false
 	}
-	for _, u := range s.users[p] {
+	for _, u := range p.Users() {
 		if u.Parent == nil || !predOfB(u.Parent) {
 			continue
 		}
@@ -349,7 +348,18 @@ func (s *isel) lowerFunc() error {
 	f.Blocks = append(f.Blocks, pro)
 	s.cur = pro
 
-	// Parameter moves out of the SysV argument registers.
+	// Parameter moves out of the SysV argument registers; an unused
+	// parameter needs none.
+	usedParams := make(map[*ir.Param]bool, len(s.irf.Params))
+	for _, b := range s.irf.Blocks {
+		for _, in := range b.Instrs {
+			for _, op := range in.Operands {
+				if p, ok := op.(*ir.Param); ok {
+					usedParams[p] = true
+				}
+			}
+		}
+	}
 	intIdx, fpIdx, stackOff := 0, 0, int64(0)
 	for _, p := range s.irf.Params {
 		fp := isFloat(p.Typ)
@@ -365,7 +375,7 @@ func (s *isel) lowerFunc() error {
 			src = mach.IncomingOp(int(stackOff / 8))
 			stackOff += 8
 		}
-		if len(s.users[p]) == 0 {
+		if !usedParams[p] {
 			continue
 		}
 		if fp {
@@ -461,7 +471,7 @@ func (s *isel) prepass() error {
 				// predicate; ordered FP relational predicates). For a
 				// select the comparison must be the condition operand,
 				// not an i1 data operand.
-				us := s.users[in]
+				us := in.Users()
 				if len(us) == 1 && (us[0].Op == ir.OpCondBr ||
 					us[0].Op == ir.OpSelect && us[0].Operands[0] == ir.Value(in) &&
 						us[0].Operands[1] != ir.Value(in) && us[0].Operands[2] != ir.Value(in)) {

@@ -96,8 +96,8 @@ func (s *isel) lowerInstr(in *ir.Instr) error {
 
 // usedOnlyByFoldedGEPs reports whether every non-address user of an
 // alloca is a GEP that folded the slot into its own addressing.
-func (s *isel) usedOnlyByFoldedGEPs(v ir.Value) bool {
-	for _, u := range s.users[v] {
+func (s *isel) usedOnlyByFoldedGEPs(v *ir.Instr) bool {
+	for _, u := range v.Users() {
 		if isAddrUser(u, v) {
 			continue
 		}
@@ -584,7 +584,7 @@ func (s *isel) lowerCall(in *ir.Instr) error {
 		s.f.MaxOutArgs = stackOff
 	}
 	s.emit(&mach.Inst{Op: mach.OCall, Src: mach.Operand{Kind: mach.KMem, Sym: in.Callee.Name}})
-	if _, ok := in.Typ.(ir.VoidType); !ok && len(s.users[in]) > 0 {
+	if _, ok := in.Typ.(ir.VoidType); !ok && len(in.Users()) > 0 {
 		if isFloat(in.Typ) {
 			dst := s.f.NewVReg(mach.ClassXMM)
 			op := mach.OMovsd

@@ -2,6 +2,7 @@ package cc
 
 import (
 	"fmt"
+	"slices"
 
 	"rolag/internal/ir"
 )
@@ -280,13 +281,11 @@ func (lw *lowerer) removeUnreachable() {
 			}
 		}
 	}
-	var kept []*ir.Block
-	for _, b := range lw.fn.Blocks {
-		if reach[b] {
-			kept = append(kept, b)
+	for _, b := range slices.Clone(lw.fn.Blocks) {
+		if !reach[b] {
+			lw.fn.RemoveBlock(b)
 		}
 	}
-	lw.fn.Blocks = kept
 }
 
 func (lw *lowerer) pushScope() { lw.scopes = append(lw.scopes, make(map[string]localInfo)) }

@@ -315,7 +315,12 @@ func (rt *Router) forwardCtx(ctx context.Context, shard, path string, body []byt
 // before it is returned.
 func (rt *Router) handleCompile(w http.ResponseWriter, r *http.Request) {
 	rt.requests.Add(1)
+	rolagdapi.LimitBody(w, r)
 	body, err := io.ReadAll(r.Body)
+	if rolagdapi.BodyTooLarge(err) {
+		writeJSON(w, http.StatusRequestEntityTooLarge, rolagdapi.TooLargeResponse())
+		return
+	}
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, rolagdapi.ErrorResponse{Error: "reading body: " + err.Error()})
 		return
@@ -413,8 +418,13 @@ type shardBatch struct {
 // recovered results are marked degraded/failed-over.
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	rt.batches.Add(1)
+	rolagdapi.LimitBody(w, r)
 	var br rolagdapi.BatchRequest
 	if err := json.NewDecoder(r.Body).Decode(&br); err != nil {
+		if rolagdapi.BodyTooLarge(err) {
+			writeJSON(w, http.StatusRequestEntityTooLarge, rolagdapi.TooLargeResponse())
+			return
+		}
 		writeJSON(w, http.StatusBadRequest, rolagdapi.ErrorResponse{Error: "bad request body: " + err.Error()})
 		return
 	}

@@ -545,3 +545,41 @@ func TestRouterHealthz(t *testing.T) {
 		t.Errorf("one dead shard: status=%s ready=%d, want degraded/2", status, ready)
 	}
 }
+
+// TestRouterBodyLimit: the router accepts a body of exactly
+// rolagdapi.MaxBodyBytes on /v1/compile and /v1/batch and answers one
+// byte more with 413 and the body-too-large code, without reading on.
+func TestRouterBodyLimit(t *testing.T) {
+	tc := newTestCluster(t, 1)
+	// The config names an unknown opt, so an accepted body fails in
+	// ToService instead of compiling.
+	sized := func(n int, prefix, suffix string) string {
+		head := prefix + `{"source":"`
+		tail := `","config":{"opt":"wat"}}` + suffix
+		return head + strings.Repeat(" ", n-len(head)-len(tail)) + tail
+	}
+	for _, c := range []struct {
+		path, prefix, suffix string
+		fits                 int
+	}{
+		{"/v1/compile", "", "", http.StatusBadRequest},
+		{"/v1/batch", `{"items":[`, `]}`, http.StatusOK},
+	} {
+		for _, n := range []int{rolagdapi.MaxBodyBytes, rolagdapi.MaxBodyBytes + 1} {
+			resp, err := http.Post(tc.rsrv.URL+c.path, "application/json", strings.NewReader(sized(n, c.prefix, c.suffix)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var er rolagdapi.ErrorResponse
+			json.NewDecoder(resp.Body).Decode(&er)
+			resp.Body.Close()
+			over := n > rolagdapi.MaxBodyBytes
+			switch {
+			case over && (resp.StatusCode != http.StatusRequestEntityTooLarge || er.Code != rolagdapi.CodeBodyTooLarge):
+				t.Errorf("%s one byte over: status %d code %q, want 413 %q", c.path, resp.StatusCode, er.Code, rolagdapi.CodeBodyTooLarge)
+			case !over && resp.StatusCode != c.fits:
+				t.Errorf("%s at the limit: status %d, want %d", c.path, resp.StatusCode, c.fits)
+			}
+		}
+	}
+}

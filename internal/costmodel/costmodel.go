@@ -48,24 +48,7 @@ func Binary() *Model {
 }
 
 // Instr returns the estimated byte size of one instruction.
-//
-// Pricing a gep needs the function's def-use chains (to decide whether
-// it folds into its users' addressing modes); this entry point computes
-// them on demand, which is O(function size). Callers pricing many
-// instructions of one function should use InstrUsers, Func, FuncUsers,
-// Block, or Module, which compute the chains once.
 func (m *Model) Instr(in *ir.Instr) int {
-	var users map[ir.Value][]*ir.Instr
-	if in.Op == ir.OpGEP && in.Parent != nil && in.Parent.Parent != nil {
-		users = in.Parent.Parent.Users()
-	}
-	return m.InstrUsers(in, users)
-}
-
-// InstrUsers is Instr with the enclosing function's def-use chains
-// supplied by the caller (as returned by ir.Func.Users, or nil when the
-// instruction is detached). It never recomputes them.
-func (m *Model) InstrUsers(in *ir.Instr, users map[ir.Value][]*ir.Instr) int {
 	switch {
 	case in.Op == ir.OpPhi:
 		// Phis lower to register copies on edges; the TTI-style model
@@ -87,7 +70,7 @@ func (m *Model) InstrUsers(in *ir.Instr, users map[ir.Value][]*ir.Instr) int {
 	case in.Op == ir.OpGEP:
 		// Address arithmetic usually folds into the addressing mode of
 		// the memory access that uses it; a standalone lea otherwise.
-		if gepFoldable(in, m.BinaryMode, users) {
+		if gepFoldable(in, m.BinaryMode) {
 			return 0
 		}
 		return 4
@@ -126,7 +109,7 @@ func (m *Model) InstrUsers(in *ir.Instr, users map[ir.Value][]*ir.Instr) int {
 				n += 3
 			}
 		}
-		if _, void := in.Typ.(ir.VoidType); !void && len(users[in]) > 0 {
+		if _, void := in.Typ.(ir.VoidType); !void && len(in.Users()) > 0 {
 			n += 3
 		}
 		return n
@@ -161,14 +144,14 @@ func (m *Model) InstrUsers(in *ir.Instr, users map[ir.Value][]*ir.Instr) int {
 // has at most a base + one index (reg+reg*scale+disp addressing). The
 // measurement model additionally requires a single user: multi-use
 // address computations are typically materialized once.
-func gepFoldable(in *ir.Instr, binaryMode bool, users map[ir.Value][]*ir.Instr) bool {
+func gepFoldable(in *ir.Instr, binaryMode bool) bool {
 	if in.NumOperands() > 3 {
 		return false
 	}
 	if in.Parent == nil || in.Parent.Parent == nil {
 		return false
 	}
-	us := users[in]
+	us := in.Users()
 	if len(us) == 0 {
 		return false
 	}
@@ -215,20 +198,11 @@ func immBytes(v int64) int {
 	return 4
 }
 
-// Block returns the estimated size of all instructions in the block,
-// computing the enclosing function's def-use chains once.
+// Block returns the estimated size of all instructions in the block.
 func (m *Model) Block(b *ir.Block) int {
-	var users map[ir.Value][]*ir.Instr
-	if b.Parent != nil {
-		users = b.Parent.Users()
-	}
-	return m.blockUsers(b, users)
-}
-
-func (m *Model) blockUsers(b *ir.Block, users map[ir.Value][]*ir.Instr) int {
 	n := 0
 	for _, in := range b.Instrs {
-		n += m.InstrUsers(in, users)
+		n += m.Instr(in)
 	}
 	return n
 }
@@ -240,21 +214,11 @@ func (m *Model) Func(f *ir.Func) int {
 	if f.IsDecl() {
 		return 0
 	}
-	return m.FuncUsers(f, f.Users())
-}
-
-// FuncUsers is Func with the def-use chains supplied by the caller —
-// the entry point for pricing a function repeatedly against a cached
-// analysis (see internal/analysis.FuncInfo).
-func (m *Model) FuncUsers(f *ir.Func, users map[ir.Value][]*ir.Instr) int {
-	if f.IsDecl() {
-		return 0
-	}
 	const prologue = 4
 	n := prologue
 	hasCalls := false
 	for i, b := range f.Blocks {
-		n += m.blockUsers(b, users)
+		n += m.Block(b)
 		if m.BinaryMode && i > 0 {
 			n += 2
 		}
@@ -283,10 +247,7 @@ func (m *Model) FuncUsers(f *ir.Func, users map[ir.Value][]*ir.Instr) int {
 func (m *Model) Module(mod *ir.Module) int {
 	n := 0
 	for _, f := range mod.Funcs {
-		if f.IsDecl() {
-			continue
-		}
-		n += m.FuncUsers(f, f.Users())
+		n += m.Func(f)
 	}
 	// Mirror the backend's .rodata layout: symbols are emitted in
 	// module order, each aligned to its type's natural alignment, so
@@ -304,15 +265,4 @@ func (m *Model) Module(mod *ir.Module) int {
 		ro += g.Elem.Size()
 	}
 	return n + ro
-}
-
-// Values returns the estimated size of an arbitrary set of instructions;
-// used by the profitability analysis to cost a region that is not a whole
-// block.
-func (m *Model) Values(ins []*ir.Instr) int {
-	n := 0
-	for _, in := range ins {
-		n += m.Instr(in)
-	}
-	return n
 }

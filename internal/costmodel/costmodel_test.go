@@ -172,10 +172,7 @@ void f(int *a, long *b) {
 	model := costmodel.Binary()
 	text := 0
 	for _, f := range res.Module.Funcs {
-		if f.IsDecl() {
-			continue
-		}
-		text += model.FuncUsers(f, f.Users())
+		text += model.Func(f)
 	}
 	ro := model.Module(res.Module) - text
 	if int64(ro) != br.Code.Rodata {

@@ -115,6 +115,9 @@ type Daemon struct {
 	batchHist   fleet.Hist
 
 	draining atomic.Bool
+	// tooLarge counts requests refused for a body over
+	// rolagdapi.MaxBodyBytes (rolagd_rejected_total{reason="body-too-large"}).
+	tooLarge atomic.Int64
 }
 
 // New builds the engine and its HTTP surface. When cfg.ShardID is set
@@ -356,10 +359,27 @@ func toWire(resp *service.Response, elapsed time.Duration) rolagdapi.CompileResp
 	return out
 }
 
+// decodeBody decodes r's body, capped at rolagdapi.MaxBodyBytes, into v.
+// On failure it writes the reply (413 over the cap, else 400) and
+// returns false.
+func (d *Daemon) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	rolagdapi.LimitBody(w, r)
+	err := json.NewDecoder(r.Body).Decode(v)
+	switch {
+	case err == nil:
+		return true
+	case rolagdapi.BodyTooLarge(err):
+		d.tooLarge.Add(1)
+		writeJSON(w, http.StatusRequestEntityTooLarge, rolagdapi.TooLargeResponse())
+	default:
+		writeJSON(w, http.StatusBadRequest, rolagdapi.ErrorResponse{Error: "bad request body: " + err.Error()})
+	}
+	return false
+}
+
 func (d *Daemon) handleCompile(w http.ResponseWriter, r *http.Request) {
 	var cr rolagdapi.CompileRequest
-	if err := json.NewDecoder(r.Body).Decode(&cr); err != nil {
-		writeJSON(w, http.StatusBadRequest, rolagdapi.ErrorResponse{Error: "bad request body: " + err.Error()})
+	if !d.decodeBody(w, r, &cr) {
 		return
 	}
 	req, err := cr.ToService()
@@ -388,8 +408,7 @@ func (d *Daemon) handleCompile(w http.ResponseWriter, r *http.Request) {
 // itself only fails on malformed JSON or an empty item list.
 func (d *Daemon) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var br rolagdapi.BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&br); err != nil {
-		writeJSON(w, http.StatusBadRequest, rolagdapi.ErrorResponse{Error: "bad request body: " + err.Error()})
+	if !d.decodeBody(w, r, &br) {
 		return
 	}
 	if len(br.Items) == 0 {
@@ -602,6 +621,8 @@ func (d *Daemon) Handler() http.Handler {
 		s.WritePrometheus(w)
 		fmt.Fprintf(w, "# HELP rolagd_trace_dropped_total Trace spans overwritten in the bounded ring before export.\n")
 		fmt.Fprintf(w, "# TYPE rolagd_trace_dropped_total counter\nrolagd_trace_dropped_total %d\n", d.obsRing().Dropped())
+		fmt.Fprintf(w, "# HELP rolagd_rejected_total Requests refused before compiling, by reason slug.\n")
+		fmt.Fprintf(w, "# TYPE rolagd_rejected_total counter\nrolagd_rejected_total{reason=%q} %d\n", rolagdapi.CodeBodyTooLarge, d.tooLarge.Load())
 	})
 
 	// expvar.Publish panics on duplicate names; tests and the loadgen

@@ -410,3 +410,54 @@ func TestEffectiveTimeout(t *testing.T) {
 		}
 	}
 }
+
+// sizedBody returns JSON of exactly n bytes: prefix, a source string
+// padded with spaces, then suffix. The config names an unknown opt so
+// an accepted body fails fast in ToService instead of compiling.
+func sizedBody(n int, prefix, suffix string) string {
+	head := prefix + `{"source":"`
+	tail := `","config":{"opt":"wat"}}` + suffix
+	return head + strings.Repeat(" ", n-len(head)-len(tail)) + tail
+}
+
+// TestBodyLimit: /v1/compile and /v1/batch accept a body of exactly
+// rolagdapi.MaxBodyBytes, answer one byte more with 413 and the
+// body-too-large code, and count each refusal on /metrics.
+func TestBodyLimit(t *testing.T) {
+	srv := newTestServer(t)
+	post := func(path, body string) (int, rolagdapi.ErrorResponse) {
+		t.Helper()
+		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var er rolagdapi.ErrorResponse
+		json.NewDecoder(resp.Body).Decode(&er)
+		return resp.StatusCode, er
+	}
+	for _, c := range []struct {
+		path, prefix, suffix string
+		fits                 int
+	}{
+		{"/v1/compile", "", "", http.StatusBadRequest},
+		{"/v1/batch", `{"items":[`, `]}`, http.StatusOK},
+	} {
+		if code, _ := post(c.path, sizedBody(rolagdapi.MaxBodyBytes, c.prefix, c.suffix)); code != c.fits {
+			t.Errorf("%s at the limit: status %d, want %d", c.path, code, c.fits)
+		}
+		code, er := post(c.path, sizedBody(rolagdapi.MaxBodyBytes+1, c.prefix, c.suffix))
+		if code != http.StatusRequestEntityTooLarge || er.Code != rolagdapi.CodeBodyTooLarge {
+			t.Errorf("%s one byte over: status %d code %q, want 413 %q", c.path, code, er.Code, rolagdapi.CodeBodyTooLarge)
+		}
+	}
+	resp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, _ := io.ReadAll(resp.Body)
+	if want := `rolagd_rejected_total{reason="body-too-large"} 2`; !strings.Contains(string(raw), want) {
+		t.Errorf("metrics missing %q", want)
+	}
+}

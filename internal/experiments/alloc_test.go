@@ -23,10 +23,9 @@ func pinnedCorpusFunc(t testing.TB) angha.Function {
 }
 
 // rollAllocBudget is the allocs-per-Build ceiling for the pinned
-// function. Measured at ~4.6k allocs/op after the analysis-cache and
-// allocation-lean work; the ceiling leaves ~2x headroom for legitimate
-// churn while still catching a return of the per-call map-rebuild
-// pattern (which costs several times more).
+// function. Measured at ~3.3k allocs/op; the ceiling leaves headroom
+// for legitimate churn while still catching a return of the per-call
+// map-rebuild pattern (which costs several times more).
 const rollAllocBudget = 10000
 
 // TestRollAllocBudget is the tier-1 allocation regression gate on the

@@ -169,6 +169,9 @@ func AddIncoming(phi *Instr, v Value, pred *Block) {
 	}
 	phi.Operands = append(phi.Operands, v)
 	phi.Blocks = append(phi.Blocks, pred)
+	if d, ok := v.(*Instr); ok && phi.attached() && phi.count(v) == 1 {
+		d.users = append(d.users, phi)
+	}
 }
 
 // Select builds a select cond ? ifTrue : ifFalse.

@@ -3,11 +3,14 @@ package ir
 // Checkpoint is an identity-preserving snapshot of a function body, for
 // transformations that may have to be undone (speculative rolling, the
 // fail-soft sandbox). Take copies the block list, every block's fields
-// and every instruction's fields by value, with the operand and branch
-// target slices copied into one slab each; Restore writes all of it
-// back into the same *Block and *Instr objects, so pointers held across
-// the checkpoint (analysis caches, skip sets, remark anchors) stay valid.
-// Objects created after Take are simply dropped from the body.
+// and every instruction's fields by value, with the operand, branch
+// target and use-list slices copied into one slab each; Restore writes
+// all of it back into the same *Block and *Instr objects, so pointers
+// held across the checkpoint (analysis caches, skip sets, remark
+// anchors) stay valid and every restored instruction has its users of
+// Take time again. Objects created after Take are detached: they leave
+// the body with no parent. An instruction outside the body at Take is
+// not saved, so a transformation to be undone must not give it users.
 //
 // A Checkpoint reuses its buffers for the next Take while the body it
 // saved is kept (the transformation committed). Restore hands the
@@ -22,17 +25,19 @@ type Checkpoint struct {
 	istate  []Instr  // saved fields of instrs[i]; slices point into the slabs
 	ops     []Value  // Operands slab
 	targets []*Block // Blocks slab
+	users   []*Instr // use-list slab
 }
 
 // Take snapshots f's body and name counter, replacing any earlier
 // snapshot held by c.
 func (c *Checkpoint) Take(f *Func) {
-	nInstrs, nOps, nTargets := 0, 0, 0
+	nInstrs, nOps, nTargets, nUsers := 0, 0, 0, 0
 	for _, b := range f.Blocks {
 		nInstrs += len(b.Instrs)
 		for _, in := range b.Instrs {
 			nOps += len(in.Operands)
 			nTargets += len(in.Blocks)
+			nUsers += len(in.users)
 		}
 	}
 	// Size every buffer before filling any: the saved slices alias the
@@ -45,6 +50,7 @@ func (c *Checkpoint) Take(f *Func) {
 	c.istate = resize(c.istate, nInstrs, nInstrs)
 	c.ops = resize(c.ops, 0, nOps)
 	c.targets = resize(c.targets, 0, nTargets)
+	c.users = resize(c.users, 0, nUsers)
 	for bi, b := range f.Blocks {
 		start := len(c.instrs)
 		c.instrs = append(c.instrs, b.Instrs...)
@@ -66,6 +72,11 @@ func (c *Checkpoint) Take(f *Func) {
 			c.targets = append(c.targets, in.Blocks...)
 			st.Blocks = c.targets[start:len(c.targets):len(c.targets)]
 		}
+		if len(in.users) > 0 {
+			start := len(c.users)
+			c.users = append(c.users, in.users...)
+			st.users = c.users[start:len(c.users):len(c.users)]
+		}
 	}
 }
 
@@ -83,6 +94,15 @@ func (c *Checkpoint) Restore() {
 // generated by the undone transformation stay burned, as RoLAG's
 // rejected roll attempts have always left them.
 func (c *Checkpoint) RestoreKeepNames() {
+	// Detach the current body first; the restore re-attaches what was
+	// saved, so only objects created since Take stay detached.
+	for _, b := range c.f.Blocks {
+		b.Parent = nil
+		for _, in := range b.Instrs {
+			in.Parent = nil
+		}
+	}
+	c.f.names = nil // rebuilt on the next unique-name request
 	c.f.Blocks = c.blocks
 	for bi, b := range c.blocks {
 		*b = c.bstate[bi]

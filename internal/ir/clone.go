@@ -62,6 +62,7 @@ func CloneFunc(f *Func, m *Module, name string) *Func {
 			}
 		}
 	}
+	nf.linkUses()
 	return nf
 }
 

@@ -1,6 +1,9 @@
 package ir
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Block is a basic block: a straight-line sequence of instructions ending
 // in a terminator.
@@ -12,28 +15,30 @@ type Block struct {
 
 // Append adds an instruction at the end of the block and sets its parent.
 func (b *Block) Append(in *Instr) *Instr {
-	in.Parent = b
 	b.Instrs = append(b.Instrs, in)
+	b.adopt(in)
 	return in
 }
 
 // InsertAt inserts an instruction at position i.
 func (b *Block) InsertAt(i int, in *Instr) {
-	in.Parent = b
-	b.Instrs = append(b.Instrs, nil)
-	copy(b.Instrs[i+1:], b.Instrs[i:])
-	b.Instrs[i] = in
+	b.Instrs = slices.Insert(b.Instrs, i, in)
+	b.adopt(in)
 }
 
 // Remove detaches the instruction from the block. It does not update
-// uses; callers must have replaced or removed all uses first.
+// the instruction's own users; callers must have replaced or removed
+// them first.
 func (b *Block) Remove(in *Instr) {
-	for i, x := range b.Instrs {
-		if x == in {
-			b.Instrs = append(b.Instrs[:i], b.Instrs[i+1:]...)
-			in.Parent = nil
-			return
-		}
+	i := slices.Index(b.Instrs, in)
+	if i < 0 {
+		return
+	}
+	b.Instrs = slices.Delete(b.Instrs, i, i+1)
+	in.Parent = nil
+	if f := b.Parent; f != nil {
+		in.unregister()
+		f.dropName(in.Name)
 	}
 }
 
@@ -83,6 +88,10 @@ type Func struct {
 	ReadOnly bool // declaration known not to write caller-visible memory
 
 	nameCounter int
+	// names counts the owners of each name in the body: parameters,
+	// blocks and attached instructions. Built on the first unique-name
+	// request and maintained by the mutators from then on.
+	names map[string]int32
 }
 
 // Type returns the type of the function when used as a callee value.
@@ -98,20 +107,41 @@ func (f *Func) Entry() *Block { return f.Blocks[0] }
 // NewBlock creates a block with a unique name based on name and appends
 // it to the function.
 func (f *Func) NewBlock(name string) *Block {
-	b := &Block{Name: f.uniqueName(name), Parent: f}
-	f.Blocks = append(f.Blocks, b)
+	b := &Block{Name: f.uniqueName(name)}
+	f.InsertBlock(len(f.Blocks), b)
 	return b
 }
 
-// RemoveBlock detaches block b from the function.
-func (f *Func) RemoveBlock(b *Block) {
-	for i, x := range f.Blocks {
-		if x == b {
-			f.Blocks = append(f.Blocks[:i], f.Blocks[i+1:]...)
-			b.Parent = nil
-			return
+// InsertBlock inserts block b, which must not belong to a function yet,
+// at position i of f's block list; b's instructions join the body.
+func (f *Func) InsertBlock(i int, b *Block) {
+	f.Blocks = slices.Insert(f.Blocks, i, b)
+	b.Parent = f
+	f.addName(b.Name)
+	for _, in := range b.Instrs {
+		if in.Parent == b {
+			f.attach(in)
 		}
 	}
+}
+
+// RemoveBlock detaches block b from the function, and its instructions
+// from the body.
+func (f *Func) RemoveBlock(b *Block) {
+	i := slices.Index(f.Blocks, b)
+	if i < 0 {
+		return
+	}
+	f.Blocks = slices.Delete(f.Blocks, i, i+1)
+	b.Parent = nil
+	f.dropName(b.Name)
+	var s sweeper
+	for _, in := range b.Instrs {
+		if in.Parent == b {
+			s.release(f, in)
+		}
+	}
+	s.finish()
 }
 
 // UniqueName returns a function-unique SSA or block name derived from
@@ -136,25 +166,6 @@ func (f *Func) uniqueName(base string) string {
 	}
 }
 
-func (f *Func) nameTaken(name string) bool {
-	for _, p := range f.Params {
-		if p.Name == name {
-			return true
-		}
-	}
-	for _, b := range f.Blocks {
-		if b.Name == name {
-			return true
-		}
-		for _, in := range b.Instrs {
-			if in.Name == name {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // NumInstrs returns the total number of instructions in the function.
 func (f *Func) NumInstrs() int {
 	n := 0
@@ -164,33 +175,17 @@ func (f *Func) NumInstrs() int {
 	return n
 }
 
-// Users returns a map from each value to the instructions in f that use
-// it as an operand (def-use chains). The map is computed by scanning the
-// function; callers should recompute it after mutating the IR.
-func (f *Func) Users() map[Value][]*Instr {
-	users := make(map[Value][]*Instr)
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			seen := make(map[Value]bool, len(in.Operands))
-			for _, op := range in.Operands {
-				if op == nil || seen[op] {
-					continue
-				}
-				seen[op] = true
-				users[op] = append(users[op], in)
-			}
-		}
+// ReplaceAllUses rewrites every use of old inside f to new, walking
+// only old's users. It returns the number of operands rewritten.
+func (f *Func) ReplaceAllUses(old *Instr, new Value) int {
+	if Value(old) == new {
+		return 0
 	}
-	return users
-}
-
-// ReplaceAllUses rewrites every use of old inside f to new.
-func (f *Func) ReplaceAllUses(old, new Value) int {
 	n := 0
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			n += in.ReplaceUsesOf(old, new)
-		}
+	users := old.users
+	old.users = nil // every user leaves the list: ReplaceUsesOf need not search it
+	for _, u := range users {
+		n += u.ReplaceUsesOf(old, new)
 	}
 	return n
 }

@@ -1,6 +1,9 @@
 package ir
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Op identifies the operation an instruction performs.
 type Op int
@@ -220,6 +223,9 @@ type Instr struct {
 	Callee   *Func    // call target
 	Alloc    Type     // alloca element type
 	Parent   *Block
+
+	users []*Instr // distinct attached users, maintained by the mutators
+	mark  bool     // scratch flag of linear-time walks; false between them
 }
 
 func (in *Instr) Type() Type { return in.Typ }
@@ -237,8 +243,35 @@ func (in *Instr) NumOperands() int { return len(in.Operands) }
 // Operand returns the i-th operand.
 func (in *Instr) Operand(i int) Value { return in.Operands[i] }
 
-// SetOperand replaces the i-th operand.
-func (in *Instr) SetOperand(i int, v Value) { in.Operands[i] = v }
+// SetOperand replaces the i-th operand. Operand edits of attached
+// instructions must go through SetOperand, ReplaceUsesOf, AddIncoming
+// or RemoveIncoming, which keep the def-use chains current.
+func (in *Instr) SetOperand(i int, v Value) {
+	old := in.Operands[i]
+	if old == v {
+		return
+	}
+	in.Operands[i] = v
+	if !in.attached() {
+		return
+	}
+	if d, ok := old.(*Instr); ok && in.count(old) == 0 {
+		d.dropUser(in)
+	}
+	if d, ok := v.(*Instr); ok && in.count(v) == 1 {
+		d.users = append(d.users, in)
+	}
+}
+
+// RemoveIncoming deletes the i-th incoming (value, block) edge of a phi.
+func (in *Instr) RemoveIncoming(i int) {
+	old := in.Operands[i]
+	in.Operands = slices.Delete(in.Operands, i, i+1)
+	in.Blocks = slices.Delete(in.Blocks, i, i+1)
+	if d, ok := old.(*Instr); ok && in.attached() && in.count(old) == 0 {
+		d.dropUser(in)
+	}
+}
 
 // IsTerminator reports whether the instruction terminates its block.
 func (in *Instr) IsTerminator() bool { return in.Op.IsTerminator() }
@@ -285,12 +318,27 @@ func (in *Instr) PhiIncoming(b *Block) (Value, bool) {
 // ReplaceUsesOf replaces every operand equal to old with new. It returns
 // the number of replacements.
 func (in *Instr) ReplaceUsesOf(old, new Value) int {
-	n := 0
+	if old == new {
+		return in.count(old)
+	}
+	n, hadNew := 0, false
 	for i, op := range in.Operands {
-		if op == old {
+		switch op {
+		case old:
 			in.Operands[i] = new
 			n++
+		case new:
+			hadNew = true
 		}
+	}
+	if n == 0 || !in.attached() {
+		return n
+	}
+	if d, ok := old.(*Instr); ok {
+		d.dropUser(in)
+	}
+	if d, ok := new.(*Instr); ok && !hadNew {
+		d.users = append(d.users, in)
 	}
 	return n
 }
@@ -301,10 +349,5 @@ func (in *Instr) Index() int {
 	if in.Parent == nil {
 		return -1
 	}
-	for i, x := range in.Parent.Instrs {
-		if x == in {
-			return i
-		}
-	}
-	return -1
+	return slices.Index(in.Parent.Instrs, in)
 }

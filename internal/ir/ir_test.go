@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -143,12 +144,8 @@ func TestUsersAndReplaceAllUses(t *testing.T) {
 	a := bd.Add(f.Params[0], ConstInt(I32, 1))
 	c := bd.Mul(a, a)
 	bd.Ret(c)
-	users := f.Users()
-	if len(users[a]) != 1 || users[a][0] != c {
-		t.Errorf("users of %%%s = %v", a.Name, users[a])
-	}
-	if len(users[f.Params[0]]) != 1 {
-		t.Error("param should have one user")
+	if us := a.Users(); len(us) != 1 || us[0] != c {
+		t.Errorf("users of %%%s = %v", a.Name, us)
 	}
 	n := f.ReplaceAllUses(a, ConstInt(I32, 7))
 	if n != 2 {
@@ -156,6 +153,9 @@ func TestUsersAndReplaceAllUses(t *testing.T) {
 	}
 	if c.Operand(0).Ident() != "7" || c.Operand(1).Ident() != "7" {
 		t.Error("operands not replaced")
+	}
+	if len(a.Users()) != 0 {
+		t.Errorf("users of %%%s after ReplaceAllUses = %v", a.Name, a.Users())
 	}
 }
 
@@ -186,9 +186,21 @@ func bodyObjects(f *Func) (blocks []*Block, instrs []*Instr) {
 	return blocks, instrs
 }
 
-// checkRestored fails unless f prints as want and holds exactly the
-// given block and instruction objects, in order.
-func checkRestored(t *testing.T, f *Func, want string, blocks []*Block, instrs []*Instr) {
+// useLists copies the use-list of every instruction of f, in body order.
+func useLists(f *Func) [][]*Instr {
+	var lists [][]*Instr
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			lists = append(lists, append([]*Instr(nil), in.Users()...))
+		}
+	}
+	return lists
+}
+
+// checkRestored fails unless f prints as want, holds exactly the given
+// block and instruction objects, in order, and gives every instruction
+// the users listed in users.
+func checkRestored(t *testing.T, f *Func, want string, blocks []*Block, instrs []*Instr, users [][]*Instr) {
 	t.Helper()
 	if err := f.Verify(); err != nil {
 		t.Fatalf("verify after restore: %v", err)
@@ -208,6 +220,9 @@ func checkRestored(t *testing.T, f *Func, want string, blocks []*Block, instrs [
 	for i := range instrs {
 		if gotI[i] != instrs[i] {
 			t.Fatalf("instruction %d is not the original object", i)
+		}
+		if got := instrs[i].Users(); !slices.Equal(got, users[i]) {
+			t.Fatalf("users of %s = %v after restore, want %v", instrs[i], got, users[i])
 		}
 	}
 }
@@ -242,14 +257,18 @@ func TestCheckpointRestoresIdentity(t *testing.T) {
 	f := buildSumFunc(m)
 	want := f.String()
 	blocks, instrs := bodyObjects(f)
+	users := useLists(f)
 	var ck Checkpoint
 	ck.Take(f)
 	name := wreck(f)
 	if f.String() == want {
 		t.Fatal("wreck left the body unchanged")
 	}
+	if slices.EqualFunc(useLists(f), users, slices.Equal) {
+		t.Fatal("wreck left the use-lists unchanged")
+	}
 	ck.Restore()
-	checkRestored(t, f, want, blocks, instrs)
+	checkRestored(t, f, want, blocks, instrs, users)
 	// The name counter is rewound: the same request yields the same name.
 	if again := f.UniqueName("i"); again != name {
 		t.Errorf("name after Restore = %q, want the rewound %q", again, name)
@@ -261,11 +280,12 @@ func TestCheckpointRestoreKeepNames(t *testing.T) {
 	f := buildSumFunc(m)
 	want := f.String()
 	blocks, instrs := bodyObjects(f)
+	users := useLists(f)
 	var ck Checkpoint
 	ck.Take(f)
 	name := wreck(f)
 	ck.RestoreKeepNames()
-	checkRestored(t, f, want, blocks, instrs)
+	checkRestored(t, f, want, blocks, instrs, users)
 	if again := f.UniqueName("i"); again == name {
 		t.Errorf("RestoreKeepNames rewound the name counter: %q again", again)
 	}
@@ -279,6 +299,7 @@ func TestCheckpointBufferOwnership(t *testing.T) {
 	f := buildSumFunc(m)
 	want := f.String()
 	blocks, instrs := bodyObjects(f)
+	users := useLists(f)
 	var ck Checkpoint
 	ck.Take(f)
 	wreck(f)
@@ -286,7 +307,7 @@ func TestCheckpointBufferOwnership(t *testing.T) {
 	ck.Take(f)
 	wreck(f)
 	ck.Restore()
-	checkRestored(t, f, want, blocks, instrs)
+	checkRestored(t, f, want, blocks, instrs, users)
 
 	// A Take after a Restore must not alias the restored body's slices:
 	// editing the body in place leaves the new snapshot intact.
@@ -295,7 +316,7 @@ func TestCheckpointBufferOwnership(t *testing.T) {
 	f.Blocks[1].Instrs[0] = f.Blocks[1].Instrs[1]
 	f.Blocks[0] = f.Blocks[2]
 	ck.Restore()
-	checkRestored(t, f, want, blocks, instrs)
+	checkRestored(t, f, want, blocks, instrs, users)
 }
 
 func TestCheckpointTakeAfterCommitReusesBuffers(t *testing.T) {
@@ -460,5 +481,135 @@ func TestMemoryEffectClassification(t *testing.T) {
 	}
 	if add.HasMemoryEffect() {
 		t.Error("add has no memory effect")
+	}
+}
+
+func TestUseListsCountDistinctUsers(t *testing.T) {
+	m := NewModule("t")
+	f := m.NewFunc("f", I32, &Param{Name: "x", Typ: I32})
+	bd := NewBuilder(f.NewBlock("entry"))
+	a := bd.Add(f.Params[0], ConstInt(I32, 1))
+	c := bd.Mul(a, a)
+	bd.Ret(c)
+	if us := a.Users(); len(us) != 1 || us[0] != c {
+		t.Fatalf("users of %%%s = %v, want [%s] once", a.Name, us, c)
+	}
+	c.SetOperand(0, f.Params[0])
+	if us := a.Users(); len(us) != 1 || us[0] != c {
+		t.Fatalf("users after rewriting one of two slots = %v, want [%s]", us, c)
+	}
+	c.SetOperand(1, f.Params[0])
+	if len(a.Users()) != 0 {
+		t.Fatalf("users after rewriting both slots = %v, want none", a.Users())
+	}
+	if err := f.Verify(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestDetachedInstrIsNotAUser(t *testing.T) {
+	m := NewModule("t")
+	f := buildSumFunc(m)
+	loop := f.Blocks[1]
+	acc := loop.Instrs[1] // %s, used by %t (nacc) and its own backedge
+	before := len(acc.Users())
+	loose := &Instr{Op: OpAdd, Typ: I32, Name: "loose", Operands: []Value{acc, acc}}
+	if slices.Contains(acc.Users(), loose) {
+		t.Fatal("an instruction outside the body is a user")
+	}
+	loop.InsertAt(2, loose)
+	if len(acc.Users()) != before+1 || !slices.Contains(acc.Users(), loose) {
+		t.Fatalf("inserted instruction is not a user: %v", acc.Users())
+	}
+	loop.Remove(loose)
+	if len(acc.Users()) != before || slices.Contains(acc.Users(), loose) {
+		t.Fatalf("removed instruction is still a user: %v", acc.Users())
+	}
+	// Removing a block detaches its instructions: the exit phi stops
+	// being a user of the loop's accumulator update.
+	nacc, out := loop.Instrs[2], f.Blocks[2].Instrs[0]
+	if !slices.Contains(nacc.Users(), out) {
+		t.Fatalf("%s does not list %s before the removal", nacc, out)
+	}
+	f.RemoveBlock(f.Blocks[2])
+	if slices.Contains(nacc.Users(), out) {
+		t.Errorf("%s still lists %s from a removed block", nacc, out)
+	}
+}
+
+func TestVerifyCatchesStaleUseLists(t *testing.T) {
+	corrupt := map[string]func(f *Func){
+		"missing user": func(f *Func) {
+			in := f.Blocks[1].Instrs[2] // %t = add %s, %i
+			in.users = nil
+		},
+		"duplicate user": func(f *Func) {
+			in := f.Blocks[1].Instrs[0]
+			in.users = append(in.users, in.users[0])
+		},
+		"non-user": func(f *Func) {
+			in := f.Blocks[1].Instrs[0]
+			in.users = append(in.users, f.Blocks[2].Instrs[1])
+		},
+		"raw operand write": func(f *Func) {
+			f.Blocks[1].Instrs[2].Operands[0] = ConstInt(I32, 5)
+		},
+	}
+	for name, wreck := range corrupt {
+		t.Run(name, func(t *testing.T) {
+			f := buildSumFunc(NewModule("t"))
+			if err := f.Verify(); err != nil {
+				t.Fatal(err)
+			}
+			wreck(f)
+			err := f.Verify()
+			if err == nil || !strings.Contains(err.Error(), "use-list") {
+				t.Fatalf("Verify = %v, want a use-list error", err)
+			}
+		})
+	}
+}
+
+func TestNameIndexFollowsTheBody(t *testing.T) {
+	m := NewModule("t")
+	f := m.NewFunc("f", I32, &Param{Name: "x", Typ: I32})
+	b := f.NewBlock("entry")
+	bd := NewBuilder(b)
+	a := bd.Add(f.Params[0], ConstInt(I32, 1)) // named t
+	bd.Ret(a)
+	if got := f.UniqueName("x"); got == "x" {
+		t.Error("a parameter's name was handed out")
+	}
+	// A returned name is taken only once its owner is attached.
+	name := f.UniqueName("v")
+	if again := f.UniqueName("v"); again != name {
+		t.Errorf("UniqueName(v) = %q then %q: a name nobody owns was taken", name, again)
+	}
+	in := &Instr{Op: OpAdd, Typ: I32, Name: name, Operands: []Value{a, a}}
+	b.InsertAt(1, in)
+	if again := f.UniqueName("v"); again == name {
+		t.Errorf("UniqueName(v) = %q while an attached instruction owns it", again)
+	}
+	// A name freed by Remove is free again.
+	b.Remove(in)
+	if again := f.UniqueName("v"); again != name {
+		t.Errorf("UniqueName(v) = %q after Remove, want the freed %q", again, name)
+	}
+	// A name freed by a checkpoint restore is free again.
+	var ck Checkpoint
+	ck.Take(f)
+	b.InsertAt(1, in)
+	ck.Restore()
+	if in.Parent != nil {
+		t.Error("an instruction added after Take is still attached after Restore")
+	}
+	if again := f.UniqueName("v"); again != name {
+		t.Errorf("UniqueName(v) = %q after Restore, want the freed %q", again, name)
+	}
+	// A removed block's name is free again.
+	extra := f.NewBlock("bb")
+	f.RemoveBlock(extra)
+	if got := f.UniqueName("bb"); got != "bb" {
+		t.Errorf("UniqueName(bb) = %q after RemoveBlock, want bb", got)
 	}
 }

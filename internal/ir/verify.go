@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"slices"
 )
 
 // VerifyError describes a structural or type error found by Verify.
@@ -26,8 +27,9 @@ func (e *VerifyError) Error() string {
 // Verify checks the structural invariants of the module: every block is
 // terminated, SSA definitions dominate uses (checked conservatively via a
 // reverse-postorder dominance walk for straight-line regions and phi edge
-// validity), operand types match opcode requirements, and names are
-// unique. It returns the first error found, or nil.
+// validity), operand types match opcode requirements, names are unique
+// and every use-list lists exactly the instruction's users. It returns
+// the first error found, or nil.
 func (m *Module) Verify() error {
 	for _, f := range m.Funcs {
 		if err := f.Verify(); err != nil {
@@ -63,10 +65,10 @@ func (f *Func) Verify() error {
 		names[p.Name] = true
 	}
 	blockNames := make(map[string]bool, len(f.Blocks))
-	defined := make(map[Value]bool, len(f.Params)+nInstrs)
-	for _, p := range f.Params {
-		defined[p] = true
-	}
+	// pos holds every instruction of the body with its position in its
+	// block: the set of values defined here, and the order dominance
+	// checks within a block.
+	pos := make(map[*Instr]int, nInstrs)
 	for _, b := range f.Blocks {
 		if blockNames[b.Name] {
 			return errf(b, nil, "duplicate block name")
@@ -94,7 +96,7 @@ func (f *Func) Verify() error {
 				}
 				names[in.Name] = true
 			}
-			defined[in] = true
+			pos[in] = i
 		}
 	}
 
@@ -107,11 +109,11 @@ func (f *Func) Verify() error {
 				}
 				switch v := op.(type) {
 				case *Instr:
-					if !defined[v] {
+					if _, ok := pos[v]; !ok {
 						return errf(b, in, "operand %%%s is not defined in this function", v.Name)
 					}
 				case *Param:
-					if !defined[v] {
+					if !slices.Contains(f.Params, v) {
 						return errf(b, in, "operand %%%s is not a parameter of this function", v.Name)
 					}
 				case *Global:
@@ -137,17 +139,17 @@ func (f *Func) Verify() error {
 		}
 	}
 
+	// Def-use chains: every use-list must match the operands.
+	if v, msg := f.checkUses(pos); msg != "" {
+		if v == nil {
+			return errf(nil, nil, "use-lists %s", msg)
+		}
+		return errf(v.Parent, v, "use-list %s", msg)
+	}
+
 	// Dominance: a simple iterative dominator computation over blocks,
 	// then each non-phi use must be dominated by its definition.
 	dom := f.dominators()
-	blockIndex := make(map[*Block]int, len(f.Blocks))
-	instrIndex := make(map[*Instr]int, nInstrs)
-	for bi, b := range f.Blocks {
-		blockIndex[b] = bi
-		for ii, in := range b.Instrs {
-			instrIndex[in] = ii
-		}
-	}
 	dominates := func(def *Instr, useBlock *Block, useIdx int, usePhiPred *Block) bool {
 		db := def.Parent
 		if usePhiPred != nil {
@@ -156,7 +158,7 @@ func (f *Func) Verify() error {
 			useIdx = len(useBlock.Instrs)
 		}
 		if db == useBlock {
-			return instrIndex[def] < useIdx
+			return pos[def] < useIdx
 		}
 		return dom[useBlock][db]
 	}

@@ -39,7 +39,7 @@ func (p *parser) parseBody(f *ir.Func) error {
 		if b, ok := blocks[name]; ok {
 			return b
 		}
-		b := &ir.Block{Name: name, Parent: f}
+		b := &ir.Block{Name: name}
 		blocks[name] = b
 		return b
 	}
@@ -61,7 +61,7 @@ func (p *parser) parseBody(f *ir.Func) error {
 					return err
 				}
 				cur = getBlock(name)
-				f.Blocks = append(f.Blocks, cur)
+				f.InsertBlock(len(f.Blocks), cur)
 				continue
 			}
 		}
@@ -72,8 +72,7 @@ func (p *parser) parseBody(f *ir.Func) error {
 		if err != nil {
 			return err
 		}
-		pi.instr.Parent = cur
-		cur.Instrs = append(cur.Instrs, pi.instr)
+		cur.Append(pi.instr)
 		if pi.instr.Name != "" {
 			names[pi.instr.Name] = pi.instr
 		}
@@ -83,19 +82,20 @@ func (p *parser) parseBody(f *ir.Func) error {
 		return err
 	}
 
-	// Resolve local operands and block references.
+	// Resolve local operands and block references. The instructions
+	// are attached already, so SetOperand records each use.
 	for _, pi := range pendings {
 		pi.instr.Operands = make([]ir.Value, len(pi.ops))
 		for i, r := range pi.ops {
 			if r.val != nil {
-				pi.instr.Operands[i] = r.val
+				pi.instr.SetOperand(i, r.val)
 				continue
 			}
 			v, ok := names[r.local]
 			if !ok {
 				return &Error{Line: r.line, Msg: "undefined value %" + r.local}
 			}
-			pi.instr.Operands[i] = v
+			pi.instr.SetOperand(i, v)
 		}
 		if len(pi.blocks) > 0 {
 			pi.instr.Blocks = make([]*ir.Block, len(pi.blocks))

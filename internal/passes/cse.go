@@ -52,12 +52,14 @@ func cseDom(f *ir.Func, di *analysis.DomInfo) bool {
 		return nil
 	}
 
+	// Eliminated instructions leave their block in one sweep per block.
+	dead := make(map[*ir.Instr]bool)
+	isDead := func(in *ir.Instr) bool { return dead[in] }
 	var visit func(b *ir.Block)
 	visit = func(b *ir.Block) {
 		local := make(map[string]*ir.Instr)
 		stack = append(stack, local)
-		for i := 0; i < len(b.Instrs); i++ {
-			in := b.Instrs[i]
+		for _, in := range b.Instrs {
 			kb, ok := cseKey(in, ids, buf[:0])
 			buf = kb
 			if !ok {
@@ -66,12 +68,15 @@ func cseDom(f *ir.Func, di *analysis.DomInfo) bool {
 			k := string(kb)
 			if prev := lookup(k); prev != nil {
 				f.ReplaceAllUses(in, prev)
-				b.Remove(in)
-				i--
-				changed = true
+				dead[in] = true
 				continue
 			}
 			local[k] = in
+		}
+		if len(dead) > 0 {
+			b.RemoveIf(isDead)
+			clear(dead)
+			changed = true
 		}
 		for _, c := range di.Children[b] {
 			visit(c)
@@ -92,37 +97,71 @@ func cseDom(f *ir.Func, di *analysis.DomInfo) bool {
 // needed.
 func loadCSE(f *ir.Func) bool {
 	changed := false
+	dead := make(map[*ir.Instr]bool)
 	for _, b := range f.Blocks {
-		avail := make(map[ir.Value]ir.Value) // pointer -> known loaded/stored value
-		for i := 0; i < len(b.Instrs); i++ {
-			in := b.Instrs[i]
+		avail := memState{}
+		for _, in := range b.Instrs {
 			switch in.Op {
 			case ir.OpLoad:
 				p := in.Operand(0)
-				if v, ok := avail[p]; ok {
+				if v, ok := avail.get(p); ok {
 					f.ReplaceAllUses(in, v)
-					b.Remove(in)
-					i--
-					changed = true
+					dead[in] = true
 					continue
 				}
-				avail[p] = in
+				avail.set(p, in)
 			case ir.OpStore:
 				p := in.Operand(1)
-				for q := range avail {
-					if q != p && analysis.MayAlias(p, q) {
-						delete(avail, q)
-					}
-				}
-				avail[p] = in.Operand(0)
+				avail.clobber(p)
+				avail.set(p, in.Operand(0))
 			case ir.OpCall:
 				if in.Callee == nil || !in.Callee.ReadOnly {
-					avail = make(map[ir.Value]ir.Value)
+					avail = memState{}
 				}
 			}
 		}
+		if len(dead) > 0 {
+			b.RemoveIf(func(in *ir.Instr) bool { return dead[in] })
+			clear(dead)
+			changed = true
+		}
 	}
 	return changed
+}
+
+// memState maps each pointer to the value known to be stored at it,
+// grouped by the identified object (alloca or global) the pointer
+// points into; the nil group holds pointers into anything else. A store
+// into an identified object then tests only its own group and the nil
+// group: pointers into distinct identified objects never alias.
+type memState map[ir.Value]map[ir.Value]ir.Value
+
+func (s memState) get(p ir.Value) (ir.Value, bool) {
+	v, ok := s[analysis.IdentifiedRoot(p)][p]
+	return v, ok
+}
+
+func (s memState) set(p, v ir.Value) {
+	r := analysis.IdentifiedRoot(p)
+	if s[r] == nil {
+		s[r] = make(map[ir.Value]ir.Value)
+	}
+	s[r][p] = v
+}
+
+// clobber forgets every pointer other than p that may alias p.
+func (s memState) clobber(p ir.Value) {
+	r := analysis.IdentifiedRoot(p)
+	for obj, group := range s {
+		if r != nil && obj != nil && obj != r {
+			continue
+		}
+		for q := range group {
+			if q != p && analysis.MayAlias(p, q) {
+				delete(group, q)
+			}
+		}
+	}
 }
 
 // cseKey appends a structural key for pure instruction in to buf and

@@ -3,37 +3,14 @@ package passes
 import "rolag/internal/ir"
 
 // DCE removes instructions whose results are unused and that have no
-// side effects. A single use-count map is built up front and
-// decremented as instructions die, driving a worklist to the unique
-// liveness fixpoint — the def-use chains are never recomputed, unlike a
-// sweep-until-stable loop. Returns true if anything was removed.
+// side effects. A worklist seeded with the unused instructions drives
+// the unique liveness fixpoint: each death lowers its operands' live
+// user counts, read from the use-lists, and the dead are detached in one
+// sweep at the end. Returns true if anything was removed.
 func DCE(f *ir.Func) bool {
 	if f.IsDecl() {
 		return false
 	}
-	// Distinct-user counts, matching ir.Func.Users semantics: an
-	// instruction using v through several operand slots counts as one
-	// user of v. Operand lists are tiny, so a quadratic scan beats a
-	// dedup map.
-	useCount := make(map[ir.Value]int, f.NumInstrs())
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			ops := in.Operands
-		count:
-			for i, op := range ops {
-				if op == nil {
-					continue
-				}
-				for _, prev := range ops[:i] {
-					if prev == op {
-						continue count
-					}
-				}
-				useCount[op]++
-			}
-		}
-	}
-
 	removable := func(in *ir.Instr) bool {
 		return !in.IsTerminator() && !in.MayWriteMemory()
 	}
@@ -41,23 +18,30 @@ func DCE(f *ir.Func) bool {
 	var work []*ir.Instr
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
-			if removable(in) && useCount[in] == 0 {
+			if removable(in) && len(in.Users()) == 0 {
 				work = append(work, in)
 			}
 		}
 	}
+	if len(work) == 0 {
+		return false
+	}
+	// left holds the live user count of each instruction that lost a
+	// user; the others still have len(Users()).
+	left := make(map[*ir.Instr]int)
 	removed := make(map[*ir.Instr]bool)
 	for len(work) > 0 {
 		in := work[len(work)-1]
 		work = work[:len(work)-1]
-		if removed[in] || useCount[in] != 0 {
+		if removed[in] {
 			continue
 		}
 		removed[in] = true
 		ops := in.Operands
 	release:
 		for i, op := range ops {
-			if op == nil {
+			d, ok := op.(*ir.Instr)
+			if !ok {
 				continue
 			}
 			for _, prev := range ops[:i] {
@@ -65,25 +49,16 @@ func DCE(f *ir.Func) bool {
 					continue release
 				}
 			}
-			useCount[op]--
-			if d, ok := op.(*ir.Instr); ok && useCount[op] == 0 && removable(d) && !removed[d] {
+			n, seen := left[d]
+			if !seen {
+				n = len(d.Users())
+			}
+			left[d] = n - 1
+			if n == 1 && removable(d) && !removed[d] {
 				work = append(work, d)
 			}
 		}
 	}
-	if len(removed) == 0 {
-		return false
-	}
-	for _, b := range f.Blocks {
-		kept := b.Instrs[:0]
-		for _, in := range b.Instrs {
-			if removed[in] {
-				in.Parent = nil
-				continue
-			}
-			kept = append(kept, in)
-		}
-		b.Instrs = kept
-	}
+	f.RemoveIf(func(in *ir.Instr) bool { return removed[in] })
 	return true
 }

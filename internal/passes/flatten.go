@@ -123,13 +123,11 @@ func flattenOne(f *ir.Func, inner *analysis.Loop) bool {
 		return false
 	}
 
-	users := f.Users()
-
 	// The only uses of iv_out may be the combiner add (in L, possibly
 	// via a cast) and the latch ivn.
 	var combiner *ir.Instr
 	var ivOutCast *ir.Instr
-	for _, u := range users[ivOut] {
+	for _, u := range ivOut.Users() {
 		switch {
 		case u == ivn:
 		case u.Parent == L && u.Op == ir.OpAdd:
@@ -145,7 +143,7 @@ func flattenOne(f *ir.Func, inner *analysis.Loop) bool {
 	}
 	if ivOutCast != nil {
 		// iv_out reaches the combiner through one cast.
-		cu := users[ivOutCast]
+		cu := ivOutCast.Users()
 		if combiner != nil || len(cu) != 1 || cu[0].Op != ir.OpAdd || cu[0].Parent != L {
 			return false
 		}
@@ -157,11 +155,11 @@ func flattenOne(f *ir.Func, inner *analysis.Loop) bool {
 
 	// The only uses of iv_in: the latch add, the latch cmp, and a single
 	// cast chain that ends at the combiner.
-	for _, u := range users[inner.IV] {
+	for _, u := range inner.IV.Users() {
 		switch {
 		case u == inner.Next, u == inner.Cmp:
 		case u.Parent == L && u.Op.IsCast():
-			cu := users[u]
+			cu := u.Users()
 			if len(cu) != 1 || cu[0] != combiner {
 				return false
 			}
@@ -170,7 +168,7 @@ func flattenOne(f *ir.Func, inner *analysis.Loop) bool {
 			return false
 		}
 	}
-	for _, u := range users[inner.Next] {
+	for _, u := range inner.Next.Users() {
 		if u != inner.Cmp && u != inner.IV {
 			return false
 		}
@@ -194,7 +192,7 @@ func flattenOne(f *ir.Func, inner *analysis.Loop) bool {
 			return false
 		}
 		var pin *ir.Instr
-		for _, u := range users[pout] {
+		for _, u := range pout.Users() {
 			if u.Op == ir.OpPhi && u.Parent == L {
 				if pin != nil {
 					return false
@@ -260,7 +258,7 @@ func flattenOne(f *ir.Func, inner *analysis.Loop) bool {
 	for _, pr := range pairs {
 		for i, pb := range pr.pin.Blocks {
 			if pb == B {
-				pr.pin.Operands[i] = mustIncoming(pr.pout, outerPre)
+				pr.pin.SetOperand(i, mustIncoming(pr.pout, outerPre))
 			}
 		}
 	}
@@ -269,7 +267,7 @@ func flattenOne(f *ir.Func, inner *analysis.Loop) bool {
 	// remain: combiner (uses already replaced), then its cast feeders,
 	// then the inner latch and induction phi.
 	L.Remove(combiner)
-	removeCastChainUses(f, L, combiner)
+	removeCastChainUses(L, combiner)
 	if ivOutCast != nil {
 		L.Remove(ivOutCast)
 	}
@@ -297,11 +295,11 @@ func mustIncoming(phi *ir.Instr, b *ir.Block) ir.Value {
 }
 
 // removeCastChainUses removes now-dead casts in L that fed the combiner.
-func removeCastChainUses(f *ir.Func, L *ir.Block, combiner *ir.Instr) {
+func removeCastChainUses(L *ir.Block, combiner *ir.Instr) {
 	for _, op := range combiner.Operands {
 		if c, ok := op.(*ir.Instr); ok && c.Parent == L && c.Op.IsCast() {
 			// Only remove if dead now.
-			if len(f.Users()[c]) == 0 {
+			if len(c.Users()) == 0 {
 				L.Remove(c)
 			}
 		}

@@ -99,10 +99,8 @@ func ifConvertOne(f *ir.Func) bool {
 			at := arm.Terminator()
 			arm.Remove(at)
 			for _, in := range arm.Instrs {
-				in.Parent = a
-				a.Instrs = append(a.Instrs, in)
+				a.Append(in)
 			}
-			arm.Instrs = nil
 		}
 		// Each phi in join becomes a select on cond.
 		phis := join.Phis()
@@ -133,9 +131,8 @@ func ifConvertOne(f *ir.Func) bool {
 				Typ:      phi.Typ,
 				Name:     f.UniqueName(phi.Name),
 				Operands: []ir.Value{cond, tv, fv},
-				Parent:   a,
 			}
-			a.Instrs = append(a.Instrs, sel)
+			a.Append(sel)
 			f.ReplaceAllUses(phi, sel)
 			join.Remove(phi)
 		}

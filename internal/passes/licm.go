@@ -82,16 +82,12 @@ func hoistLoop(f *ir.Func, l *analysis.Loop) bool {
 	pre := l.Preheader
 	term := pre.Terminator()
 	ti := term.Index()
-	var keep []*ir.Instr
 	for _, in := range b.Instrs {
 		if hoisted[in] {
-			in.Parent = pre
 			pre.InsertAt(ti, in)
 			ti++
-		} else {
-			keep = append(keep, in)
 		}
 	}
-	b.Instrs = keep
+	b.RemoveIf(func(in *ir.Instr) bool { return hoisted[in] })
 	return true
 }

@@ -88,16 +88,20 @@ func Mem2Reg(f *ir.Func) bool {
 		return s[len(s)-1]
 	}
 
+	// Promoted loads and stores, and the allocas, are detached in one
+	// sweep at the end: removing them one by one would rescan their
+	// blocks and the allocas' use-lists once per instruction.
+	dead := make(map[*ir.Instr]bool)
 	var rename func(b *ir.Block)
 	rename = func(b *ir.Block) {
 		var pushed []*ir.Instr
-		var dead []*ir.Instr
+		var loads []*ir.Instr // promoted loads of b, in block order
 		replace := make(map[ir.Value]ir.Value)
 		for _, in := range b.Instrs {
 			// Apply pending replacements within this block first.
 			for i, op := range in.Operands {
 				if r, ok := replace[op]; ok {
-					in.Operands[i] = r
+					in.SetOperand(i, r)
 				}
 			}
 			switch in.Op {
@@ -109,13 +113,14 @@ func Mem2Reg(f *ir.Func) bool {
 			case ir.OpLoad:
 				if a, ok := in.Operand(0).(*ir.Instr); ok && isAlloca[a] {
 					replace[in] = cur(a)
-					dead = append(dead, in)
+					loads = append(loads, in)
+					dead[in] = true
 				}
 			case ir.OpStore:
 				if a, ok := in.Operand(1).(*ir.Instr); ok && isAlloca[a] {
 					stacks[a] = append(stacks[a], in.Operand(0))
 					pushed = append(pushed, a)
-					dead = append(dead, in)
+					dead[in] = true
 				}
 			}
 		}
@@ -136,13 +141,10 @@ func Mem2Reg(f *ir.Func) bool {
 		}
 		// Replace remaining uses of loads we removed (uses in dominated
 		// blocks were handled because we pushed values before
-		// recursing; uses elsewhere are illegal SSA). Do a full-function
-		// replace for safety.
-		for old, nv := range replace {
-			f.ReplaceAllUses(old, nv)
-		}
-		for _, in := range dead {
-			b.Remove(in)
+		// recursing; uses elsewhere are illegal SSA), in block order so
+		// the use-lists do not depend on map order.
+		for _, ld := range loads {
+			f.ReplaceAllUses(ld, replace[ld])
 		}
 		for i := len(pushed) - 1; i >= 0; i-- {
 			a := pushed[i]
@@ -152,8 +154,9 @@ func Mem2Reg(f *ir.Func) bool {
 	rename(f.Entry())
 
 	for _, a := range allocas {
-		a.Parent.Remove(a)
+		dead[a] = true
 	}
+	f.RemoveIf(func(in *ir.Instr) bool { return dead[in] })
 	prunePhis(f, phiFor)
 	return true
 }
@@ -198,7 +201,6 @@ func prunePhis(f *ir.Func, inserted map[*ir.Instr]*ir.Instr) {
 // stores.
 func promotableAllocas(f *ir.Func) []*ir.Instr {
 	var out []*ir.Instr
-	users := f.Users()
 	for _, in := range f.Entry().Instrs {
 		if in.Op != ir.OpAlloca {
 			continue
@@ -212,7 +214,7 @@ func promotableAllocas(f *ir.Func) []*ir.Instr {
 			continue
 		}
 		ok := true
-		for _, u := range users[in] {
+		for _, u := range in.Users() {
 			switch {
 			case u.Op == ir.OpLoad && u.Operand(0) == in:
 			case u.Op == ir.OpStore && u.Operand(1) == in && u.Operand(0) != in:

@@ -238,7 +238,7 @@ func corruptBody(f *ir.Func) {
 	}
 	b := f.Blocks[len(f.Blocks)-1]
 	if n := len(b.Instrs); n > 0 {
-		b.Instrs = b.Instrs[:n-1]
+		b.Remove(b.Instrs[n-1])
 	}
 }
 

@@ -1,6 +1,10 @@
 package passes
 
-import "rolag/internal/ir"
+import (
+	"slices"
+
+	"rolag/internal/ir"
+)
 
 // Simplify performs local instruction and CFG cleanups:
 //
@@ -224,8 +228,7 @@ func removePhiEdge(b *ir.Block, pred *ir.Block) {
 	for _, phi := range b.Phis() {
 		for i := 0; i < len(phi.Blocks); i++ {
 			if phi.Blocks[i] == pred {
-				phi.Operands = append(phi.Operands[:i], phi.Operands[i+1:]...)
-				phi.Blocks = append(phi.Blocks[:i], phi.Blocks[i+1:]...)
+				phi.RemoveIncoming(i)
 				i--
 			}
 		}
@@ -248,20 +251,18 @@ func removeUnreachable(f *ir.Func) bool {
 	if len(reach) == len(f.Blocks) {
 		return false
 	}
-	var kept []*ir.Block
-	for _, b := range f.Blocks {
+	for _, b := range slices.Clone(f.Blocks) {
 		if reach[b] {
-			kept = append(kept, b)
-		} else {
-			// Remove phi edges from dead predecessors.
-			for _, s := range b.Succs() {
-				if reach[s] {
-					removePhiEdge(s, b)
-				}
+			continue
+		}
+		// Remove phi edges from dead predecessors.
+		for _, s := range b.Succs() {
+			if reach[s] {
+				removePhiEdge(s, b)
 			}
 		}
+		f.RemoveBlock(b)
 	}
-	f.Blocks = kept
 	return true
 }
 
@@ -294,7 +295,6 @@ func mergeBlocks(f *ir.Func) bool {
 			for _, in := range s.Instrs {
 				b.Append(in)
 			}
-			s.Instrs = nil
 			// Any phi in s's successors that referenced s now comes
 			// from b.
 			for _, b2 := range f.Blocks {

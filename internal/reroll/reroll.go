@@ -73,7 +73,6 @@ func RerollLoop(f *ir.Func, l *analysis.Loop) error {
 		return fmt.Errorf("reroll: induction step %d leaves nothing to reroll", factor)
 	}
 	b := l.Header
-	users := f.Users()
 	index := make(map[*ir.Instr]int, len(b.Instrs))
 	for i, in := range b.Instrs {
 		index[in] = i
@@ -150,7 +149,7 @@ func RerollLoop(f *ir.Func, l *analysis.Loop) error {
 					done = true
 					break
 				}
-				if pi, ok := op.(*ir.Instr); ok && pi.Op == cur.Op && pi.Parent == b && usedOnlyBy(users, pi, cur) {
+				if pi, ok := op.(*ir.Instr); ok && pi.Op == cur.Op && pi.Parent == b && usedOnlyBy(pi, cur) {
 					prev = pi
 				}
 			}
@@ -178,14 +177,14 @@ func RerollLoop(f *ir.Func, l *analysis.Loop) error {
 
 	// Collect the instruction set of each iteration by following
 	// definition-use chains from its root.
-	collect := func(seed ir.Value) []*ir.Instr {
+	collect := func(seed *ir.Instr) []*ir.Instr {
 		var set []*ir.Instr
 		seen := make(map[*ir.Instr]bool)
-		work := []ir.Value{seed}
+		work := []*ir.Instr{seed}
 		for len(work) > 0 {
 			v := work[len(work)-1]
 			work = work[:len(work)-1]
-			for _, u := range users[v] {
+			for _, u := range v.Users() {
 				if u.Parent != b || seen[u] || isLatch[u] || isRoot[u] || inChain[u] || u.Op == ir.OpPhi {
 					continue
 				}
@@ -314,7 +313,7 @@ func RerollLoop(f *ir.Func, l *analysis.Loop) error {
 			}
 			for oi, op := range in.Operands {
 				if nv, ok := lastEquiv[op]; ok {
-					in.Operands[oi] = nv
+					in.SetOperand(oi, nv)
 				}
 			}
 		}
@@ -324,7 +323,7 @@ func RerollLoop(f *ir.Func, l *analysis.Loop) error {
 	for _, r := range reductions {
 		for i, pb := range r.phi.Blocks {
 			if pb == b {
-				r.phi.Operands[i] = r.chain[0]
+				r.phi.SetOperand(i, r.chain[0])
 			}
 		}
 	}
@@ -336,23 +335,24 @@ func RerollLoop(f *ir.Func, l *analysis.Loop) error {
 	}
 	// 4. Delete iterations 1..factor-1, the chains beyond element 0 and
 	//    the roots.
-	var dead []*ir.Instr
+	dead := make(map[*ir.Instr]bool)
 	for m := int64(1); m < factor; m++ {
-		dead = append(dead, sets[m]...)
-		dead = append(dead, roots[m])
+		for _, in := range sets[m] {
+			dead[in] = true
+		}
+		dead[roots[m]] = true
 	}
 	for _, r := range reductions {
-		dead = append(dead, r.chain[1:]...)
+		for _, in := range r.chain[1:] {
+			dead[in] = true
+		}
 	}
-	sort.Slice(dead, func(i, j int) bool { return index[dead[i]] > index[dead[j]] })
-	for _, in := range dead {
-		b.Remove(in)
-	}
+	b.RemoveIf(func(in *ir.Instr) bool { return dead[in] })
 	return nil
 }
 
-func usedOnlyBy(users map[ir.Value][]*ir.Instr, v *ir.Instr, u *ir.Instr) bool {
-	us := users[v]
+func usedOnlyBy(v *ir.Instr, u *ir.Instr) bool {
+	us := v.Users()
 	return len(us) == 1 && us[0] == u
 }
 

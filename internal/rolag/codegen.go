@@ -8,27 +8,20 @@ import (
 // schedule (§IV.E): b keeps the pre-loop code and becomes the preheader,
 // a new single-block loop executes one graph iteration per lane, and a
 // new exit block receives the post-loop code, the extracted external
-// values and b's original terminator.
+// values and b's original terminator. The constant-table globals
+// codegen creates go to f.Parent.
 func GenerateLoop(f *ir.Func, b *ir.Block, g *Graph, sched *Schedule, opts *Options) {
-	// Users are needed to find external uses of matched instructions;
-	// compute before any mutation.
-	generateLoopInto(f, b, g, sched, opts, f.Users())
-}
-
-// generateLoopInto is GenerateLoop with the pre-mutation def-use chains
-// supplied by the caller (from the analysis cache). The constant-table
-// globals codegen creates go to f.Parent.
-func generateLoopInto(f *ir.Func, b *ir.Block, g *Graph, sched *Schedule, opts *Options, users map[ir.Value][]*ir.Instr) {
 	lanes := g.Root.Lanes()
+	// Which lanes escape the loop is a question about the body before
+	// the rewrite detaches the matched instructions.
+	escapes := escapingLanes(g, sched)
 
 	// Create the loop and exit blocks right after b.
-	loopB := &ir.Block{Name: f.UniqueName("roll.loop"), Parent: f}
-	exitB := &ir.Block{Name: f.UniqueName("roll.exit"), Parent: f}
+	loopB := &ir.Block{Name: f.UniqueName("roll.loop")}
+	exitB := &ir.Block{Name: f.UniqueName("roll.exit")}
 	bi := blockIndex(f, b)
-	f.Blocks = append(f.Blocks, nil, nil)
-	copy(f.Blocks[bi+3:], f.Blocks[bi+1:])
-	f.Blocks[bi+1] = loopB
-	f.Blocks[bi+2] = exitB
+	f.InsertBlock(bi+1, loopB)
+	f.InsertBlock(bi+2, exitB)
 
 	// Successor phis that named b as a predecessor now receive control
 	// from the exit block (b's terminator moves there). This includes
@@ -47,36 +40,21 @@ func generateLoopInto(f *ir.Func, b *ir.Block, g *Graph, sched *Schedule, opts *
 	// exit block; matched instructions are detached (their code is
 	// regenerated inside the loop).
 	term := b.Terminator()
-	var kept []*ir.Instr
-	for _, in := range b.Instrs {
-		if in.Op == ir.OpPhi {
-			kept = append(kept, in)
-		}
-	}
 	inPre := make(map[*ir.Instr]bool, len(sched.Pre))
 	for _, in := range sched.Pre {
 		inPre[in] = true
-	}
-	for _, in := range b.Instrs {
-		if inPre[in] {
-			kept = append(kept, in)
-		}
 	}
 	inPost := make(map[*ir.Instr]bool, len(sched.Post))
 	for _, in := range sched.Post {
 		inPost[in] = true
 	}
-	var moved []*ir.Instr
 	for _, in := range b.Instrs {
 		if inPost[in] {
-			moved = append(moved, in)
+			exitB.Append(in)
 		}
 	}
-	b.Instrs = kept
-	for _, in := range moved {
-		exitB.Append(in)
-	}
 	exitB.Append(term)
+	b.RemoveIf(func(in *ir.Instr) bool { return in.Op != ir.OpPhi && !inPre[in] })
 
 	pre := ir.NewBuilder(b) // appends mismatch materialization then br
 	loop := ir.NewBuilder(loopB)
@@ -97,7 +75,7 @@ func generateLoopInto(f *ir.Func, b *ir.Block, g *Graph, sched *Schedule, opts *
 	}
 
 	// Extraction of externally used values (§IV.E).
-	cg.extractExternalUses(users, sched)
+	cg.extractExternalUses(escapes, sched)
 
 	// Latch.
 	ivn := loop.Add(iv, ir.ConstInt(ir.I64, 1))
@@ -220,18 +198,19 @@ func (cg *codegen) genMatch(n *Node) ir.Value {
 	if n.GepCastElem != nil {
 		return cg.genGepCast(n)
 	}
+	ops := make([]ir.Value, len(n.Children))
+	for i, c := range n.Children {
+		ops[i] = c.gen
+	}
 	clone := &ir.Instr{
-		Op:     n.Op,
-		Typ:    n.Typ,
-		Pred:   n.Pred,
-		Callee: n.Callee,
+		Op:       n.Op,
+		Typ:      n.Typ,
+		Pred:     n.Pred,
+		Callee:   n.Callee,
+		Operands: ops,
 	}
 	if !ir.IsVoid(n.Typ) {
 		clone.Name = cg.f.UniqueName("roll")
-	}
-	clone.Operands = make([]ir.Value, len(n.Children))
-	for i, c := range n.Children {
-		clone.Operands[i] = c.gen
 	}
 	cg.loop.Block = cg.loopB
 	insertBuilderInstr(cg.loop, clone)
@@ -302,10 +281,9 @@ func insertBuilderInstr(bd *ir.Builder, in *ir.Instr) {
 // code still needs (§IV.E): uses of only the final lane read the loop's
 // last value directly; otherwise the loop stores every lane into a stack
 // array and the exit block reloads the needed elements.
-func (cg *codegen) extractExternalUses(users map[ir.Value][]*ir.Instr, sched *Schedule) {
-	matched := cg.graph.Matched
+func (cg *codegen) extractExternalUses(escapes map[*ir.Instr]bool, sched *Schedule) {
 	type replacement struct {
-		old ir.Value
+		old *ir.Instr
 		new ir.Value
 	}
 	var reps []replacement
@@ -326,14 +304,8 @@ func (cg *codegen) extractExternalUses(users map[ir.Value][]*ir.Instr, sched *Sc
 			}
 			extLanes := make([]int, 0, len(n.Insts))
 			for k, in := range n.Insts {
-				if in == nil {
-					continue
-				}
-				for _, u := range users[in] {
-					if _, isMatched := matched[u]; !isMatched {
-						extLanes = append(extLanes, k)
-						break
-					}
+				if escapes[in] {
+					extLanes = append(extLanes, k)
 				}
 			}
 			if len(extLanes) == 0 {
@@ -369,17 +341,35 @@ func (cg *codegen) extractExternalUses(users map[ir.Value][]*ir.Instr, sched *Sc
 			reps = append(reps, replacement{old: n.RedRoot, new: n.gen})
 		}
 	}
-	// Rewrite uses everywhere outside the matched set.
-	for _, ob := range cg.f.Blocks {
-		for _, in := range ob.Instrs {
-			if _, isMatched := matched[in]; isMatched {
+	// Rewrite the uses outside the matched set: the matched
+	// instructions are detached, so the use-lists hold exactly those.
+	for _, r := range reps {
+		cg.f.ReplaceAllUses(r.old, r.new)
+	}
+}
+
+// escapingLanes returns the instructions of value-producing match nodes
+// that have a user outside the matched set, which the loop must make
+// available after it (§IV.E).
+func escapingLanes(g *Graph, sched *Schedule) map[*ir.Instr]bool {
+	escapes := make(map[*ir.Instr]bool)
+	for _, n := range sched.Emission {
+		if n.Kind != KindMatch || ir.IsVoid(n.Typ) {
+			continue
+		}
+		for _, in := range n.Insts {
+			if in == nil {
 				continue
 			}
-			for _, r := range reps {
-				in.ReplaceUsesOf(r.old, r.new)
+			for _, u := range in.Users() {
+				if _, isMatched := g.Matched[u]; !isMatched {
+					escapes[in] = true
+					break
+				}
 			}
 		}
 	}
+	return escapes
 }
 
 func blockIndex(f *ir.Func, b *ir.Block) int {

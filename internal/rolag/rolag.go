@@ -177,13 +177,11 @@ func tryRoll(f *ir.Func, bi int, opts *Options, stats *Stats, am *analysis.Manag
 	// property of the roll alone, not of what earlier functions left
 	// behind.
 	rodataBefore := rodataSize(m)
-	costBefore := opts.Model.FuncUsers(f, fi.Users())
+	costBefore := opts.Model.Func(f)
 
-	generateLoopInto(f, b, graph, sched, opts, fi.Users())
+	GenerateLoop(f, b, graph, sched, opts)
 
-	// Price the rewritten body from transient use-lists: am keeps fi,
-	// which describes the pre-roll body a rejection restores.
-	costAfter := opts.Model.FuncUsers(f, f.Users()) + rodataSize(m) - rodataBefore
+	costAfter := opts.Model.Func(f) + rodataSize(m) - rodataBefore
 	if !opts.AlwaysRoll && costAfter >= costBefore {
 		// Not profitable: restore the body and drop added globals. The
 		// names codegen generated stay burned, as they always have.

@@ -245,12 +245,18 @@ func analyzeSchedulingIdx(b *ir.Block, g *Graph, idx map[*ir.Instr]int) (*Schedu
 			newOrder = append(newOrder, in)
 		}
 	}
+	// The check visits every pair, so read the original positions
+	// from a slice, not the index map.
+	orig := make([]int, len(newOrder))
+	for i, in := range newOrder {
+		orig[i] = idx[in]
+	}
 	for i := 0; i < len(newOrder); i++ {
 		for j := i + 1; j < len(newOrder); j++ {
 			a, c := newOrder[i], newOrder[j]
 			// a precedes c in the new order; if c originally preceded a
 			// and they conflict, the roll is illegal.
-			if idx[c] < idx[a] && analysis.Conflict(a, c) {
+			if orig[j] < orig[i] && analysis.Conflict(a, c) {
 				return nil, &errAbort{code: "memory-reorder", reason: "memory operations would be reordered: " + a.String() + " / " + c.String()}
 			}
 		}

@@ -66,8 +66,7 @@ func CollectSeedGroups(b *ir.Block, opts *Options) []*SeedGroup {
 }
 
 // collectSeedGroupsInfo is CollectSeedGroups against cached analyses:
-// the position index and the function-wide def-use chains come from fi
-// instead of being rebuilt per call.
+// the position index comes from fi instead of being rebuilt per call.
 func collectSeedGroupsInfo(b *ir.Block, opts *Options, fi *analysis.FuncInfo) []*SeedGroup {
 	minLanes := opts.MinLanes
 	if minLanes < 2 {
@@ -130,14 +129,14 @@ func collectSeedGroupsInfo(b *ir.Block, opts *Options, fi *analysis.FuncInfo) []
 
 	// Reduction-tree roots (§IV.C5).
 	if opts.EnableReduction {
-		for _, red := range collectReductions(b, opts, minLanes, fi.Users()) {
+		for _, red := range collectReductions(b, opts, minLanes) {
 			groups = append(groups, red)
 		}
 	}
 	// Select-based min/max reduction chains (extension; the paper's
 	// future work).
 	if opts.EnableMinMaxReduction {
-		for _, red := range collectMinMaxReductions(b, minLanes, fi.Users()) {
+		for _, red := range collectMinMaxReductions(b, minLanes) {
 			groups = append(groups, red)
 		}
 	}
@@ -192,13 +191,13 @@ func baseObject(v ir.Value) ir.Value {
 // collectReductions finds reduction trees: maximal same-opcode trees of
 // associative binary operations whose internal nodes are used only inside
 // the tree. The leaves become the seed lanes.
-func collectReductions(b *ir.Block, opts *Options, minLanes int, users map[ir.Value][]*ir.Instr) []*SeedGroup {
-	// users must be counted function-wide, not per-block: an earlier
-	// roll in the same RollFunc invocation may have split the block,
-	// moving a user of an intermediate value (a terminator operand, a
-	// value live across the split) into a successor block. A block-local
-	// map would miss that use, claim the intermediate as tree-internal,
-	// and delete a value that is still referenced.
+func collectReductions(b *ir.Block, opts *Options, minLanes int) []*SeedGroup {
+	// Users are counted function-wide, not per-block: an earlier roll in
+	// the same RollFunc invocation may have split the block, moving a
+	// user of an intermediate value (a terminator operand, a value live
+	// across the split) into a successor block. A block-local count
+	// would miss that use, claim the intermediate as tree-internal, and
+	// delete a value that is still referenced.
 	assoc := func(op ir.Op) bool {
 		if op.IsAssociative() {
 			return true
@@ -220,7 +219,7 @@ func collectReductions(b *ir.Block, opts *Options, minLanes int, users map[ir.Va
 		// A root must not itself feed a same-opcode instruction in the
 		// block (that one would be the root).
 		isRoot := true
-		for _, u := range users[root] {
+		for _, u := range root.Users() {
 			if u.Op == root.Op && u.Parent == b {
 				isRoot = false
 				break
@@ -238,7 +237,7 @@ func collectReductions(b *ir.Block, opts *Options, minLanes int, users map[ir.Va
 				return
 			}
 			in, isInstr := v.(*ir.Instr)
-			if isInstr && in.Parent == b && in.Op == root.Op && (in == root || singleUser(users, in)) {
+			if isInstr && in.Parent == b && in.Op == root.Op && (in == root || singleUser(in)) {
 				if claimed[in] {
 					ok = false
 					return
@@ -269,9 +268,9 @@ func collectReductions(b *ir.Block, opts *Options, minLanes int, users map[ir.Va
 	return out
 }
 
-func singleUser(users map[ir.Value][]*ir.Instr, v *ir.Instr) bool {
+func singleUser(v *ir.Instr) bool {
 	n := 0
-	for _, u := range users[v] {
+	for _, u := range v.Users() {
 		for _, op := range u.Operands {
 			if op == ir.Value(v) {
 				n++
@@ -485,8 +484,8 @@ func oddFirstLeaf(leaves []ir.Value, b *ir.Block) bool {
 // rooted at the last select. The candidates become the lanes and the
 // chain's entry value seeds the accumulator. This implements the
 // min/max reductions the paper lists as future work (§V.C).
-func collectMinMaxReductions(b *ir.Block, minLanes int, users map[ir.Value][]*ir.Instr) []*SeedGroup {
-	// users is function-wide for the same reason as collectReductions:
+func collectMinMaxReductions(b *ir.Block, minLanes int) []*SeedGroup {
+	// Users are function-wide for the same reason as collectReductions:
 	// chain values may have users in blocks created by earlier rolls.
 	var out []*SeedGroup
 	claimed := make(map[*ir.Instr]bool)
@@ -497,7 +496,7 @@ func collectMinMaxReductions(b *ir.Block, minLanes int, users map[ir.Value][]*ir
 		}
 		// Not itself part of a longer chain.
 		partOfChain := false
-		for _, u := range users[root] {
+		for _, u := range root.Users() {
 			if u.Op == ir.OpSelect && u.Parent == b && u.Operand(2) == ir.Value(root) {
 				partOfChain = true
 			}
@@ -537,14 +536,14 @@ func collectMinMaxReductions(b *ir.Block, minLanes int, users map[ir.Value][]*ir
 			// The comparison must feed only this select: an external
 			// user (e.g. an argmax index select, as in TSVC's s315)
 			// would be left referencing a deleted instruction.
-			if len(users[cmp]) != 1 || users[cmp][0] != cur {
+			if us := cmp.Users(); len(us) != 1 || us[0] != cur {
 				ok = false
 				break
 			}
 			internal = append(internal, cur, cmp)
 			leaves = append(leaves, cand)
 			p, isSel := prev.(*ir.Instr)
-			if isSel && p.Op == ir.OpSelect && p.Parent == b && singleChainUse(users, p) {
+			if isSel && p.Op == ir.OpSelect && p.Parent == b && singleChainUse(p) {
 				cur = p
 				continue
 			}
@@ -578,9 +577,9 @@ func collectMinMaxReductions(b *ir.Block, minLanes int, users map[ir.Value][]*ir
 
 // singleChainUse reports whether v is used only by the next chain link
 // (one select and its comparison).
-func singleChainUse(users map[ir.Value][]*ir.Instr, v *ir.Instr) bool {
+func singleChainUse(v *ir.Instr) bool {
 	sel, cmp := 0, 0
-	for _, u := range users[v] {
+	for _, u := range v.Users() {
 		switch u.Op {
 		case ir.OpSelect:
 			sel++

@@ -5,7 +5,9 @@
 package rolagdapi
 
 import (
+	"errors"
 	"fmt"
+	"net/http"
 
 	"rolag"
 	"rolag/internal/obs/fleet"
@@ -94,6 +96,40 @@ type CompileResponse struct {
 // ErrorResponse is the body of every non-2xx reply.
 type ErrorResponse struct {
 	Error string `json:"error"`
+	// Code is a stable slug for the errors a client may branch on
+	// (CodeBodyTooLarge); empty for the rest.
+	Code string `json:"code,omitempty"`
+}
+
+// MaxBodyBytes bounds the request body rolagd and rolag-router read on
+// /v1/compile and /v1/batch. The costliest body within it, one flat
+// mini-C function of 1 MiB, builds fail-soft in about 3 s on a 2-vCPU
+// x86-64 host, so no accepted request holds a worker for long.
+const MaxBodyBytes = 1 << 20
+
+// CodeBodyTooLarge is the Code of the 413 reply to a body over
+// MaxBodyBytes.
+const CodeBodyTooLarge = "body-too-large"
+
+// LimitBody caps r's body at MaxBodyBytes: reading past the cap fails
+// with an error BodyTooLarge recognizes.
+func LimitBody(w http.ResponseWriter, r *http.Request) {
+	r.Body = http.MaxBytesReader(w, r.Body, MaxBodyBytes)
+}
+
+// BodyTooLarge reports whether err came from reading a body past the
+// cap LimitBody set.
+func BodyTooLarge(err error) bool {
+	var mbe *http.MaxBytesError
+	return errors.As(err, &mbe)
+}
+
+// TooLargeResponse is the 413 reply body for a body over MaxBodyBytes.
+func TooLargeResponse() ErrorResponse {
+	return ErrorResponse{
+		Error: fmt.Sprintf("request body exceeds %d bytes", MaxBodyBytes),
+		Code:  CodeBodyTooLarge,
+	}
 }
 
 // BatchRequest is the POST /v1/batch body: one whole module/corpus

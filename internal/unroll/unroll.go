@@ -101,12 +101,12 @@ func Unroll(f *ir.Func, l *analysis.Loop, factor int) error {
 	// Rewire the latch: the comparison now tests the last iteration's IV
 	// increment, and phi backedges take the last iteration's values.
 	for oi, op := range l.Cmp.Operands {
-		l.Cmp.Operands[oi] = mapped(vmap, op)
+		l.Cmp.SetOperand(oi, mapped(vmap, op))
 	}
 	for _, phi := range phis {
 		for i, pb := range phi.Blocks {
 			if pb == b {
-				phi.Operands[i] = mapped(vmap, phi.Operands[i])
+				phi.SetOperand(i, mapped(vmap, phi.Operands[i]))
 			}
 		}
 	}
@@ -119,7 +119,7 @@ func Unroll(f *ir.Func, l *analysis.Loop, factor int) error {
 		for _, in := range ob.Instrs {
 			for oi, op := range in.Operands {
 				if d, ok := op.(*ir.Instr); ok && d.Parent == b && d.Op != ir.OpPhi {
-					in.Operands[oi] = mapped(vmap, op)
+					in.SetOperand(oi, mapped(vmap, op))
 				}
 			}
 		}
