@@ -1,7 +1,7 @@
 package analysis
 
 import (
-	"fmt"
+	"math"
 
 	"rolag/internal/ir"
 )
@@ -116,19 +116,36 @@ func (fi *FuncInfo) Interner() *Interner {
 // identity; constants intern by content (type and literal), so
 // structurally equal constants — e.g. the index sequence 0..n appearing
 // under several parents — receive one id and hash-cons to the same
-// group key. Ids are stable for the Interner's lifetime; an Interner
-// survives function mutation because ids only accumulate (a stale id
-// for a deleted value is unreachable, not wrong).
+// group key. Integer and float constants key by comparable structs;
+// the rare other constants by their type and spelling. Ids are handed
+// out in first-sight order and are stable for the Interner's lifetime;
+// an Interner survives function mutation because ids only accumulate
+// (a stale id for a deleted value is unreachable, not wrong).
 type Interner struct {
 	ids    map[ir.Value]uint32
+	ints   map[ir.IntConst]uint32
+	floats map[floatKey]uint32
 	consts map[string]uint32
 	next   uint32
 }
+
+// floatKey is a float constant's content key. Keying by the bits keeps
+// -0.0 apart from 0.0, as the spelling does; every NaN spells "NaN", so
+// NaNs share one key.
+type floatKey struct {
+	typ  ir.FloatType
+	bits uint64
+}
+
+// canonicalNaN is the bits every NaN constant keys by.
+var canonicalNaN = math.Float64bits(math.NaN())
 
 // NewInterner returns an empty interning table.
 func NewInterner() *Interner {
 	return &Interner{
 		ids:    make(map[ir.Value]uint32),
+		ints:   make(map[ir.IntConst]uint32),
+		floats: make(map[floatKey]uint32),
 		consts: make(map[string]uint32),
 	}
 }
@@ -138,23 +155,42 @@ func (it *Interner) ID(v ir.Value) uint32 {
 	if id, ok := it.ids[v]; ok {
 		return id
 	}
+	// Content key: structurally equal constants share an id even when
+	// they are distinct Go objects.
 	var id uint32
-	if c, ok := v.(ir.Const); ok {
-		// Content key: structurally equal constants share an id even
-		// when they are distinct Go objects.
-		k := fmt.Sprintf("%s\x00%s", c.Type(), c.Ident())
-		if cid, ok := it.consts[k]; ok {
-			it.ids[v] = cid
-			return cid
+	switch c := v.(type) {
+	case *ir.IntConst:
+		id = internKey(it, it.ints, *c)
+	case *ir.FloatConst:
+		k := floatKey{typ: c.Typ, bits: math.Float64bits(c.Val)}
+		if math.IsNaN(c.Val) {
+			k.bits = canonicalNaN
 		}
-		id = it.next
-		it.next++
-		it.consts[k] = id
-	} else {
-		id = it.next
-		it.next++
+		id = internKey(it, it.floats, k)
+	case ir.Const:
+		id = internKey(it, it.consts, c.Type().String()+"\x00"+c.Ident())
+	default:
+		id = it.fresh()
 	}
 	it.ids[v] = id
+	return id
+}
+
+// internKey returns the id of content key k in m, allocating one on
+// first sight.
+func internKey[K comparable](it *Interner, m map[K]uint32, k K) uint32 {
+	if id, ok := m[k]; ok {
+		return id
+	}
+	id := it.fresh()
+	m[k] = id
+	return id
+}
+
+// fresh allocates the next id.
+func (it *Interner) fresh() uint32 {
+	id := it.next
+	it.next++
 	return id
 }
 

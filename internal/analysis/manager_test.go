@@ -1,6 +1,7 @@
 package analysis_test
 
 import (
+	"math"
 	"testing"
 
 	"rolag/internal/analysis"
@@ -123,5 +124,40 @@ func TestInternerHashConsesConstants(t *testing.T) {
 	}
 	if string(k1) == string(k3) {
 		t.Error("order-swapped sequence produced the same key")
+	}
+}
+
+// TestInternerKeysMatchSpelling checks that constants share an id
+// exactly when their type and spelling agree, the content key the
+// interner used to format, and that ids follow first sight.
+func TestInternerKeysMatchSpelling(t *testing.T) {
+	f32 := ir.FloatType{Bits: 32}
+	nan1 := math.Float64frombits(0x7ff8000000000001)
+	nan2 := math.Float64frombits(0xfff8000000000002)
+	vals := []ir.Value{
+		ir.ConstInt(ir.I32, -1), ir.ConstInt(ir.I32, -1), ir.ConstInt(ir.I8, -1),
+		&ir.IntConst{Typ: ir.I8, Val: 255}, ir.ConstInt(ir.I64, 1<<40), ir.ConstBool(true),
+		ir.ConstFloat(ir.F64, 0), ir.ConstFloat(ir.F64, math.Copysign(0, -1)),
+		ir.ConstFloat(ir.F64, nan1), ir.ConstFloat(ir.F64, nan2), ir.ConstFloat(ir.F64, math.NaN()),
+		ir.ConstFloat(ir.F64, math.Inf(1)), ir.ConstFloat(ir.F64, math.Inf(-1)),
+		ir.ConstFloat(f32, 0.5), ir.ConstFloat(ir.F64, 0.5), ir.ConstFloat(ir.F64, 0.1), ir.ConstFloat(ir.F64, 0.1+1e-17),
+		ir.ConstNull(ir.PointerType{Elem: ir.I32}), ir.ConstNull(ir.PointerType{Elem: ir.I32}),
+		&ir.UndefConst{Typ: ir.I32}, &ir.ZeroConst{Typ: ir.I32},
+	}
+	it := analysis.NewInterner()
+	spelled := make(map[string]uint32)
+	var next uint32
+	for i, v := range vals {
+		id := it.ID(v)
+		key := v.Type().String() + "\x00" + v.Ident()
+		want, seen := spelled[key]
+		if !seen {
+			want = next
+			next++
+			spelled[key] = want
+		}
+		if id != want {
+			t.Errorf("vals[%d] %s %s: id %d, want %d", i, v.Type(), v.Ident(), id, want)
+		}
 	}
 }

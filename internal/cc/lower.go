@@ -62,6 +62,11 @@ type lowerer struct {
 	scopes []map[string]localInfo
 	loops  []loopCtx
 	entry  *ir.Block
+	// locals stages the allocas allocaInEntry creates while the body
+	// lowers: a nameless block of the function, so their names are taken
+	// as they are made. spliceLocals then moves them into entry in one
+	// pass; inserting each into entry would shift the block per local.
+	locals *ir.Block
 }
 
 func (lw *lowerer) errf(pos Pos, format string, args ...any) error {
@@ -239,6 +244,8 @@ func (lw *lowerer) lowerFuncBody(fd *FuncDecl) error {
 	lw.fn.Blocks = nil
 	entry := lw.fn.NewBlock("entry")
 	lw.entry = entry
+	lw.locals = &ir.Block{}
+	lw.fn.InsertBlock(1, lw.locals)
 	lw.bd = ir.NewBuilder(entry)
 	lw.scopes = []map[string]localInfo{make(map[string]localInfo)}
 	lw.loops = nil
@@ -262,8 +269,29 @@ func (lw *lowerer) lowerFuncBody(fd *FuncDecl) error {
 			lw.bd.Ret(ir.ZeroValue(lw.irType(fd.Ret)))
 		}
 	}
+	lw.spliceLocals()
 	lw.removeUnreachable()
 	return nil
+}
+
+// spliceLocals moves the staged local allocas, in creation order, to the
+// end of the alloca run that opens entry, and drops their staging block.
+func (lw *lowerer) spliceLocals() {
+	entry := lw.entry
+	head := 0
+	for head < len(entry.Instrs) && entry.Instrs[head].Op == ir.OpAlloca {
+		head++
+	}
+	rest := slices.Clone(entry.Instrs[head:])
+	entry.Instrs = entry.Instrs[:head]
+	// Appending an instruction of the function moves it between blocks.
+	for _, in := range lw.locals.Instrs {
+		entry.Append(in)
+	}
+	for _, in := range rest {
+		entry.Append(in)
+	}
+	lw.fn.RemoveBlock(lw.locals)
 }
 
 // removeUnreachable deletes blocks not reachable from the entry; such
@@ -405,24 +433,15 @@ func (lw *lowerer) lowerStmt(s Stmt) error {
 	return fmt.Errorf("cc: unhandled statement %T", s)
 }
 
-// allocaInEntry creates an alloca in the entry block (before any
+// allocaInEntry creates an alloca bound for the entry block (before any
 // non-alloca instruction) so that Mem2Reg sees every local.
 func (lw *lowerer) allocaInEntry(elem ir.Type, name string) *ir.Instr {
 	save := lw.bd.Block
 	saveAt := lw.bd.At
-	idx := 0
-	for idx < len(lw.entry.Instrs) && lw.entry.Instrs[idx].Op == ir.OpAlloca {
-		idx++
-	}
-	lw.bd.Block = lw.entry
-	lw.bd.At = idx
+	lw.bd.SetBlock(lw.locals)
 	a := lw.bd.Alloca(elem, nil, name)
 	lw.bd.Block = save
 	lw.bd.At = saveAt
-	if save == lw.entry && saveAt < 0 {
-		// Appending to entry: nothing to fix.
-		_ = saveAt
-	}
 	return a
 }
 

@@ -80,7 +80,7 @@ func (rt *Router) scrapeOne(ctx context.Context, name string) {
 		return
 	}
 	var cs rolagdapi.CacheStats
-	if err := json.NewDecoder(resp.Body).Decode(&cs); err != nil {
+	if err := json.NewDecoder(io.LimitReader(resp.Body, rt.maxReply)).Decode(&cs); err != nil {
 		rt.collector.RecordError(name, "decoding: "+err.Error(), now)
 		return
 	}
@@ -219,8 +219,9 @@ func (rt *Router) handleTraceStitch(w http.ResponseWriter, r *http.Request) {
 			if resp.StatusCode != http.StatusOK {
 				return
 			}
-			data, err := io.ReadAll(resp.Body)
+			data, err := readReply(resp.Body, rt.maxReply)
 			if err != nil {
+				rt.logger().Debug("trace segment dropped", "shard", name, "trace", id, "err", err)
 				return
 			}
 			shardSegs[i] = data

@@ -113,6 +113,8 @@ type Router struct {
 
 	traceRing *obs.TraceRing
 	collector *fleet.Collector
+	// maxReply is MaxShardReplyBytes; tests lower it to probe the cap.
+	maxReply int64
 	// compileHist/batchHist are the router-observed per-route request
 	// latencies (time to first usable shard answer, hops included) —
 	// the "duration" leg of the fleet RED view and the SLO gate's
@@ -150,6 +152,7 @@ func New(cfg Config) (*Router, error) {
 		routed:        make(map[string]*atomic.Int64, len(cfg.Shards)),
 		traceRing:     cfg.TraceRing,
 		collector:     fleet.NewCollector(),
+		maxReply:      MaxShardReplyBytes,
 	}
 	names := make([]string, 0, len(cfg.Shards))
 	for name := range cfg.Shards {
@@ -189,6 +192,36 @@ func New(cfg Config) (*Router, error) {
 		go rt.scrapeLoop(interval)
 	}
 	return rt, nil
+}
+
+// MaxShardReplyBytes bounds what the router reads of one shard reply: a
+// compile or batch reply, a trace segment or a stats scrape. A legal
+// request body is at most rolagdapi.MaxBodyBytes. The most a request
+// byte expands by, measured over the AnghaBench-style corpus and the
+// TSVC kernels with IR, assembly and remarks all asked for, is 209
+// reply bytes (TSVC's va), so the largest legal batch reply is about
+// 209 MiB; the cap rounds that up to 256 times the body limit.
+const MaxShardReplyBytes = 256 * rolagdapi.MaxBodyBytes
+
+// errReplyTooLarge reports a shard reply longer than the read cap.
+var errReplyTooLarge = errors.New("cluster: shard reply exceeds the read cap")
+
+// readReply reads all of body, failing with errReplyTooLarge once it
+// passes limit bytes.
+func readReply(body io.Reader, limit int64) ([]byte, error) {
+	data, err := io.ReadAll(io.LimitReader(body, limit+1))
+	if err == nil && int64(len(data)) > limit {
+		return nil, errReplyTooLarge
+	}
+	return data, err
+}
+
+// tooLargeReply is the 502 body for a shard reply over the read cap.
+func tooLargeReply(limit int64) rolagdapi.ErrorResponse {
+	return rolagdapi.ErrorResponse{
+		Error: fmt.Sprintf("cluster: shard reply exceeds %d bytes", limit),
+		Code:  rolagdapi.CodeReplyTooLarge,
+	}
 }
 
 // obsRing resolves the ring router spans land in.
@@ -272,7 +305,12 @@ func (rt *Router) forwardCtx(ctx context.Context, shard, path string, body []byt
 		return 0, nil, false, err
 	}
 	defer resp.Body.Close()
-	reply, err = io.ReadAll(resp.Body)
+	reply, err = readReply(resp.Body, rt.maxReply)
+	if errors.Is(err, errReplyTooLarge) {
+		// The shard answered; any other shard would answer the same.
+		hopDone("error")
+		return resp.StatusCode, nil, false, err
+	}
 	if err != nil {
 		hopDone("error")
 		return 0, nil, true, err
@@ -358,6 +396,10 @@ func (rt *Router) handleCompile(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		res := rt.forwardHedged(r.Context(), shard, next, "/v1/compile", body)
+		if errors.Is(res.err, errReplyTooLarge) {
+			writeJSON(w, http.StatusBadGateway, tooLargeReply(rt.maxReply))
+			return
+		}
 		if res.err != nil && res.retryable {
 			rt.logger().Warn("shard failed, trying next", "shard", res.shard, "key", key[:16], "err", res.err)
 			lastErr = res.err
@@ -462,7 +504,11 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	down := make(map[string]bool)
 	for round := 0; len(groups) > 0 && round < rt.ring.Len(); round++ {
-		failed := rt.runGroups(r, groups, br.TimeoutMs, &out, home)
+		failed, tooLarge := rt.runGroups(r, groups, br.TimeoutMs, &out, home)
+		if tooLarge {
+			writeJSON(w, http.StatusBadGateway, tooLargeReply(rt.maxReply))
+			return
+		}
 		// Re-group every item of each failed shard onto its next live
 		// successor; items with no successors left get a terminal error.
 		groups = make(map[string]*shardBatch)
@@ -512,12 +558,13 @@ func nextShard(succ []string, down map[string]bool) string {
 // runGroups posts every group's sub-batch concurrently, writes
 // successful item results into out (marking an item failed-over when
 // the shard that served it is not the item's ring home), and returns
-// the groups whose shard failed entirely.
-func (rt *Router) runGroups(r *http.Request, groups map[string]*shardBatch, timeoutMs int, out *rolagdapi.BatchResponse, home []string) []*shardBatch {
+// the groups whose shard failed entirely. tooLarge reports a sub-batch
+// reply over the read cap; re-routing cannot help it, since every shard
+// would send the same reply.
+func (rt *Router) runGroups(r *http.Request, groups map[string]*shardBatch, timeoutMs int, out *rolagdapi.BatchResponse, home []string) (failed []*shardBatch, tooLarge bool) {
 	var (
-		mu     sync.Mutex
-		failed []*shardBatch
-		wg     sync.WaitGroup
+		mu sync.Mutex
+		wg sync.WaitGroup
 	)
 	for _, g := range groups {
 		wg.Add(1)
@@ -528,6 +575,12 @@ func (rt *Router) runGroups(r *http.Request, groups map[string]*shardBatch, time
 				var status int
 				var reply []byte
 				status, reply, _, err = rt.forwardCtx(r.Context(), g.shard, "/v1/batch", body)
+				if errors.Is(err, errReplyTooLarge) {
+					mu.Lock()
+					tooLarge = true
+					mu.Unlock()
+					return
+				}
 				if err == nil && status == http.StatusOK {
 					var sub rolagdapi.BatchResponse
 					if err = json.Unmarshal(reply, &sub); err == nil && len(sub.Items) == len(g.idx) {
@@ -560,7 +613,7 @@ func (rt *Router) runGroups(r *http.Request, groups map[string]*shardBatch, time
 		}(g)
 	}
 	wg.Wait()
-	return failed
+	return failed, tooLarge
 }
 
 // handleCacheStats aggregates every shard's /v1/cachestats into one
@@ -590,7 +643,7 @@ func (rt *Router) handleCacheStats(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			var cs rolagdapi.CacheStats
-			if json.NewDecoder(resp.Body).Decode(&cs) == nil {
+			if json.NewDecoder(io.LimitReader(resp.Body, rt.maxReply)).Decode(&cs) == nil {
 				cs.Shard = name
 				per[i] = cs
 			}

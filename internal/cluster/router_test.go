@@ -21,6 +21,7 @@ import (
 
 	"rolag/internal/daemon"
 	"rolag/internal/obs"
+	"rolag/internal/obs/fleet"
 	"rolag/internal/rolagdapi"
 	"rolag/internal/service"
 )
@@ -580,6 +581,96 @@ func TestRouterBodyLimit(t *testing.T) {
 			case !over && resp.StatusCode != c.fits:
 				t.Errorf("%s at the limit: status %d, want %d", c.path, resp.StatusCode, c.fits)
 			}
+		}
+	}
+}
+
+// capShard is a router over one fake shard whose replies are exactly
+// size() bytes long, each a valid reply padded with spaces, with the
+// router's read cap lowered to replyCap so the test stays small.
+const replyCap = 1 << 12
+
+func capShard(t *testing.T, size func() int) *httptest.Server {
+	t.Helper()
+	pad := func(w http.ResponseWriter, body string) {
+		w.Header().Set("Content-Type", "application/json")
+		io.WriteString(w, body+strings.Repeat(" ", size()-len(body)))
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/compile", func(w http.ResponseWriter, r *http.Request) {
+		pad(w, `{"ir":"x"}`)
+	})
+	mux.HandleFunc("POST /v1/batch", func(w http.ResponseWriter, r *http.Request) {
+		pad(w, `{"items":[{"ir":"x"}]}`)
+	})
+	mux.HandleFunc("GET /debug/trace", func(w http.ResponseWriter, r *http.Request) {
+		pad(w, `{"traceEvents":[{"name":"s","ph":"X","ts":1,"dur":1,"pid":1,"tid":1}]}`)
+	})
+	shard := httptest.NewServer(mux)
+	t.Cleanup(shard.Close)
+	rt, err := New(Config{Shards: map[string]string{"a": shard.URL}, ProbeInterval: -1, ScrapeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	rt.maxReply = replyCap
+	srv := httptest.NewServer(rt.Handler())
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+// TestRouterShardReplyCap relays a compile and a batch reply of exactly
+// the read cap and answers one byte more with 502 reply-too-large.
+func TestRouterShardReplyCap(t *testing.T) {
+	n := 0
+	srv := capShard(t, func() int { return n })
+	for _, c := range []struct{ path, body string }{
+		{"/v1/compile", `{"source":"int f(void) { return 0; }"}`},
+		{"/v1/batch", `{"items":[{"source":"int f(void) { return 0; }"}]}`},
+	} {
+		for _, n = range []int{replyCap, replyCap + 1} {
+			resp, err := http.Post(srv.URL+c.path, "application/json", strings.NewReader(c.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			var er rolagdapi.ErrorResponse
+			json.Unmarshal(data, &er)
+			if n > replyCap {
+				if resp.StatusCode != http.StatusBadGateway || er.Code != rolagdapi.CodeReplyTooLarge {
+					t.Errorf("%s reply one byte over the cap: status %d code %q, want 502 %q", c.path, resp.StatusCode, er.Code, rolagdapi.CodeReplyTooLarge)
+				}
+				continue
+			}
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("%s reply at the cap: status %d (%s), want 200", c.path, resp.StatusCode, data)
+			}
+			if c.path == "/v1/compile" && len(data) != replyCap {
+				t.Errorf("/v1/compile relayed %d bytes of a %d-byte reply", len(data), replyCap)
+			}
+		}
+	}
+}
+
+// TestRouterTraceSegmentCap stitches a shard's trace segment of exactly
+// the read cap and drops one a byte longer.
+func TestRouterTraceSegmentCap(t *testing.T) {
+	n := 0
+	srv := capShard(t, func() int { return n })
+	for _, n = range []int{replyCap, replyCap + 1} {
+		resp, err := http.Get(srv.URL + "/debug/trace/feedbeeffeedbeef")
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		procs, err := fleet.Processes(data)
+		if err != nil {
+			t.Fatalf("segment of %d bytes: stitched trace: %v", n, err)
+		}
+		if got, want := procs["a"] > 0, n <= replyCap; got != want {
+			t.Errorf("segment of %d bytes (cap %d): stitched = %v, want %v", n, replyCap, got, want)
 		}
 	}
 }

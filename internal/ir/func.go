@@ -3,6 +3,7 @@ package ir
 import (
 	"fmt"
 	"slices"
+	"strconv"
 )
 
 // Block is a basic block: a straight-line sequence of instructions ending
@@ -159,7 +160,7 @@ func (f *Func) uniqueName(base string) string {
 	}
 	for {
 		f.nameCounter++
-		cand := fmt.Sprintf("%s%d", base, f.nameCounter)
+		cand := base + strconv.Itoa(f.nameCounter)
 		if !f.nameTaken(cand) {
 			return cand
 		}
@@ -266,7 +267,7 @@ func (m *Module) uniqueGlobalName(base string) string {
 	}
 	for {
 		m.globalCounter++
-		cand := fmt.Sprintf("%s.%d", base, m.globalCounter)
+		cand := base + "." + strconv.Itoa(m.globalCounter)
 		if m.FindGlobal(cand) == nil && m.FindFunc(cand) == nil {
 			return cand
 		}

@@ -66,6 +66,10 @@ const (
 	OpBr
 	OpCondBr
 	OpRet
+
+	// NumOps is the number of opcodes, OpInvalid included: it sizes
+	// tables indexed by Op.
+	NumOps
 )
 
 var opNames = map[Op]string{

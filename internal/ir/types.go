@@ -9,6 +9,7 @@ package ir
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -41,7 +42,22 @@ type IntType struct {
 	Bits int
 }
 
-func (t IntType) String() string { return fmt.Sprintf("i%d", t.Bits) }
+func (t IntType) String() string {
+	// The frontend's widths spell without allocating.
+	switch t.Bits {
+	case 1:
+		return "i1"
+	case 8:
+		return "i8"
+	case 16:
+		return "i16"
+	case 32:
+		return "i32"
+	case 64:
+		return "i64"
+	}
+	return "i" + strconv.Itoa(t.Bits)
+}
 
 func (t IntType) Size() int {
 	if t.Bits <= 8 {

@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -188,5 +189,13 @@ func TestStructOffsetsAligned(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestIntTypeString(t *testing.T) {
+	for bits := 0; bits <= 128; bits++ {
+		if got, want := (IntType{Bits: bits}).String(), fmt.Sprintf("i%d", bits); got != want {
+			t.Errorf("IntType{%d}.String() = %q, want %q", bits, got, want)
+		}
 	}
 }

@@ -6,6 +6,8 @@
 package passes
 
 import (
+	"slices"
+
 	"rolag/internal/analysis"
 	"rolag/internal/ir"
 )
@@ -28,24 +30,25 @@ func Mem2Reg(f *ir.Func) bool {
 	// of its defining (storing) blocks.
 	phiFor := make(map[*ir.Instr]*ir.Instr) // phi -> alloca
 	phiAt := make(map[*ir.Block]map[*ir.Instr]*ir.Instr)
+	blockPos := make(map[*ir.Block]int, len(f.Blocks))
+	for i, b := range f.Blocks {
+		blockPos[b] = i
+	}
 	for _, a := range allocas {
+		// A promotable alloca's users are its loads and stores, so its
+		// stores name its defining blocks.
 		defBlocks := make(map[*ir.Block]bool)
-		for _, b := range f.Blocks {
-			for _, in := range b.Instrs {
-				if in.Op == ir.OpStore && in.Operand(1) == a {
-					defBlocks[b] = true
-				}
+		var work []*ir.Block
+		for _, u := range a.Users() {
+			if u.Op == ir.OpStore && !defBlocks[u.Parent] {
+				defBlocks[u.Parent] = true
+				work = append(work, u.Parent)
 			}
 		}
-		// Seed the worklist in block order, not map order: phi creation
-		// order feeds UniqueName, so a map-ordered seed would make the
-		// output names differ run to run.
-		work := make([]*ir.Block, 0, len(defBlocks))
-		for _, b := range f.Blocks {
-			if defBlocks[b] {
-				work = append(work, b)
-			}
-		}
+		// Seed the worklist in block order, not use-list order: phi
+		// creation order feeds UniqueName, so the seed order decides the
+		// output names.
+		slices.SortFunc(work, func(x, y *ir.Block) int { return blockPos[x] - blockPos[y] })
 		placed := make(map[*ir.Block]bool)
 		for len(work) > 0 {
 			b := work[len(work)-1]

@@ -142,7 +142,6 @@ func (g *Graph) String() string {
 	return sb.String()
 }
 
-// errAbort is an internal sentinel: the candidate cannot be aligned.
 // errAbort is the internal "this attempt cannot roll" sentinel. code
 // is a stable machine-readable slug (the remark Reason field and the
 // experiments' rejected-by-reason tables key on it); reason is the
@@ -175,6 +174,14 @@ type graphBuilder struct {
 	// calls, so steady-state key construction allocates only the final
 	// string.
 	keyBuf []byte
+	// byLane0 indexes the match nodes by their lane-0 instruction, the
+	// only nodes a group can form a recurrence with (recursOn needs
+	// vals[1] == ref.Insts[0]). Each list is in creation order.
+	byLane0 map[*ir.Instr][]*Node
+	// seen is the duplicate-lane scratch set of tryMatch and the
+	// neutral-element builders, cleared before each use; every use ends
+	// before the builder recurses.
+	seen map[*ir.Instr]bool
 }
 
 func newGraphBuilder(opts *Options, b *ir.Block, intern *analysis.Interner) *graphBuilder {
@@ -185,6 +192,8 @@ func newGraphBuilder(opts *Options, b *ir.Block, intern *analysis.Interner) *gra
 		memo:    make(map[string]*Node),
 		claimed: make(map[*ir.Instr]laneRef),
 		intern:  intern,
+		byLane0: make(map[*ir.Instr][]*Node),
+		seen:    make(map[*ir.Instr]bool),
 	}
 	for _, in := range b.Instrs {
 		gb.inBlock[in] = true
@@ -194,7 +203,16 @@ func newGraphBuilder(opts *Options, b *ir.Block, intern *analysis.Interner) *gra
 
 func (gb *graphBuilder) addNode(n *Node) *Node {
 	gb.nodes = append(gb.nodes, n)
+	if n.Kind == KindMatch && n.Insts[0] != nil {
+		gb.byLane0[n.Insts[0]] = append(gb.byLane0[n.Insts[0]], n)
+	}
 	return n
+}
+
+// scratchSeen returns the cleared duplicate-lane set.
+func (gb *graphBuilder) scratchSeen() map[*ir.Instr]bool {
+	clear(gb.seen)
+	return gb.seen
 }
 
 // groupKey identifies a lane group for memoization. Instructions and
@@ -228,22 +246,22 @@ func (gb *graphBuilder) build(vals []ir.Value, parent *Node) (*Node, error) {
 	// (§IV.C4). The chained dependence usually references the parent
 	// match node directly (Fig. 10), but conversions or sibling operands
 	// can put the chain one or more nodes away, so every match node
-	// discovered so far is a candidate. Checked before memoization
-	// because the result depends on graph context.
+	// discovered so far is a candidate: the parent first, then the
+	// others newest first. Only a node whose lane-0 instruction is
+	// vals[1] can qualify, so the others come from that index. Checked
+	// before memoization because the result depends on graph context.
 	if gb.opts.EnableRecurrence {
-		var cands []*Node
-		if parent != nil && parent.Kind == KindMatch {
-			cands = append(cands, parent)
+		ref := gb.findRecurrence(vals, parent)
+		if recurrenceProbe != nil {
+			recurrenceProbe(gb, vals, parent, ref)
 		}
-		for i := len(gb.nodes) - 1; i >= 0; i-- {
-			if n := gb.nodes[i]; n.Kind == KindMatch && n != parent {
-				cands = append(cands, n)
-			}
-		}
-		for _, ref := range cands {
-			if n := gb.tryRecurrence(vals, ref); n != nil {
-				return n, nil
-			}
+		if ref != nil {
+			return gb.addNode(&Node{
+				Kind:      KindRecurrence,
+				Vals:      append([]ir.Value(nil), vals...),
+				Init:      vals[0],
+				RefParent: ref,
+			}), nil
 		}
 	}
 
@@ -259,33 +277,47 @@ func (gb *graphBuilder) build(vals []ir.Value, parent *Node) (*Node, error) {
 	return n, nil
 }
 
-// tryRecurrence checks whether vals form a chained dependence on ref:
-// lane k reads ref's lane k-1 value, and lane 0 reads an initial value of
-// the same type.
-func (gb *graphBuilder) tryRecurrence(vals []ir.Value, ref *Node) *Node {
-	if len(ref.Insts) != len(vals) {
+// recurrenceProbe, when set, sees every recurrence choice build makes,
+// before the choice takes effect. Only tests set it.
+var recurrenceProbe func(gb *graphBuilder, vals []ir.Value, parent, ref *Node)
+
+// findRecurrence returns the first candidate vals form a recurrence on,
+// or nil.
+func (gb *graphBuilder) findRecurrence(vals []ir.Value, parent *Node) *Node {
+	if parent != nil && parent.Kind == KindMatch && recursOn(vals, parent) {
+		return parent
+	}
+	lane1, ok := vals[1].(*ir.Instr)
+	if !ok {
 		return nil
+	}
+	cands := gb.byLane0[lane1]
+	for i := len(cands) - 1; i >= 0; i-- {
+		if ref := cands[i]; ref != parent && recursOn(vals, ref) {
+			return ref
+		}
+	}
+	return nil
+}
+
+// recursOn reports whether vals form a chained dependence on ref: lane
+// k reads ref's lane k-1 value, and lane 0 reads an initial value of the
+// same type.
+func recursOn(vals []ir.Value, ref *Node) bool {
+	if len(ref.Insts) != len(vals) {
+		return false
 	}
 	for k := 1; k < len(vals); k++ {
 		if ref.Insts[k-1] == nil || vals[k] != ir.Value(ref.Insts[k-1]) {
-			return nil
+			return false
 		}
 	}
 	init := vals[0]
 	if !init.Type().Equal(ref.Typ) {
-		return nil
+		return false
 	}
-	if d, ok := init.(*ir.Instr); ok {
-		if d == ref.Insts[len(vals)-1] {
-			return nil // degenerate self-cycle
-		}
-	}
-	return gb.addNode(&Node{
-		Kind:      KindRecurrence,
-		Vals:      append([]ir.Value(nil), vals...),
-		Init:      init,
-		RefParent: ref,
-	})
+	// A lane 0 that is ref's last lane would be a degenerate self-cycle.
+	return init != ir.Value(ref.Insts[len(vals)-1])
 }
 
 func (gb *graphBuilder) classify(vals []ir.Value) (*Node, error) {
@@ -354,7 +386,7 @@ func (gb *graphBuilder) tryIntSeq(vals []ir.Value) *Node {
 // instructions from the seed block.
 func (gb *graphBuilder) tryMatch(vals []ir.Value) (*Node, error) {
 	insts := make([]*ir.Instr, len(vals))
-	seen := make(map[*ir.Instr]bool, len(vals))
+	seen := gb.scratchSeen()
 	for i, v := range vals {
 		in, ok := v.(*ir.Instr)
 		if !ok || !gb.inBlock[in] || seen[in] {
@@ -611,7 +643,7 @@ func (gb *graphBuilder) tryNeutralGep(vals []ir.Value) (*Node, error) {
 	}
 	insts := make([]*ir.Instr, len(vals))
 	idxGroup := make([]ir.Value, len(vals))
-	seen := make(map[*ir.Instr]bool)
+	seen := gb.scratchSeen()
 	for k, v := range vals {
 		if in, ok := v.(*ir.Instr); ok && in.Op == ir.OpGEP && len(in.Operands) == 2 && in.Operand(0) == base {
 			if seen[in] {
@@ -669,7 +701,7 @@ func (gb *graphBuilder) tryNeutralBinOp(vals []ir.Value) (*Node, error) {
 	// instructions in the block. Ties are broken by lane order (the op
 	// that first reaches the winning count wins) so the choice never
 	// depends on map iteration order.
-	counts := make(map[ir.Op]int)
+	var counts [ir.NumOps]int
 	var typ ir.Type
 	var domOp ir.Op
 	best := 0
@@ -701,7 +733,7 @@ func (gb *graphBuilder) tryNeutralBinOp(vals []ir.Value) (*Node, error) {
 	insts := make([]*ir.Instr, len(vals))
 	lhs := make([]ir.Value, len(vals))
 	rhs := make([]ir.Value, len(vals))
-	seen := make(map[*ir.Instr]bool)
+	seen := gb.scratchSeen()
 	for k, v := range vals {
 		if in, ok := v.(*ir.Instr); ok && gb.inBlock[in] && in.Op == domOp {
 			if seen[in] {

@@ -2,7 +2,7 @@ package rolag
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
 	"rolag/internal/analysis"
 	"rolag/internal/ir"
@@ -80,52 +80,70 @@ func RollFuncInto(f *ir.Func, opts *Options, am *analysis.Manager, sink *ir.Modu
 
 // rollBlockOnce tries the seed groups of block f.Blocks[bi] in priority
 // order until one rolls profitably. It reports whether a roll happened
-// and the created loop block.
+// and the created loop block. A rejected attempt restores the body in
+// place and keeps the cached analyses valid, so the groups, their joint
+// partners and their signatures are collected once per visit.
 func rollBlockOnce(f *ir.Func, bi int, opts *Options, stats *Stats, am *analysis.Manager, rec *obs.Recorder) (bool, *ir.Block) {
-	failed := make(map[string]bool)
-	for {
-		b := f.Blocks[bi]
-		fi := am.Info(f)
-		t := phaseStart()
-		idx := fi.Index()
-		groups := collectSeedGroupsInfo(b, opts, fi)
-		stats.SeedGroups += countNew(groups, failed, b, idx)
+	b := f.Blocks[bi]
+	fi := am.Info(f)
+	t := phaseStart()
+	idx := fi.Index()
+	groups := collectSeedGroupsInfo(b, opts, fi)
+	// The attempts in the order they are tried: each group's joint
+	// attempt, if any, then the group alone.
+	type attempt struct {
+		groups []*SeedGroup
+		sig    string
+		alone  bool
+	}
+	order := make([]attempt, 0, len(groups))
+	var sigBuf []byte
+	sig := func(gs ...*SeedGroup) string {
+		sigBuf = appendSignature(sigBuf[:0], b, idx, gs...)
+		return string(sigBuf)
+	}
+	for _, g := range groups {
+		if opts.EnableJoint {
+			if joined := tryJoinIdx(b, g, groups, idx); joined != nil {
+				order = append(order, attempt{joined, sig(joined...), false})
+			}
+		}
+		order = append(order, attempt{[]*SeedGroup{g}, sig(g), true})
+	}
 
-		var attempt []*SeedGroup
-		for _, g := range groups {
-			if opts.EnableJoint {
-				if joined := tryJoinIdx(b, g, groups, idx); joined != nil {
-					sig := signature(b, idx, joined...)
-					if !failed[sig] {
-						attempt = joined
-						break
-					}
-				}
-			}
-			if !failed[signature(b, idx, g)] {
-				attempt = []*SeedGroup{g}
-				break
-			}
+	// Failed attempts only accumulate, so the next one to try never
+	// moves back. live counts the groups not yet tried alone; there is
+	// one seed span per attempt, the first including the collection.
+	failed := make(map[string]bool)
+	live := len(groups)
+	for next := 0; ; next++ {
+		stats.SeedGroups += live
+		for next < len(order) && failed[order[next].sig] {
+			next++
 		}
 		phaseEnd(rec, PhaseSeed, t)
-		if attempt == nil {
+		if next == len(order) {
 			return false, nil
 		}
+		a := order[next]
 		if rec.On() {
 			rec.Add(obs.Remark{
 				Pass: "rolag", Name: "seed", Status: obs.StatusAnalysis,
 				Func: f.Name, Block: b.Name,
-				Instr: instrRef(attempt[0].Instrs[0], idx),
-				Kind:  seedKindLabel(attempt),
-				Lanes: len(attempt[0].Instrs),
+				Instr: instrRef(a.groups[0].Instrs[0], idx),
+				Kind:  seedKindLabel(a.groups),
+				Lanes: len(a.groups[0].Instrs),
 			})
 		}
-		sig := signature(b, idx, attempt...)
-		loopBlock, err := tryRoll(f, bi, opts, stats, am, rec, attempt)
+		loopBlock, err := tryRoll(f, bi, opts, stats, am, rec, a.groups)
 		if err == nil {
 			return true, loopBlock
 		}
-		failed[sig] = true
+		failed[a.sig] = true
+		if a.alone {
+			live--
+		}
+		t = phaseStart()
 	}
 }
 
@@ -310,29 +328,21 @@ func rodataSize(m *ir.Module) int {
 	return n
 }
 
-// signature identifies a (joint) seed-group attempt stably across body
-// snapshots: block name plus each seed's index within the block. idx
-// must map b's instructions to their position in b (a cached
-// analysis.FuncInfo.Index works: it records each instruction's position
-// within its own block).
-func signature(b *ir.Block, idx map[*ir.Instr]int, groups ...*SeedGroup) string {
-	var sb strings.Builder
-	sb.WriteString(b.Name)
+// appendSignature appends the identity of a (joint) seed-group attempt
+// to dst: block name plus each seed's index within the block, stable
+// across body snapshots. idx must map b's instructions to their
+// position in b (a cached analysis.FuncInfo.Index works: it records each
+// instruction's position within its own block).
+func appendSignature(dst []byte, b *ir.Block, idx map[*ir.Instr]int, groups ...*SeedGroup) []byte {
+	dst = append(dst, b.Name...)
 	for _, g := range groups {
-		fmt.Fprintf(&sb, "|k%d:", g.Kind)
+		dst = append(dst, "|k"...)
+		dst = strconv.AppendInt(dst, int64(g.Kind), 10)
+		dst = append(dst, ':')
 		for _, in := range g.Instrs {
-			fmt.Fprintf(&sb, "%d,", idx[in])
+			dst = strconv.AppendInt(dst, int64(idx[in]), 10)
+			dst = append(dst, ',')
 		}
 	}
-	return sb.String()
-}
-
-func countNew(groups []*SeedGroup, failed map[string]bool, b *ir.Block, idx map[*ir.Instr]int) int {
-	n := 0
-	for _, g := range groups {
-		if !failed[signature(b, idx, g)] {
-			n++
-		}
-	}
-	return n
+	return dst
 }

@@ -97,7 +97,7 @@ type CompileResponse struct {
 type ErrorResponse struct {
 	Error string `json:"error"`
 	// Code is a stable slug for the errors a client may branch on
-	// (CodeBodyTooLarge); empty for the rest.
+	// (CodeBodyTooLarge, CodeReplyTooLarge); empty for the rest.
 	Code string `json:"code,omitempty"`
 }
 
@@ -110,6 +110,10 @@ const MaxBodyBytes = 1 << 20
 // CodeBodyTooLarge is the Code of the 413 reply to a body over
 // MaxBodyBytes.
 const CodeBodyTooLarge = "body-too-large"
+
+// CodeReplyTooLarge is the Code of rolag-router's 502 reply when a
+// shard's reply exceeds the router's read cap.
+const CodeReplyTooLarge = "reply-too-large"
 
 // LimitBody caps r's body at MaxBodyBytes: reading past the cap fails
 // with an error BodyTooLarge recognizes.

@@ -7,6 +7,7 @@ package rolag_test
 // its build time.
 
 import (
+	"fmt"
 	"sort"
 	"strings"
 	"syscall"
@@ -47,6 +48,25 @@ func flatSource(n int) string {
 	return b.String()
 }
 
+// manyLocalsSource returns one function of 8 lanes, each a chain of d
+// temporaries `int tK_J = tK_(J-1) op c;` ending in a store to a[K]: 8d
+// locals, and an alignment graph about d match nodes deep once the
+// stores seed.
+func manyLocalsSource(d int) string {
+	var b strings.Builder
+	b.WriteString("void f(int *a, int x) {\n")
+	ops := [...]string{"+", "*", "^"}
+	for k := 0; k < 8; k++ {
+		fmt.Fprintf(&b, "\tint t%d_0 = x + %d;\n", k, k)
+		for j := 1; j < d; j++ {
+			fmt.Fprintf(&b, "\tint t%d_%d = t%d_%d %s %d;\n", k, j, k, j-1, ops[j%3], j%7+1)
+		}
+		fmt.Fprintf(&b, "\ta[%d] = t%d_%d;\n", k, k, d-1)
+	}
+	b.WriteString("}\n")
+	return b.String()
+}
+
 // TestBuildScalesLinearly builds each shape at size n and then 2n,
 // fail-soft so the verifier's use-list check after every pass is timed
 // too, and gates the median of three such rounds' ratios. A timed run
@@ -71,6 +91,9 @@ func TestBuildScalesLinearly(t *testing.T) {
 	}{
 		{"flat", 2000, func(n int) (string, rolag.Config) {
 			return flatSource(n), rolag.Config{Opt: rolag.OptRoLAG, FailSoft: true}
+		}},
+		{"many-locals", 250, func(n int) (string, rolag.Config) {
+			return manyLocalsSource(n), rolag.Config{Opt: rolag.OptRoLAG, FailSoft: true}
 		}},
 		{"s1111-unroll", 64, func(n int) (string, rolag.Config) {
 			return s1111, rolag.Config{Opt: rolag.OptRoLAG, Unroll: n, Flatten: true, FailSoft: true}
