@@ -123,21 +123,10 @@ func (rt *Router) FleetOverview() fleet.Overview {
 			HedgeFailed:  rt.hedgeFailed.Load(),
 			TraceDropped: rt.obsRing().Dropped(),
 			Routes: []fleet.RouteLatency{
-				routerRoute("/v1/compile", &rt.compileHist),
-				routerRoute("/v1/batch", &rt.batchHist),
+				fleet.NewRouteLatency("/v1/compile", rt.compileHist.Snapshot()),
+				fleet.NewRouteLatency("/v1/batch", rt.batchHist.Snapshot()),
 			},
 		},
-	}
-}
-
-func routerRoute(route string, h *fleet.Hist) fleet.RouteLatency {
-	s := h.Snapshot()
-	return fleet.RouteLatency{
-		Route: route,
-		Count: s.Count,
-		P50Ms: s.Quantile(0.50) * 1e3,
-		P95Ms: s.Quantile(0.95) * 1e3,
-		P99Ms: s.Quantile(0.99) * 1e3,
 	}
 }
 

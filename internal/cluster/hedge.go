@@ -13,10 +13,10 @@ package cluster
 
 import (
 	"context"
-	"math"
-	"sort"
 	"sync"
 	"time"
+
+	"rolag/internal/obs/fleet"
 )
 
 // Hedging defaults (Config can override quantile and clamps).
@@ -28,45 +28,44 @@ const (
 	// hedgeColdDelay is used until a shard has hedgeMinSamples observed
 	// latencies; before that a quantile of noise would misfire.
 	hedgeColdDelay  = 25 * time.Millisecond
-	hedgeWindowSize = 256
+	hedgeWindowSize = 256 // two generations of hedgeGenSize
+	hedgeGenSize    = hedgeWindowSize / 2
 	hedgeMinSamples = 16
 )
 
-// latWindow is a fixed-size ring of one shard's recent request
-// latencies; quantile() reads the straggler threshold out of it.
+// latWindow holds one shard's recent request latencies in two
+// rotating histogram generations of hedgeGenSize observations:
+// the filling one and the last full one, so quantile() always reads the
+// straggler threshold out of the latest 128 to 256 requests.
 type latWindow struct {
-	mu      sync.Mutex
-	samples [hedgeWindowSize]time.Duration
-	n       int // total ever recorded; min(n, len) are valid
+	mu  sync.Mutex
+	gen [2]fleet.Hist
+	n   int // total ever recorded; generation n/hedgeGenSize%2 is filling
 }
 
 func (w *latWindow) add(d time.Duration) {
 	w.mu.Lock()
-	w.samples[w.n%hedgeWindowSize] = d
+	g := &w.gen[w.n/hedgeGenSize%2]
+	if w.n%hedgeGenSize == 0 {
+		g.Reset() // the oldest generation makes room
+	}
+	g.Observe(d)
 	w.n++
 	w.mu.Unlock()
 }
 
-// quantile returns the q-quantile of the window, or (0, false) while
-// the window has fewer than hedgeMinSamples samples.
+// quantile returns the q-quantile of the window, interpolated within
+// its histogram bucket, or (0, false) while the window has fewer than
+// hedgeMinSamples samples.
 func (w *latWindow) quantile(q float64) (time.Duration, bool) {
 	w.mu.Lock()
-	n := w.n
-	if n > hedgeWindowSize {
-		n = hedgeWindowSize
-	}
-	if n < hedgeMinSamples {
-		w.mu.Unlock()
+	defer w.mu.Unlock()
+	if w.n < hedgeMinSamples {
 		return 0, false
 	}
-	buf := make([]time.Duration, n)
-	copy(buf, w.samples[:n])
-	w.mu.Unlock()
-	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
-	// Ceiling rank: overestimating the tail delays a hedge slightly,
-	// underestimating it doubles load on requests that were fine.
-	idx := int(math.Ceil(q * float64(n-1)))
-	return buf[idx], true
+	s := w.gen[0].Snapshot()
+	s.Merge(w.gen[1].Snapshot())
+	return time.Duration(s.Quantile(q) * float64(time.Second)), true
 }
 
 // hedgeDelay is how long to wait on shard before launching the hedge:

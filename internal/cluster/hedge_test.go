@@ -1,6 +1,6 @@
 package cluster
 
-// Tests of request hedging: the latency window's quantile math, a
+// Tests of request hedging: the rotating latency window, a
 // stalled home shard losing the race to its successor (byte-identical
 // answer, honestly marked failed-over), and a healthy fast cluster
 // never serving a hedged answer in the home shard's place.
@@ -13,6 +13,9 @@ import (
 	"rolag/internal/rolagdapi"
 )
 
+// TestLatWindowQuantile pins the rotating window: no quantile below
+// hedgeMinSamples, an outlier raises the p95, the outlier survives one
+// generation of fast samples and is gone after two.
 func TestLatWindowQuantile(t *testing.T) {
 	var w latWindow
 	if _, ok := w.quantile(0.95); ok {
@@ -30,19 +33,28 @@ func TestLatWindowQuantile(t *testing.T) {
 	if !ok {
 		t.Fatal("quantile with enough samples reported no data")
 	}
-	if q != 100*time.Millisecond {
-		t.Fatalf("p95 of 15x1ms+1x100ms = %v, want 100ms", q)
+	// 15x1ms+1x100ms: the p95 rank falls in the outlier's (50ms, 100ms]
+	// bucket.
+	if q <= 50*time.Millisecond || q > 100*time.Millisecond {
+		t.Fatalf("p95 of 15x1ms+1x100ms = %v, want in (50ms, 100ms]", q)
 	}
-	if q, _ := w.quantile(0.5); q != time.Millisecond {
-		t.Fatalf("p50 = %v, want 1ms", q)
+	if q, _ := w.quantile(0.5); q > time.Millisecond {
+		t.Fatalf("p50 = %v, want <= 1ms", q)
 	}
-	// The ring wraps: after hedgeWindowSize fast samples the old outlier
-	// is gone.
-	for i := 0; i < hedgeWindowSize; i++ {
+	// One generation of fast samples later the outlier's generation is
+	// still the last full one.
+	for i := 0; i < hedgeGenSize; i++ {
 		w.add(2 * time.Millisecond)
 	}
-	if q, _ := w.quantile(0.99); q != 2*time.Millisecond {
-		t.Fatalf("p99 after wrap = %v, want 2ms", q)
+	if q, _ := w.quantile(0.999); q <= 50*time.Millisecond {
+		t.Fatalf("p99.9 one generation after the outlier = %v, want > 50ms", q)
+	}
+	// After two generations both have rotated and the outlier is gone.
+	for i := 0; i < hedgeGenSize; i++ {
+		w.add(2 * time.Millisecond)
+	}
+	if q, _ := w.quantile(0.999); q > 2500*time.Microsecond {
+		t.Fatalf("p99.9 two generations after the outlier = %v, want <= 2.5ms", q)
 	}
 }
 

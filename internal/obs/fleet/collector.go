@@ -91,7 +91,9 @@ type RouteLatency struct {
 	P99Ms float64 `json:"p99_ms"`
 }
 
-func routeLatency(route string, h HistSnapshot) RouteLatency {
+// NewRouteLatency summarizes one route's histogram: quantiles in
+// milliseconds, trimmed by round3 for JSON.
+func NewRouteLatency(route string, h HistSnapshot) RouteLatency {
 	return RouteLatency{
 		Route: route,
 		Count: h.Count,
@@ -174,7 +176,7 @@ func (c *Collector) Shards(now time.Time) []ShardOverview {
 		for _, route := range routes {
 			h := o.Routes[route]
 			all.Merge(h)
-			ov.Routes = append(ov.Routes, routeLatency(route, h))
+			ov.Routes = append(ov.Routes, NewRouteLatency(route, h))
 		}
 		ov.P50Ms = round3(all.Quantile(0.50) * 1e3)
 		ov.P95Ms = round3(all.Quantile(0.95) * 1e3)
@@ -224,7 +226,7 @@ func (c *Collector) Routes() []RouteLatency {
 	sort.Strings(names)
 	out := make([]RouteLatency, 0, len(names))
 	for _, route := range names {
-		out = append(out, routeLatency(route, c.RouteHist(route)))
+		out = append(out, NewRouteLatency(route, c.RouteHist(route)))
 	}
 	return out
 }

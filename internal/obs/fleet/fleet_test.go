@@ -3,6 +3,7 @@ package fleet
 import (
 	"encoding/json"
 	"math"
+	"sync"
 	"testing"
 	"time"
 )
@@ -13,10 +14,10 @@ func TestHistObserveAndQuantile(t *testing.T) {
 	var h Hist
 	// 90 fast (≈2ms) + 10 slow (≈200ms): p50 must be small, p99 large.
 	for i := 0; i < 90; i++ {
-		h.Observe(0.002)
+		h.Observe(2 * time.Millisecond)
 	}
 	for i := 0; i < 10; i++ {
-		h.Observe(0.200)
+		h.Observe(200 * time.Millisecond)
 	}
 	s := h.Snapshot()
 	if s.Count != 100 {
@@ -51,7 +52,7 @@ func TestHistQuantileEdges(t *testing.T) {
 		t.Errorf("empty Quantile = %v", q)
 	}
 	var h Hist
-	h.Observe(10_000) // beyond every bound → +Inf bucket
+	h.Observe(10_000 * time.Second) // beyond every bound → +Inf bucket
 	s := h.Snapshot()
 	last := LatencyBounds[len(LatencyBounds)-1]
 	if q := s.Quantile(0.99); q != last {
@@ -59,12 +60,45 @@ func TestHistQuantileEdges(t *testing.T) {
 	}
 }
 
+// TestHistConcurrentObserve: concurrent observers lose no count, the
+// +Inf bucket equals Count, and the integer-nanosecond sum is exact.
+// Run under -race it also checks Observe's locking.
+func TestHistConcurrentObserve(t *testing.T) {
+	const workers, each = 4, 1000
+	var h Hist
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				h.Observe(time.Duration(i) * time.Microsecond)
+			}
+		}()
+	}
+	for i := 0; i < 100; i++ {
+		_ = h.Snapshot() // readers race the observers too
+	}
+	wg.Wait()
+	s := h.Snapshot()
+	if s.Count != workers*each {
+		t.Fatalf("Count = %d, want %d", s.Count, workers*each)
+	}
+	if inf := s.Buckets[len(s.Buckets)-1]; inf.LE != Inf || inf.Count != s.Count {
+		t.Errorf("+Inf bucket = %+v, want Count %d", inf, s.Count)
+	}
+	// Sum of 0..999 µs per worker, in seconds.
+	if want := workers * (each * (each - 1) / 2) * 1e-6; s.SumSeconds != want {
+		t.Errorf("SumSeconds = %v, want %v", s.SumSeconds, want)
+	}
+}
+
 // TestMergeSameBounds: bucket-wise merge preserves counts and sums.
 func TestMergeSameBounds(t *testing.T) {
 	var a, b Hist
 	for i := 0; i < 50; i++ {
-		a.Observe(0.001)
-		b.Observe(0.3)
+		a.Observe(time.Millisecond)
+		b.Observe(300 * time.Millisecond)
 	}
 	m := a.Snapshot()
 	m.Merge(b.Snapshot())
@@ -107,7 +141,7 @@ func TestCollectorREDAndOverview(t *testing.T) {
 	mk := func(reqs, errs int64) ShardObservation {
 		var h Hist
 		for i := int64(0); i < reqs; i++ {
-			h.Observe(0.004)
+			h.Observe(4 * time.Millisecond)
 		}
 		return ShardObservation{
 			Requests: reqs, Errors: errs, Hits: reqs / 2, Misses: reqs / 2,

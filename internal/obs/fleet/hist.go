@@ -1,5 +1,7 @@
 // Package fleet is the cluster-wide telemetry plane: mergeable latency
-// histograms shards report and the router aggregates, a scrape
+// histograms shards report and the router aggregates (Hist is also the
+// process's only online latency recorder: compile latency, obs span
+// classes and the router's hedge window use it), a scrape
 // collector that turns per-shard counter snapshots into fleet-level
 // RED metrics (rate, errors, duration), and the trace-stitching
 // helpers that merge per-process Chrome trace segments into one
@@ -9,8 +11,10 @@ package fleet
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync"
+	"time"
 )
 
 // LatencyBounds are the request-latency histogram bucket upper bounds
@@ -32,28 +36,60 @@ type Bucket struct {
 	Count int64 `json:"count"`
 }
 
-// Hist is a live, concurrency-safe latency histogram over
-// LatencyBounds. The zero value is ready to use.
+// Hist is a live, concurrency-safe latency histogram that buckets and
+// sums integer nanoseconds, so bucket edges and sums are exact. The
+// zero value is ready to use over LatencyBounds; NewHist takes others.
 type Hist struct {
 	mu      sync.Mutex
+	le      []time.Duration // upper bounds; nil until first use means LatencyBounds
 	count   int64
-	sumSec  float64
-	buckets [14]int64 // len(LatencyBounds) + 1 for +Inf; non-cumulative
+	sum     time.Duration
+	buckets []int64 // len(le) + 1 for +Inf; non-cumulative
 }
 
-// Observe records one latency, in seconds.
-func (h *Hist) Observe(sec float64) {
-	idx := len(LatencyBounds)
-	for i, ub := range LatencyBounds {
-		if sec <= ub {
-			idx = i
-			break
-		}
+var latencyLE = durations(LatencyBounds)
+
+// NewHist returns an empty histogram over bounds, ascending upper
+// bounds in seconds followed by an implicit +Inf bucket.
+func NewHist(bounds []float64) *Hist { return &Hist{le: durations(bounds)} }
+
+// durations converts bounds in seconds to nanoseconds; for bounds of
+// whole nanoseconds Snapshot's float64(le)/1e9 gives them back exactly.
+func durations(bounds []float64) []time.Duration {
+	le := make([]time.Duration, len(bounds))
+	for i, b := range bounds {
+		le[i] = time.Duration(math.Round(b * 1e9))
 	}
+	return le
+}
+
+// bounds returns the upper bounds, sizing the bucket counts on first
+// use. Callers hold mu.
+func (h *Hist) bounds() []time.Duration {
+	if h.le == nil {
+		h.le = latencyLE
+	}
+	if h.buckets == nil {
+		h.buckets = make([]int64, len(h.le)+1)
+	}
+	return h.le
+}
+
+// Observe records one latency.
+func (h *Hist) Observe(d time.Duration) {
 	h.mu.Lock()
+	i, _ := slices.BinarySearch(h.bounds(), d) // first bound >= d
+	h.buckets[i]++
 	h.count++
-	h.sumSec += sec
-	h.buckets[idx]++
+	h.sum += d
+	h.mu.Unlock()
+}
+
+// Reset discards every observation.
+func (h *Hist) Reset() {
+	h.mu.Lock()
+	h.count, h.sum = 0, 0
+	clear(h.buckets)
 	h.mu.Unlock()
 }
 
@@ -61,15 +97,15 @@ func (h *Hist) Observe(sec float64) {
 func (h *Hist) Snapshot() HistSnapshot {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	s := HistSnapshot{Count: h.count, SumSeconds: h.sumSec}
+	le := h.bounds()
+	s := HistSnapshot{Count: h.count, SumSeconds: float64(h.sum) / 1e9, Buckets: make([]Bucket, len(h.buckets))}
 	var cum int64
-	for i := range h.buckets {
-		cum += h.buckets[i]
-		le := Inf
-		if i < len(LatencyBounds) {
-			le = LatencyBounds[i]
+	for i, n := range h.buckets {
+		cum += n
+		s.Buckets[i] = Bucket{LE: Inf, Count: cum}
+		if i < len(le) {
+			s.Buckets[i].LE = float64(le[i]) / 1e9
 		}
-		s.Buckets = append(s.Buckets, Bucket{LE: le, Count: cum})
 	}
 	return s
 }

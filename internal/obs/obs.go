@@ -1,7 +1,8 @@
 // Package obs is the observability substrate of the pipeline:
 // structured optimization remarks, span statistics, and request
-// tracing. It is deliberately tiny and dependency-free (it must be
-// importable from ir-adjacent packages without cycles) and follows the
+// tracing. It is deliberately tiny and imports only the standard
+// library and the stdlib-only obs/fleet (it must be importable from
+// ir-adjacent packages without cycles) and follows the
 // faultpoint discipline for overhead: with every feature disabled —
 // the default — an instrumented site pays exactly one atomic load and
 // a branch, and allocates nothing.
@@ -16,7 +17,8 @@
 //     pulled, not pushed: a nil *Recorder disables them with no global
 //     state.
 //   - Span stats: per-class duration histograms (the RoLAG phase
-//     timers), process-wide atomics behind the stats gate.
+//     and backend timers), one process-wide fleet.Hist per class
+//     behind the stats gate.
 //   - Tracing: per-request trace IDs with wall-clock spans recorded
 //     into a bounded in-process ring buffer, exported as Chrome
 //     trace-event JSON (rolagd's /debug/trace).

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"rolag/internal/obs/fleet"
 )
 
 // The tests mutate package-global gates and buffers; disabled() puts
@@ -81,16 +83,35 @@ func TestSpanStatsAccumulate(t *testing.T) {
 		t.Errorf("Nanos = %d, want >= 5ms", got.Nanos)
 	}
 	// 5ms cannot land in any bucket bounded below 10ms.
-	for i, b := range got.Buckets {
-		if SpanBounds[i] < 5e-3 && b != 0 {
-			t.Errorf("bucket %d (<= %gs) = %d, want 0", i, SpanBounds[i], b)
+	for _, b := range got.Hist.Buckets {
+		if b.LE < 5e-3 && b.Count != 0 {
+			t.Errorf("bucket le=%g = %d, want 0", b.LE, b.Count)
 		}
+	}
+	if n := len(got.Hist.Buckets); n != len(SpanBounds)+1 || got.Hist.Buckets[n-1].Count != 1 {
+		t.Errorf("histogram = %+v, want %d buckets ending in +Inf = 1", got.Hist, len(SpanBounds)+1)
 	}
 	ResetSpanStats()
 	for _, st := range SpanStats() {
 		if st.Count != 0 || st.Nanos != 0 {
 			t.Errorf("ResetSpanStats left %q non-zero: %+v", st.Name, st)
 		}
+	}
+}
+
+// TestSpanBoundsEdges: span histograms bucket integer nanoseconds
+// with inclusive upper bounds, so 100ns lands in le=1e-07 and 101ns in
+// le=1e-06.
+func TestSpanBoundsEdges(t *testing.T) {
+	h := fleet.NewHist(SpanBounds)
+	h.Observe(100 * time.Nanosecond)
+	h.Observe(101 * time.Nanosecond)
+	s := h.Snapshot()
+	if b := s.Buckets[0]; b.LE != 1e-7 || b.Count != 1 {
+		t.Errorf("first bucket = %+v, want le=1e-07 count 1", b)
+	}
+	if b := s.Buckets[1]; b.LE != 1e-6 || b.Count != 2 {
+		t.Errorf("second bucket = %+v, want le=1e-06 cumulative count 2", b)
 	}
 }
 

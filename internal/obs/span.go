@@ -1,71 +1,63 @@
 package obs
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"rolag/internal/obs/fleet"
 )
 
 // SpanBounds are the span-duration histogram bucket upper bounds, in
 // seconds. An implicit +Inf bucket (== Count) follows the last bound.
 var SpanBounds = []float64{100e-9, 1e-6, 10e-6, 100e-6, 1e-3, 10e-3, 100e-3, 1}
 
-const numSpanBuckets = 8
-
-var spanBoundNanos = [numSpanBuckets]int64{100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000, 100_000_000, 1_000_000_000}
-
-// maxSpanClasses bounds the registry; classes are registered at
-// package-init time (the four RoLAG phases today) and never removed.
-const maxSpanClasses = 32
-
 // SpanClass identifies one registered span kind whose durations are
-// accumulated into a process-wide histogram when span stats are
-// enabled (rolagd's rolagd_phase_seconds series reads these). The
-// timed region also becomes a trace event when tracing is on, so the
-// metrics and the trace agree on phase boundaries.
+// accumulated into a process-wide fleet.Hist over SpanBounds when span
+// stats are enabled (rolagd's rolagd_phase_seconds series reads these).
+// The timed region also becomes a trace event when tracing is on, so
+// the metrics and the trace agree on phase boundaries.
 type SpanClass int
 
-type spanCounters struct {
-	count   atomic.Uint64
-	nanos   atomic.Uint64
-	buckets [numSpanBuckets]atomic.Uint64
+type spanClass struct {
+	name string
+	hist *fleet.Hist
 }
 
 var (
-	classMu    sync.Mutex
-	classCount atomic.Int32
-	// classNames holds a copy-on-write snapshot of the registered names
-	// so End can read it without taking classMu.
-	classNames atomic.Value // []string
-	classTimes [maxSpanClasses]spanCounters
+	classMu sync.Mutex
+	// classes holds a copy-on-write []spanClass of the registered
+	// classes so End can read it without taking classMu.
+	classes atomic.Value
 )
+
+func registered() []spanClass {
+	cs, _ := classes.Load().([]spanClass)
+	return cs
+}
 
 // RegisterSpanClass registers a named span class and returns its
 // handle. Registration is expected at init time; re-registering a name
-// returns the existing handle. It panics when the registry is full.
+// returns the existing handle.
 func RegisterSpanClass(name string) SpanClass {
 	classMu.Lock()
 	defer classMu.Unlock()
-	names, _ := classNames.Load().([]string)
-	for i, n := range names {
-		if n == name {
+	cs := registered()
+	for i, c := range cs {
+		if c.name == name {
 			return SpanClass(i)
 		}
 	}
-	if len(names) >= maxSpanClasses {
-		panic("obs: span class registry full")
-	}
-	next := append(append([]string(nil), names...), name)
-	classNames.Store(next)
-	classCount.Store(int32(len(next)))
+	next := append(cs[:len(cs):len(cs)], spanClass{name: name, hist: fleet.NewHist(SpanBounds)})
+	classes.Store(next)
 	return SpanClass(len(next) - 1)
 }
 
 // Name returns the class's registered name.
 func (c SpanClass) Name() string {
-	names, _ := classNames.Load().([]string)
-	if int(c) < len(names) {
-		return names[c]
+	if cs := registered(); int(c) < len(cs) {
+		return cs[c].name
 	}
 	return "unknown"
 }
@@ -80,14 +72,8 @@ func SpanStatsEnabled() bool { return gates.Load()&gateStats != 0 }
 
 // ResetSpanStats zeroes the accumulated histograms.
 func ResetSpanStats() {
-	n := int(classCount.Load())
-	for i := 0; i < n; i++ {
-		c := &classTimes[i]
-		c.count.Store(0)
-		c.nanos.Store(0)
-		for j := range c.buckets {
-			c.buckets[j].Store(0)
-		}
+	for _, c := range registered() {
+		c.hist.Reset()
 	}
 }
 
@@ -96,24 +82,20 @@ type SpanStat struct {
 	Name  string
 	Count uint64
 	Nanos uint64
-	// Buckets holds non-cumulative histogram counts per SpanBounds
-	// entry; durations above the last bound count only toward Count.
-	Buckets [numSpanBuckets]uint64
+	// Hist is the class's histogram over SpanBounds.
+	Hist fleet.HistSnapshot
 }
 
 // SpanStats returns a snapshot of every registered class's histogram,
 // in registration order.
 func SpanStats() []SpanStat {
-	names, _ := classNames.Load().([]string)
-	out := make([]SpanStat, len(names))
-	for i, name := range names {
-		c := &classTimes[i]
-		out[i].Name = name
-		out[i].Count = c.count.Load()
-		out[i].Nanos = c.nanos.Load()
-		for j := range c.buckets {
-			out[i].Buckets[j] = c.buckets[j].Load()
-		}
+	cs := registered()
+	out := make([]SpanStat, len(cs))
+	for i, c := range cs {
+		h := c.hist.Snapshot()
+		// The histogram sums integer nanoseconds; SumSeconds carries
+		// them back exactly below 2^51 ns (26 days).
+		out[i] = SpanStat{Name: c.name, Count: uint64(h.Count), Nanos: uint64(math.Round(h.SumSeconds * 1e9)), Hist: h}
 	}
 	return out
 }
@@ -132,16 +114,7 @@ func (c SpanClass) End(tr TraceContext, start time.Time) {
 	}
 	d := time.Since(start)
 	if g&gateStats != 0 {
-		ns := d.Nanoseconds()
-		ct := &classTimes[c]
-		ct.count.Add(1)
-		ct.nanos.Add(uint64(ns))
-		for i, bound := range spanBoundNanos {
-			if ns <= bound {
-				ct.buckets[i].Add(1)
-				break
-			}
-		}
+		registered()[c].hist.Observe(d)
 	}
 	if g&gateTrace != 0 && tr.Active() {
 		tr.resolveRing().add(TraceEvent{Name: c.Name(), Trace: tr.ID, TID: tr.tid, Start: start, Dur: d, Parent: tr.parent})

@@ -170,8 +170,11 @@ func (s *Sandbox) RunInPlaceIn(pass string, f *ir.Func, sink *ir.Module, run fun
 	if !s.allow(pass, f) {
 		return false, false
 	}
-	span := obs.Now()
-	defer obs.EndSpan(s.Trace, "pass:"+pass, span, f.Name)
+	// Build the span name only while timing is on: a disabled site
+	// allocates nothing.
+	if span := obs.Now(); !span.IsZero() {
+		defer obs.EndSpan(s.Trace, "pass:"+pass, span, f.Name)
+	}
 	s.ck.Take(f)
 	var gmark ir.GlobalsMark
 	if sink != nil {
@@ -213,8 +216,12 @@ func (s *Sandbox) exec(pass string, target *ir.Func, run func(*ir.Func) bool) (c
 			skip = &Skip{Pass: pass, Func: target.Name, Reason: SkipPanic, Detail: fmt.Sprint(r)}
 		}
 	}()
-	switch faultpoint.Fire("pass:"+pass,
-		faultpoint.KindPanic, faultpoint.KindStall, faultpoint.KindError, faultpoint.KindCorrupt) {
+	kind := faultpoint.None
+	if faultpoint.Active() { // the site name is built only while injecting
+		kind = faultpoint.Fire("pass:"+pass,
+			faultpoint.KindPanic, faultpoint.KindStall, faultpoint.KindError, faultpoint.KindCorrupt)
+	}
+	switch kind {
 	case faultpoint.KindPanic:
 		panic("faultpoint: injected panic at pass:" + pass)
 	case faultpoint.KindError:

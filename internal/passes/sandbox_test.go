@@ -378,3 +378,30 @@ func TestDegradedPassesSortedDistinct(t *testing.T) {
 		t.Fatalf("Passes() = %v, want [licm rolag]", got)
 	}
 }
+
+// TestSandboxNoOpAllocs: with tracing and fault injection off, a
+// sandboxed no-op pass allocates no more than f.Verify, the commit gate
+// it runs. The checkpoint reuses its buffers, and the span name and
+// the fault site are built only when tracing or faults are live.
+func TestSandboxNoOpAllocs(t *testing.T) {
+	if faultpoint.Active() {
+		t.Fatal("fault injection left active by another test")
+	}
+	_, f := lowerF(t)
+	sb := &passes.Sandbox{}
+	noop := func(*ir.Func) bool { return false }
+	sb.RunShadow("noop", f, noop) // size the checkpoint's buffers
+	verify := testing.AllocsPerRun(100, func() {
+		if err := f.Verify(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	sandboxed := testing.AllocsPerRun(100, func() {
+		if _, ok := sb.RunShadow("noop", f, noop); !ok {
+			t.Fatal("no-op pass rolled back")
+		}
+	})
+	if sandboxed > verify {
+		t.Errorf("sandboxed no-op pass: %.0f allocs/op, f.Verify alone: %.0f", sandboxed, verify)
+	}
+}

@@ -12,8 +12,8 @@ import (
 // per-request trace events; both agree on phase boundaries by
 // construction. Enable/reset/snapshot live in internal/obs
 // (EnableSpanStats, ResetSpanStats, SpanStats); the accounting is safe
-// across the service engine's concurrent jobs because the obs counters
-// are plain atomics.
+// across the service engine's concurrent jobs because each class
+// records into a mutex-guarded fleet.Hist.
 type Phase int
 
 // Pipeline phases, in execution order.

@@ -95,7 +95,7 @@ func (m *metrics) skipPass(pass string) {
 	m.skipMu.Unlock()
 }
 
-func (m *metrics) observeCompile(d time.Duration) { m.latency.Observe(d.Seconds()) }
+func (m *metrics) observeCompile(d time.Duration) { m.latency.Observe(d) }
 
 // MetricsSnapshot is a consistent-enough point-in-time copy of the
 // engine counters, suitable for JSON or Prometheus text rendering.
@@ -181,29 +181,16 @@ type RemarkCount struct {
 	Count  int64  `json:"count"`
 }
 
-// phaseStats converts an obs.SpanStats snapshot into cumulative
-// Prometheus-style histogram stats, or nil when stats are disabled.
+// phaseStats lists the obs span-class histograms as phase stats, or
+// nil when stats are disabled.
 func phaseStats() []PhaseStat {
 	if !obs.SpanStatsEnabled() {
 		return nil
 	}
 	stats := obs.SpanStats()
-	out := make([]PhaseStat, 0, len(stats))
-	for _, t := range stats {
-		st := PhaseStat{
-			Phase:      t.Name,
-			Count:      int64(t.Count),
-			SumSeconds: float64(t.Nanos) / 1e9,
-		}
-		var cum int64
-		for i, ub := range obs.SpanBounds {
-			cum += int64(t.Buckets[i])
-			st.Buckets = append(st.Buckets, fleet.Bucket{LE: ub, Count: cum})
-		}
-		// Durations above the last bound count only toward Count, so the
-		// +Inf bucket is the total.
-		st.Buckets = append(st.Buckets, fleet.Bucket{LE: fleet.Inf, Count: st.Count})
-		out = append(out, st)
+	out := make([]PhaseStat, len(stats))
+	for i, t := range stats {
+		out[i] = PhaseStat{Phase: t.Name, Count: t.Hist.Count, SumSeconds: t.Hist.SumSeconds, Buckets: t.Hist.Buckets}
 	}
 	return out
 }
