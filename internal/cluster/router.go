@@ -370,7 +370,7 @@ func (rt *Router) handleCompile(w http.ResponseWriter, r *http.Request) {
 	}
 	sreq, err := cr.ToService()
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, rolagdapi.ErrorResponse{Error: err.Error()})
+		writeJSON(w, http.StatusBadRequest, rolagdapi.BadRequest(err))
 		return
 	}
 	key := service.Key(&sreq)
@@ -494,6 +494,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		sreq, err := br.Items[i].ToService()
 		if err != nil {
 			out.Items[i].Error = err.Error()
+			out.Items[i].Code = rolagdapi.ErrorCode(err)
 			continue
 		}
 		key := service.Key(&sreq)

@@ -585,6 +585,46 @@ func TestRouterBodyLimit(t *testing.T) {
 	}
 }
 
+// TestRouterUnrollLimit: the router refuses config.unroll above
+// rolagdapi.MaxUnroll itself, with a 400 and the unroll-out-of-range
+// code on /v1/compile and on the batch item, and forwards the cap.
+func TestRouterUnrollLimit(t *testing.T) {
+	tc := newTestCluster(t, 1)
+	item := func(unroll int) string {
+		return fmt.Sprintf(`{"source":"void f(int *a) { for (int i = 0; i < 16; i++) a[i] = i; }","config":{"unroll":%d}}`, unroll)
+	}
+	post := func(path, body string, v any) int {
+		t.Helper()
+		resp, err := http.Post(tc.rsrv.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode
+	}
+	var er rolagdapi.ErrorResponse
+	if code := post("/v1/compile", item(rolagdapi.MaxUnroll), &er); code != http.StatusOK {
+		t.Errorf("unroll at the cap: status %d (%s)", code, er.Error)
+	}
+	er = rolagdapi.ErrorResponse{}
+	if code := post("/v1/compile", item(rolagdapi.MaxUnroll+1), &er); code != http.StatusBadRequest || er.Code != rolagdapi.CodeUnrollOutOfRange {
+		t.Errorf("unroll one over the cap: status %d code %q, want 400 %q", code, er.Code, rolagdapi.CodeUnrollOutOfRange)
+	}
+	var br rolagdapi.BatchResponse
+	if code := post("/v1/batch", `{"items":[`+item(rolagdapi.MaxUnroll)+`,`+item(rolagdapi.MaxUnroll+1)+`]}`, &br); code != http.StatusOK || len(br.Items) != 2 {
+		t.Fatalf("batch: status %d, %d items", code, len(br.Items))
+	}
+	if it := br.Items[0]; it.Error != "" {
+		t.Errorf("batch item at the cap: %s", it.Error)
+	}
+	if it := br.Items[1]; it.Code != rolagdapi.CodeUnrollOutOfRange {
+		t.Errorf("batch item over the cap: error %q code %q, want code %q", it.Error, it.Code, rolagdapi.CodeUnrollOutOfRange)
+	}
+}
+
 // capShard is a router over one fake shard whose replies are exactly
 // size() bytes long, each a valid reply padded with spaces, with the
 // router's read cap lowered to replyCap so the test stays small.

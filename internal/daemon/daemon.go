@@ -384,7 +384,7 @@ func (d *Daemon) handleCompile(w http.ResponseWriter, r *http.Request) {
 	}
 	req, err := cr.ToService()
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, rolagdapi.ErrorResponse{Error: err.Error()})
+		writeJSON(w, http.StatusBadRequest, rolagdapi.BadRequest(err))
 		return
 	}
 	ctx := r.Context()
@@ -428,6 +428,7 @@ func (d *Daemon) handleBatch(w http.ResponseWriter, r *http.Request) {
 		req, err := br.Items[i].ToService()
 		if err != nil {
 			out.Items[i].Error = err.Error()
+			out.Items[i].Code = rolagdapi.ErrorCode(err)
 			continue
 		}
 		reqs = append(reqs, req)

@@ -461,3 +461,46 @@ func TestBodyLimit(t *testing.T) {
 		t.Errorf("metrics missing %q", want)
 	}
 }
+
+// TestUnrollLimit: config.unroll at rolagdapi.MaxUnroll compiles, one
+// more is a 400 with the unroll-out-of-range code on /v1/compile and
+// the same code on the batch item, which leaves its neighbour alone.
+func TestUnrollLimit(t *testing.T) {
+	srv := newTestServer(t)
+	const src = `void f(int *a) { for (int i = 0; i < 32; i++) a[i] = i; }`
+	item := func(unroll int) string {
+		return fmt.Sprintf(`{"source":%q,"config":{"unroll":%d}}`, src, unroll)
+	}
+	post := func(path, body string, v any) int {
+		t.Helper()
+		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode
+	}
+	var ok rolagdapi.CompileResponse
+	if code := post("/v1/compile", item(rolagdapi.MaxUnroll), &ok); code != http.StatusOK {
+		t.Fatalf("unroll at the cap: status %d", code)
+	}
+	var er rolagdapi.ErrorResponse
+	code := post("/v1/compile", item(rolagdapi.MaxUnroll+1), &er)
+	if code != http.StatusBadRequest || er.Code != rolagdapi.CodeUnrollOutOfRange {
+		t.Errorf("unroll one over the cap: status %d code %q, want 400 %q", code, er.Code, rolagdapi.CodeUnrollOutOfRange)
+	}
+	var br rolagdapi.BatchResponse
+	body := `{"items":[` + item(rolagdapi.MaxUnroll) + `,` + item(rolagdapi.MaxUnroll+1) + `]}`
+	if code := post("/v1/batch", body, &br); code != http.StatusOK || len(br.Items) != 2 {
+		t.Fatalf("batch: status %d, %d items", code, len(br.Items))
+	}
+	if it := br.Items[0]; it.Error != "" || it.IR != ok.IR {
+		t.Errorf("batch item at the cap: error %q, IR matches compile: %v", it.Error, it.IR == ok.IR)
+	}
+	if it := br.Items[1]; it.Code != rolagdapi.CodeUnrollOutOfRange || it.Error == "" {
+		t.Errorf("batch item over the cap: error %q code %q, want code %q", it.Error, it.Code, rolagdapi.CodeUnrollOutOfRange)
+	}
+}

@@ -69,11 +69,13 @@ func TestRollAllocBudget(t *testing.T) {
 }
 
 // sandboxAllocRatio caps fail-soft allocations on the pinned function
-// as a multiple of fail-hard ones. The sandbox checkpoints the function
-// before every pass execution (21 per function here); measured at
-// ~1.3x with identity-preserving checkpoints, against ~2.2x when every
+// as a multiple of fail-hard ones. The sandbox checkpoints and verifies
+// the function three times per Build (once per canonicalization stage
+// and once for RoLAG); measured at 1.05x (2,923 against 2,772
+// allocs/op), against 1.40x when every one of the 21 pass executions
+// was checkpointed and verified on its own and ~2.2x when every
 // execution deep-cloned the body.
-const sandboxAllocRatio = 1.5
+const sandboxAllocRatio = 1.15
 
 // TestSandboxAllocOverhead is the allocation gate on the fail-soft
 // sandbox: its per-execution checkpoints must stay cheap next to the
@@ -104,21 +106,29 @@ func TestSandboxAllocOverhead(t *testing.T) {
 }
 
 // BenchmarkRollAngha compiles a fixed slice of the canonical corpus
-// with RoLAG per iteration; allocs/op is the headline metric the
-// allocation-lean work targets. It is also the optimizer's profiling
-// entry point:
+// with RoLAG per iteration, fail-hard and under the fail-soft sandbox
+// the service runs; allocs/op is the headline metric the
+// allocation-lean work targets. It is also the profiling entry point
+// of the optimizer and of the sandbox:
 //
-//	go test ./internal/experiments -run '^$' -bench RollAngha -cpuprofile cpu.prof
+//	go test ./internal/experiments -run '^$' -bench 'RollAngha/fail-hard' -cpuprofile cpu.prof
+//	go test ./internal/experiments -run '^$' -bench 'RollAngha/fail-soft' -cpuprofile cpu.prof
 func BenchmarkRollAngha(b *testing.B) {
 	funcs := angha.Generate(60, 20220402)
-	cfg := rolag.Config{Opt: rolag.OptRoLAG}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, fn := range funcs {
-			if _, err := rolag.Build(fn.Src, cfg); err != nil {
-				b.Fatal(err)
+	for _, mode := range []struct {
+		name     string
+		failSoft bool
+	}{{"fail-hard", false}, {"fail-soft", true}} {
+		b.Run(mode.name, func(b *testing.B) {
+			cfg := rolag.Config{Opt: rolag.OptRoLAG, FailSoft: mode.failSoft}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, fn := range funcs {
+					if _, err := rolag.Build(fn.Src, cfg); err != nil {
+						b.Fatal(err)
+					}
+				}
 			}
-		}
+		})
 	}
 }

@@ -80,9 +80,11 @@ func (d *Degraded) String() string {
 	return sb.String()
 }
 
-// Guard is consulted around every sandboxed pass execution. The service
-// engine implements it with per-pass circuit breakers; a nil Guard
-// allows everything.
+// Guard is consulted around every sandboxed pass visit: one Allow
+// before it and, unless Allow refused, one Report once its outcome is
+// known. In an optimistic canonicalization stage every Allow of the
+// stage comes before its Reports. The service engine implements it
+// with per-pass circuit breakers; a nil Guard allows everything.
 type Guard interface {
 	// Allow reports whether the pass may be attempted. A false return
 	// makes the sandbox skip the pass outright (SkipBreaker).
@@ -100,13 +102,24 @@ type Guard interface {
 const DefaultPassBudget = 10 * time.Second
 
 // Sandbox runs passes under checkpoint/rollback, in place and in the
-// calling goroutine: every execution takes an ir.Checkpoint of the
-// function and, for passes that append globals (RoLAG's codegen creates
-// constant tables), marks the module's globals. The IR verifier is the
-// commit gate: a panic, a budget overrun (measured after the pass
-// returns), or a verifier complaint restores the checkpoint, which puts
-// the same block and instruction objects back in their saved state, and
-// the pipeline continues with the pass skipped, recorded in the Report.
+// calling goroutine. A single pass execution (RoLAG, unroll, reroll,
+// flatten: RunInPlaceIn) takes an ir.Checkpoint of the function and, for
+// passes that append globals (RoLAG's codegen creates constant tables),
+// marks the module's globals. The IR verifier is the commit gate: a
+// panic, a budget overrun (measured after the pass returns), or a
+// verifier complaint restores the checkpoint, which puts the same block
+// and instruction objects back in their saved state, and the pipeline
+// continues with the pass skipped, recorded in the Report.
+//
+// A multi-pass canonicalization stage (Pipeline.RunSandboxed) runs
+// optimistically: one checkpoint for the whole stage, each pass under
+// its own recover, budget check, Guard.Allow and fault draw, then one
+// verify. Only when something fails does the stage restore its
+// checkpoint and replay pass by pass through the single-execution path
+// above, reusing every guard decision and fault draw the optimistic run
+// made, so the replay names the culprit exactly as running every pass
+// checkpointed would have.
+//
 // The sandbox owns one checkpoint whose buffers every committed
 // execution reuses. A pass is never abandoned mid-run; the caller's
 // request deadline bounds the job as a whole.
@@ -117,8 +130,8 @@ const DefaultPassBudget = 10 * time.Second
 type Sandbox struct {
 	// Budget is the per-pass wall-clock budget (0 = DefaultPassBudget).
 	Budget time.Duration
-	// Guard, when set, is consulted before and notified after every
-	// execution (the service's circuit breakers).
+	// Guard, when set, is consulted once before and notified once after
+	// every pass visit (the service's circuit breakers).
 	Guard Guard
 	// Trace, when active and tracing is enabled, records every
 	// sandboxed pass execution as a "pass:<name>" span on the request's
@@ -127,6 +140,17 @@ type Sandbox struct {
 
 	report Degraded
 	ck     ir.Checkpoint
+	visits []visit // the current stage's decisions; every stage reuses the buffer
+}
+
+// visit is one pass visit's decisions, each made exactly once: whether
+// the guard admitted the pass, the fault drawn at its site, and how
+// long an injected stall slept. A stage replay reuses them, so it never
+// asks a breaker twice or draws a fault point twice for one visit.
+type visit struct {
+	allowed bool
+	fault   faultpoint.Kind
+	stalled time.Duration // charged against the budget, not slept again
 }
 
 func (s *Sandbox) budget() time.Duration {
@@ -167,7 +191,33 @@ func (s *Sandbox) RunInPlaceIn(pass string, f *ir.Func, sink *ir.Module, run fun
 	if s == nil {
 		return run(f), true
 	}
-	if !s.allow(pass, f) {
+	return s.runVisit(pass, f, sink, s.decide(pass), run)
+}
+
+// decide makes a pass visit's decisions: it asks the guard and, when
+// admitted, draws the pass-site fault (a stall sleeps here).
+func (s *Sandbox) decide(pass string) visit {
+	if s.Guard != nil && !s.Guard.Allow(pass) {
+		return visit{}
+	}
+	v := visit{allowed: true}
+	if faultpoint.Active() { // the site name is built only while injecting
+		start := time.Now()
+		v.fault = faultpoint.Fire("pass:"+pass,
+			faultpoint.KindPanic, faultpoint.KindStall, faultpoint.KindError, faultpoint.KindCorrupt)
+		if v.fault == faultpoint.KindStall {
+			v.stalled = time.Since(start)
+		}
+	}
+	return v
+}
+
+// runVisit is one checkpointed execution of a visit already decided:
+// checkpoint, attempt, verify, then commit or restore and record the
+// skip.
+func (s *Sandbox) runVisit(pass string, f *ir.Func, sink *ir.Module, v visit, run func(*ir.Func) bool) (changed, ok bool) {
+	if !v.allowed {
+		s.refuse(pass, f)
 		return false, false
 	}
 	// Build the span name only while timing is on: a disabled site
@@ -180,16 +230,7 @@ func (s *Sandbox) RunInPlaceIn(pass string, f *ir.Func, sink *ir.Module, run fun
 	if sink != nil {
 		gmark = sink.MarkGlobals()
 	}
-	start := time.Now()
-	changed, skip := s.exec(pass, f, run)
-	if skip == nil {
-		if elapsed := time.Since(start); elapsed > s.budget() {
-			skip = &Skip{
-				Pass: pass, Func: f.Name, Reason: SkipTimeout,
-				Detail: fmt.Sprintf("ran %v, budget %v", elapsed.Round(time.Millisecond), s.budget()),
-			}
-		}
-	}
+	changed, skip := s.attempt(pass, f, v, run)
 	if skip == nil {
 		if err := f.Verify(); err != nil {
 			skip = &Skip{Pass: pass, Func: f.Name, Reason: SkipVerify, Detail: err.Error()}
@@ -207,20 +248,32 @@ func (s *Sandbox) RunInPlaceIn(pass string, f *ir.Func, sink *ir.Module, run fun
 	return changed, true
 }
 
-// exec runs the pass body with panic recovery and the pass-site fault
-// point, on the function the pass mutates.
-func (s *Sandbox) exec(pass string, target *ir.Func, run func(*ir.Func) bool) (changed bool, skip *Skip) {
+// attempt runs the pass body of an admitted visit on f with panic
+// recovery, enacts its drawn fault, and checks the budget, charging an
+// injected stall. It neither checkpoints nor verifies.
+func (s *Sandbox) attempt(pass string, f *ir.Func, v visit, run func(*ir.Func) bool) (changed bool, skip *Skip) {
+	start := time.Now()
+	changed, skip = s.exec(pass, f, v.fault, run)
+	if skip == nil {
+		if elapsed := time.Since(start) + v.stalled; elapsed > s.budget() {
+			skip = &Skip{
+				Pass: pass, Func: f.Name, Reason: SkipTimeout,
+				Detail: fmt.Sprintf("ran %v, budget %v", elapsed.Round(time.Millisecond), s.budget()),
+			}
+		}
+	}
+	return changed, skip
+}
+
+// exec runs the pass body with panic recovery, enacting the fault drawn
+// at the pass site, on the function the pass mutates.
+func (s *Sandbox) exec(pass string, target *ir.Func, kind faultpoint.Kind, run func(*ir.Func) bool) (changed bool, skip *Skip) {
 	defer func() {
 		if r := recover(); r != nil {
 			changed = false
 			skip = &Skip{Pass: pass, Func: target.Name, Reason: SkipPanic, Detail: fmt.Sprint(r)}
 		}
 	}()
-	kind := faultpoint.None
-	if faultpoint.Active() { // the site name is built only while injecting
-		kind = faultpoint.Fire("pass:"+pass,
-			faultpoint.KindPanic, faultpoint.KindStall, faultpoint.KindError, faultpoint.KindCorrupt)
-	}
 	switch kind {
 	case faultpoint.KindPanic:
 		panic("faultpoint: injected panic at pass:" + pass)
@@ -231,7 +284,7 @@ func (s *Sandbox) exec(pass string, target *ir.Func, run func(*ir.Func) bool) (c
 		corruptBody(target)
 		return changed, nil
 	}
-	// KindStall already slept inside Fire; the pass still runs so an
+	// KindStall already slept in decide; the pass still runs so an
 	// absorbed stall (shorter than the budget) degrades nothing.
 	return run(target), nil
 }
@@ -249,14 +302,11 @@ func corruptBody(f *ir.Func) {
 	}
 }
 
-func (s *Sandbox) allow(pass string, f *ir.Func) bool {
-	if s.Guard == nil || s.Guard.Allow(pass) {
-		return true
-	}
+// refuse records a visit the guard refused.
+func (s *Sandbox) refuse(pass string, f *ir.Func) {
 	s.report.Skips = append(s.report.Skips, Skip{
 		Pass: pass, Func: f.Name, Reason: SkipBreaker, Detail: "circuit breaker open",
 	})
-	return false
 }
 
 func (s *Sandbox) fail(pass string, sk Skip) {

@@ -405,3 +405,57 @@ func TestSandboxNoOpAllocs(t *testing.T) {
 		t.Errorf("sandboxed no-op pass: %.0f allocs/op, f.Verify alone: %.0f", sandboxed, verify)
 	}
 }
+
+// TestPipelineStageCatchesLateVerifyFailure: a pass that breaks the IR
+// without panicking is caught by the stage's one verify, and the replay
+// rolls back exactly that pass, so the stage's result is the pipeline
+// without it.
+func TestPipelineStageCatchesLateVerifyFailure(t *testing.T) {
+	breaker := passes.FuncPass{Name: "unterminate", Run: func(f *ir.Func) bool {
+		b := f.Blocks[0]
+		b.Remove(b.Instrs[len(b.Instrs)-1])
+		return true
+	}}
+	mem2reg := passes.FuncPass{Name: "mem2reg", Run: passes.Mem2Reg}
+	dce := passes.FuncPass{Name: "dce", Run: passes.DCE}
+	run := func(ps ...passes.FuncPass) (string, *passes.Degraded) {
+		m, _ := lowerF(t)
+		sb := &passes.Sandbox{}
+		(&passes.Pipeline{Passes: ps}).RunSandboxed(m, sb)
+		return m.String(), sb.Report()
+	}
+	want, _ := run(mem2reg, dce)
+	got, rep := run(mem2reg, breaker, dce)
+	if rep == nil || len(rep.Skips) != 1 || rep.Skips[0].Pass != "unterminate" || rep.Skips[0].Reason != passes.SkipVerify {
+		t.Fatalf("want exactly one verify skip of unterminate, got %v", rep)
+	}
+	if got != want {
+		t.Fatalf("stage result differs from the pipeline without the broken pass:\nwant:\n%s\ngot:\n%s", want, got)
+	}
+}
+
+// TestPipelineStageGuardVeto: a pass the guard refuses inside a stage is
+// recorded as a breaker skip, is not run and is not reported, while the
+// admitted passes commit and are reported once each.
+func TestPipelineStageGuardVeto(t *testing.T) {
+	m, f := lowerF(t)
+	g := &vetoGuard{veto: "licm"}
+	sb := &passes.Sandbox{Guard: g}
+	ran := false
+	p := &passes.Pipeline{Passes: []passes.FuncPass{
+		{Name: "mem2reg", Run: passes.Mem2Reg},
+		{Name: "licm", Run: func(*ir.Func) bool { ran = true; return true }},
+		{Name: "dce", Run: passes.DCE},
+	}}
+	p.RunSandboxed(m, sb)
+	if ran {
+		t.Fatal("vetoed pass ran")
+	}
+	rep := sb.Report()
+	if rep == nil || len(rep.Skips) != 1 || rep.Skips[0].Reason != passes.SkipBreaker || rep.Skips[0].Func != f.Name {
+		t.Fatalf("want one breaker skip, got %v", rep)
+	}
+	if !slices.Equal(g.reports, []string{"mem2reg", "dce"}) {
+		t.Fatalf("reports %v, want [mem2reg dce]", g.reports)
+	}
+}

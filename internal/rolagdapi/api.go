@@ -97,7 +97,8 @@ type CompileResponse struct {
 type ErrorResponse struct {
 	Error string `json:"error"`
 	// Code is a stable slug for the errors a client may branch on
-	// (CodeBodyTooLarge, CodeReplyTooLarge); empty for the rest.
+	// (CodeBodyTooLarge, CodeReplyTooLarge, CodeUnrollOutOfRange); empty
+	// for the rest.
 	Code string `json:"code,omitempty"`
 }
 
@@ -110,6 +111,37 @@ const MaxBodyBytes = 1 << 20
 // CodeBodyTooLarge is the Code of the 413 reply to a body over
 // MaxBodyBytes.
 const CodeBodyTooLarge = "body-too-large"
+
+// MaxUnroll bounds config.unroll. Unrolling replicates every loop body
+// factor-1 times, and the pass budget is checked only after the pass
+// returns, so an unbounded factor in a ~100-byte request would be an
+// unbounded allocation. 16 is twice the paper's factor of 8, the
+// largest any workload or test uses.
+const MaxUnroll = 16
+
+// CodeUnrollOutOfRange is the Code of the 400 reply (or batch item
+// error) for a config.unroll above MaxUnroll.
+const CodeUnrollOutOfRange = "unroll-out-of-range"
+
+// codedError is a request error with a stable ErrorResponse.Code.
+type codedError struct{ code, msg string }
+
+func (e *codedError) Error() string { return e.msg }
+
+// ErrorCode returns the stable Code of an error ToService returned, or
+// "" when it has none.
+func ErrorCode(err error) string {
+	var ce *codedError
+	if errors.As(err, &ce) {
+		return ce.code
+	}
+	return ""
+}
+
+// BadRequest is the 400 reply body for an error ToService returned.
+func BadRequest(err error) ErrorResponse {
+	return ErrorResponse{Error: err.Error(), Code: ErrorCode(err)}
+}
 
 // CodeReplyTooLarge is the Code of rolag-router's 502 reply when a
 // shard's reply exceeds the router's read cap.
@@ -157,6 +189,8 @@ type BatchItemResult struct {
 	// Error is the item's failure, if any. Batches never fail as a
 	// whole on item errors.
 	Error string `json:"error,omitempty"`
+	// Code is Error's stable slug, as in ErrorResponse.Code.
+	Code string `json:"code,omitempty"`
 	// Shard is the shard that served this item (router responses only).
 	Shard string `json:"shard,omitempty"`
 	// FailedOver reports that the item's home shard was unreachable and
@@ -276,6 +310,10 @@ func (cr *CompileRequest) ToService() (service.Request, error) {
 		req.Format = service.FormatAsm
 	default:
 		return req, fmt.Errorf("unknown format %q (want %q or empty)", cr.Format, service.FormatAsm)
+	}
+	if cr.Config.Unroll > MaxUnroll {
+		return req, &codedError{CodeUnrollOutOfRange,
+			fmt.Sprintf("unroll %d exceeds %d", cr.Config.Unroll, MaxUnroll)}
 	}
 	cfg := rolag.Config{Name: cr.Config.Name, Unroll: cr.Config.Unroll, Flatten: cr.Config.Flatten, Remarks: cr.Remarks}
 	switch cr.Config.Opt {

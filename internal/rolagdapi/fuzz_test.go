@@ -28,6 +28,7 @@ func FuzzDecodeRequest(f *testing.F) {
 		`{"source":"x","ir":true,"emitIR":false,"timeoutMs":50,"config":{"opt":"llvm","unroll":4,"flatten":true}}`,
 		`{"source":"x","config":{"noSpecialNodes":true,"extensions":true,"fastMath":true,"alwaysRoll":true},"format":"elf"}`,
 		`{"items":[{"source":"int f() { return 1; }"},{"source":"x","config":{"opt":"none"}}],"timeoutMs":10}`,
+		`{"source":"x","config":{"unroll":17}}`,
 		`{"items":[]}`,
 		`{"items":[{"config":{"opt":"wat"}}]}`,
 	} {

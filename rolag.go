@@ -111,8 +111,12 @@ type Config struct {
 	// budget, or breaks the IR verifier is rolled back and skipped, the
 	// rest of the pipeline continues, and Result.Degraded records what
 	// was lost. The output is then correct but potentially larger than a
-	// fully healthy pipeline would produce. Frontend errors and a
-	// corrupt final module still fail hard.
+	// fully healthy pipeline would produce. Each canonicalization stage
+	// runs optimistically, under one checkpoint and one verify per
+	// function, and is restored and replayed pass by pass only when
+	// something in it fails (see passes.Pipeline.RunSandboxed); RoLAG,
+	// unroll, reroll and flatten are checkpointed one execution at a
+	// time. Frontend errors and a corrupt final module still fail hard.
 	FailSoft bool
 	// PassBudget is the fail-soft per-pass wall-clock budget
 	// (0 = passes.DefaultPassBudget), checked after each pass returns: an
