@@ -86,7 +86,9 @@ explain-smoke:
 # rolled through `rolagc -emit asm`, require nonzero measured .text
 # bytes, and require the measured size delta to agree in sign with the
 # binary cost model's claimed direction (the calibration gate's sign
-# contract, re-checked on the real examples).
+# contract, re-checked on the real examples). The IR leg pipes each
+# example's un-rolled IR (`-opt none -emit ir`) back into `rolagc -ir`
+# and requires the same size: and text: lines as the mini-C build.
 asm-smoke:
 	$(GO) build -o $(or $(TMPDIR),/tmp)/rolagc-smoke ./cmd/rolagc
 	@set -e; for f in examples/c/*.c; do \
@@ -103,6 +105,12 @@ asm-smoke:
 			ms = (md > 0) - (md < 0); es = (ed > 0) - (ed < 0); \
 			if (ms != es) { printf "asm-smoke: %s: measured %+d bytes but model claims %+d\n", f, md, ed; exit 1 } \
 		}'; \
+		mc=$$(printf '%s\n' "$$roll" | grep -E '^(size|text):'); \
+		ir=$$($(or $(TMPDIR),/tmp)/rolagc-smoke -opt none -emit ir $$f 2>/dev/null | \
+			$(or $(TMPDIR),/tmp)/rolagc-smoke -ir -opt rolag -emit asm 2>&1 >/dev/null | grep -E '^(size|text):' || true); \
+		if [ "$$mc" != "$$ir" ]; then \
+			printf 'asm-smoke: %s: IR input sizes differ\n--- mini-C ---\n%s\n--- printed IR ---\n%s\n' "$$f" "$$mc" "$$ir"; exit 1; \
+		fi; \
 	done
 
 # Cost-model calibration gate: compile a 200-function corpus both

@@ -36,9 +36,7 @@ import (
 
 	"rolag"
 	"rolag/internal/backend"
-	"rolag/internal/irparse"
 	"rolag/internal/obs"
-	"rolag/internal/passes"
 	rl "rolag/internal/rolag"
 )
 
@@ -111,7 +109,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	cfg := rolag.Config{Name: "main", Unroll: *unroll, Flatten: *flatten,
+	cfg := rolag.Config{Name: "main", IRInput: *irInput, Unroll: *unroll, Flatten: *flatten,
 		Remarks: *remarks != "" || *explain != ""}
 	switch *opt {
 	case "none":
@@ -132,18 +130,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	var res *rolag.Result
-	if *irInput {
-		m, perr := irparse.ParseModule(string(src))
-		if perr != nil {
-			fmt.Fprintf(os.Stderr, "rolagc: %v\n", perr)
-			os.Exit(1)
-		}
-		passes.Standard().Run(m)
-		res, err = rolag.Optimize(m, cfg)
-	} else {
-		res, err = rolag.Build(string(src), cfg)
-	}
+	res, err := rolag.Build(string(src), cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rolagc: %v\n", err)
 		os.Exit(1)

@@ -155,7 +155,7 @@ func (rt *Router) handleFleet(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("refresh") != "" {
 		rt.ScrapeNow(r.Context())
 	}
-	writeJSON(w, http.StatusOK, rt.FleetOverview())
+	rolagdapi.WriteJSON(w, http.StatusOK, rt.FleetOverview())
 }
 
 // handleTraceRing serves the router's own span ring as Chrome trace
@@ -163,7 +163,7 @@ func (rt *Router) handleFleet(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleTraceRing(w http.ResponseWriter, r *http.Request) {
 	filter := r.URL.Query().Get("trace")
 	if filter != "" && !obs.ValidTraceID(filter) {
-		writeJSON(w, http.StatusBadRequest, rolagdapi.ErrorResponse{Error: "invalid trace id"})
+		rolagdapi.WriteJSON(w, http.StatusBadRequest, rolagdapi.ErrorResponse{Error: "invalid trace id"})
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -179,7 +179,7 @@ func (rt *Router) handleTraceRing(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleTraceStitch(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if !obs.ValidTraceID(id) {
-		writeJSON(w, http.StatusBadRequest, rolagdapi.ErrorResponse{Error: "invalid trace id"})
+		rolagdapi.WriteJSON(w, http.StatusBadRequest, rolagdapi.ErrorResponse{Error: "invalid trace id"})
 		return
 	}
 
@@ -225,7 +225,7 @@ func (rt *Router) handleTraceStitch(w http.ResponseWriter, r *http.Request) {
 
 	stitched, err := fleet.Stitch(segments)
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, rolagdapi.ErrorResponse{Error: "stitching: " + err.Error()})
+		rolagdapi.WriteJSON(w, http.StatusInternalServerError, rolagdapi.ErrorResponse{Error: "stitching: " + err.Error()})
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

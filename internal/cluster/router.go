@@ -21,7 +21,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"net/http/pprof"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -356,21 +355,21 @@ func (rt *Router) handleCompile(w http.ResponseWriter, r *http.Request) {
 	rolagdapi.LimitBody(w, r)
 	body, err := io.ReadAll(r.Body)
 	if rolagdapi.BodyTooLarge(err) {
-		writeJSON(w, http.StatusRequestEntityTooLarge, rolagdapi.TooLargeResponse())
+		rolagdapi.WriteJSON(w, http.StatusRequestEntityTooLarge, rolagdapi.TooLargeResponse())
 		return
 	}
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, rolagdapi.ErrorResponse{Error: "reading body: " + err.Error()})
+		rolagdapi.WriteJSON(w, http.StatusBadRequest, rolagdapi.ErrorResponse{Error: "reading body: " + err.Error()})
 		return
 	}
 	var cr rolagdapi.CompileRequest
 	if err := json.Unmarshal(body, &cr); err != nil {
-		writeJSON(w, http.StatusBadRequest, rolagdapi.ErrorResponse{Error: "bad request body: " + err.Error()})
+		rolagdapi.WriteJSON(w, http.StatusBadRequest, rolagdapi.ErrorResponse{Error: "bad request body: " + err.Error()})
 		return
 	}
 	sreq, err := cr.ToService()
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, rolagdapi.BadRequest(err))
+		rolagdapi.WriteJSON(w, http.StatusBadRequest, rolagdapi.BadRequest(err))
 		return
 	}
 	key := service.Key(&sreq)
@@ -397,7 +396,7 @@ func (rt *Router) handleCompile(w http.ResponseWriter, r *http.Request) {
 		}
 		res := rt.forwardHedged(r.Context(), shard, next, "/v1/compile", body)
 		if errors.Is(res.err, errReplyTooLarge) {
-			writeJSON(w, http.StatusBadGateway, tooLargeReply(rt.maxReply))
+			rolagdapi.WriteJSON(w, http.StatusBadGateway, tooLargeReply(rt.maxReply))
 			return
 		}
 		if res.err != nil && res.retryable {
@@ -410,7 +409,7 @@ func (rt *Router) handleCompile(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		if res.err != nil && res.status == 0 {
-			writeJSON(w, http.StatusBadGateway, rolagdapi.ErrorResponse{Error: res.err.Error()})
+			rolagdapi.WriteJSON(w, http.StatusBadGateway, rolagdapi.ErrorResponse{Error: res.err.Error()})
 			return
 		}
 		rt.routed[res.shard].Add(1)
@@ -424,7 +423,7 @@ func (rt *Router) handleCompile(w http.ResponseWriter, r *http.Request) {
 		w.Write(reply)
 		return
 	}
-	writeJSON(w, http.StatusBadGateway, rolagdapi.ErrorResponse{Error: fmt.Sprintf("cluster: all shards failed: %v", lastErr)})
+	rolagdapi.WriteJSON(w, http.StatusBadGateway, rolagdapi.ErrorResponse{Error: fmt.Sprintf("cluster: all shards failed: %v", lastErr)})
 }
 
 // markFailedOver rewrites a shard's CompileResponse to record that the
@@ -464,14 +463,14 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var br rolagdapi.BatchRequest
 	if err := json.NewDecoder(r.Body).Decode(&br); err != nil {
 		if rolagdapi.BodyTooLarge(err) {
-			writeJSON(w, http.StatusRequestEntityTooLarge, rolagdapi.TooLargeResponse())
+			rolagdapi.WriteJSON(w, http.StatusRequestEntityTooLarge, rolagdapi.TooLargeResponse())
 			return
 		}
-		writeJSON(w, http.StatusBadRequest, rolagdapi.ErrorResponse{Error: "bad request body: " + err.Error()})
+		rolagdapi.WriteJSON(w, http.StatusBadRequest, rolagdapi.ErrorResponse{Error: "bad request body: " + err.Error()})
 		return
 	}
 	if len(br.Items) == 0 {
-		writeJSON(w, http.StatusBadRequest, rolagdapi.ErrorResponse{Error: "batch has no items"})
+		rolagdapi.WriteJSON(w, http.StatusBadRequest, rolagdapi.ErrorResponse{Error: "batch has no items"})
 		return
 	}
 	rt.items.Add(int64(len(br.Items)))
@@ -507,7 +506,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for round := 0; len(groups) > 0 && round < rt.ring.Len(); round++ {
 		failed, tooLarge := rt.runGroups(r, groups, br.TimeoutMs, &out, home)
 		if tooLarge {
-			writeJSON(w, http.StatusBadGateway, tooLargeReply(rt.maxReply))
+			rolagdapi.WriteJSON(w, http.StatusBadGateway, tooLargeReply(rt.maxReply))
 			return
 		}
 		// Re-group every item of each failed shard onto its next live
@@ -533,7 +532,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	out.ElapsedMs = float64(time.Since(start)) / float64(time.Millisecond)
-	writeJSON(w, http.StatusOK, out)
+	rolagdapi.WriteJSON(w, http.StatusOK, out)
 }
 
 func addToGroup(groups map[string]*shardBatch, shard string, i int, item *rolagdapi.CompileRequest) {
@@ -655,7 +654,7 @@ func (rt *Router) handleCacheStats(w http.ResponseWriter, r *http.Request) {
 	for i := range per {
 		total.Add(&per[i])
 	}
-	writeJSON(w, http.StatusOK, total)
+	rolagdapi.WriteJSON(w, http.StatusOK, total)
 }
 
 // handleHealth probes every shard's /readyz and reports the fleet.
@@ -707,7 +706,7 @@ func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
 	for name, st := range rt.health.snapshot() {
 		tracked[name] = st.String()
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	rolagdapi.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":  status,
 		"ready":   ready,
 		"shards":  states,
@@ -760,61 +759,8 @@ func (rt *Router) writeMetrics(w io.Writer) {
 	}
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-// statusWriter captures the response status for the request log line.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(status int) {
-	w.status = status
-	w.ResponseWriter.WriteHeader(status)
-}
-
-// traced mints or adopts the X-Trace-Id exactly like the daemon does,
-// so one trace ID follows a request router → shard → engine → passes
-// and the shard's /debug/trace export shows router-originated spans
-// under the caller's ID.
-func (rt *Router) traced(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		// Junk X-Trace-Id / X-Trace-Parent headers are re-minted or
-		// dropped at this boundary, exactly like the daemon's.
-		tr := obs.NewTrace(obs.AdoptTraceID(r.Header.Get("X-Trace-Id")))
-		tr = tr.InRing(rt.traceRing).WithParent(obs.AdoptSpanID(r.Header.Get("X-Trace-Parent")))
-		w.Header().Set("X-Trace-Id", tr.ID)
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		span := obs.Now()
-		start := time.Now()
-		next.ServeHTTP(sw, r.WithContext(obs.WithTrace(r.Context(), tr)))
-		obs.EndSpan(tr, "router:"+r.URL.Path, span, r.Method)
-		switch r.URL.Path {
-		case "/v1/compile":
-			rt.compileHist.Observe(time.Since(start))
-		case "/v1/batch":
-			rt.batchHist.Observe(time.Since(start))
-		}
-
-		level := slog.LevelDebug
-		if r.URL.Path == "/v1/compile" || r.URL.Path == "/v1/batch" {
-			level = slog.LevelInfo
-		}
-		rt.logger().Log(r.Context(), level, "routed",
-			"trace", tr.ID,
-			"method", r.Method,
-			"path", r.URL.Path,
-			"status", sw.status,
-			"elapsed", time.Since(start),
-		)
-	})
-}
-
-// Handler builds the router's routes behind the tracing middleware.
+// Handler builds the router's routes, runtime profiling included,
+// behind the tracing middleware.
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/compile", rt.handleCompile)
@@ -832,13 +778,9 @@ func (rt *Router) Handler() http.Handler {
 	mux.HandleFunc("GET /debug/trace", rt.handleTraceRing)
 	mux.HandleFunc("GET /debug/trace/{id}", rt.handleTraceStitch)
 
-	// Runtime profiling — the router is the fleet's hottest single
-	// process; it gets the same pprof surface the daemon has had.
-	mux.HandleFunc("GET /debug/pprof/", pprof.Index)
-	mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
-
-	return rt.traced(mux)
+	// The same trace adoption as the daemon's, so one trace ID follows
+	// a request router → shard → engine → passes.
+	mw := &rolagdapi.Middleware{SpanPrefix: "router:", LogMsg: "routed", Ring: rt.traceRing,
+		Log: rt.log, Compile: &rt.compileHist, Batch: &rt.batchHist}
+	return mw.Handler(mux)
 }

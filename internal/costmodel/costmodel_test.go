@@ -140,13 +140,9 @@ void f(int *a, long *b) {
 	a[0] = 1009; a[1] = 5021; a[2] = 2003; a[3] = 9049; a[4] = 4001;
 	b[0] = 8087; b[1] = 3023; b[2] = 7039; b[3] = 6011; b[4] = 1097;
 }`
-	m, err := rolag.Compile(src, "jt")
-	if err != nil {
-		t.Fatal(err)
-	}
 	opts := rolag.DefaultOptions()
 	opts.AlwaysRoll = true
-	res, err := rolag.Optimize(m, rolag.Config{Opt: rolag.OptRoLAG, Options: opts})
+	res, err := rolag.Build(src, rolag.Config{Name: "jt", Opt: rolag.OptRoLAG, Options: opts})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,11 +17,11 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"net/http/pprof"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"rolag"
 	"rolag/internal/cluster/ring"
 	"rolag/internal/obs"
 	"rolag/internal/obs/fleet"
@@ -311,12 +311,6 @@ func effectiveTimeout(requestMs int, cap time.Duration) time.Duration {
 	}
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
 // errorStatus maps an engine error onto its HTTP status and stamps
 // overload headers.
 func errorStatus(w http.ResponseWriter, err error) int {
@@ -340,7 +334,7 @@ func toWire(resp *service.Response, elapsed time.Duration) rolagdapi.CompileResp
 		SizeAfter:    resp.SizeAfter,
 		BinaryBefore: resp.BinaryBefore,
 		BinaryAfter:  resp.BinaryAfter,
-		Reduction:    resp.Reduction(),
+		Reduction:    (&rolag.Result{BinaryBefore: resp.BinaryBefore, BinaryAfter: resp.BinaryAfter}).Reduction(),
 		Rerolled:     resp.Rerolled,
 		CacheHit:     resp.CacheHit,
 		ElapsedMs:    float64(elapsed) / float64(time.Millisecond),
@@ -370,9 +364,9 @@ func (d *Daemon) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool 
 		return true
 	case rolagdapi.BodyTooLarge(err):
 		d.tooLarge.Add(1)
-		writeJSON(w, http.StatusRequestEntityTooLarge, rolagdapi.TooLargeResponse())
+		rolagdapi.WriteJSON(w, http.StatusRequestEntityTooLarge, rolagdapi.TooLargeResponse())
 	default:
-		writeJSON(w, http.StatusBadRequest, rolagdapi.ErrorResponse{Error: "bad request body: " + err.Error()})
+		rolagdapi.WriteJSON(w, http.StatusBadRequest, rolagdapi.ErrorResponse{Error: "bad request body: " + err.Error()})
 	}
 	return false
 }
@@ -384,7 +378,7 @@ func (d *Daemon) handleCompile(w http.ResponseWriter, r *http.Request) {
 	}
 	req, err := cr.ToService()
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, rolagdapi.BadRequest(err))
+		rolagdapi.WriteJSON(w, http.StatusBadRequest, rolagdapi.BadRequest(err))
 		return
 	}
 	ctx := r.Context()
@@ -396,10 +390,10 @@ func (d *Daemon) handleCompile(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	resp, err := d.engine.Compile(ctx, req)
 	if err != nil {
-		writeJSON(w, errorStatus(w, err), rolagdapi.ErrorResponse{Error: err.Error()})
+		rolagdapi.WriteJSON(w, errorStatus(w, err), rolagdapi.ErrorResponse{Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, toWire(resp, time.Since(start)))
+	rolagdapi.WriteJSON(w, http.StatusOK, toWire(resp, time.Since(start)))
 }
 
 // handleBatch compiles a whole module/corpus in one request, fanning
@@ -412,7 +406,7 @@ func (d *Daemon) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(br.Items) == 0 {
-		writeJSON(w, http.StatusBadRequest, rolagdapi.ErrorResponse{Error: "batch has no items"})
+		rolagdapi.WriteJSON(w, http.StatusBadRequest, rolagdapi.ErrorResponse{Error: "batch has no items"})
 		return
 	}
 	start := time.Now()
@@ -451,7 +445,7 @@ func (d *Daemon) handleBatch(w http.ResponseWriter, r *http.Request) {
 		out.Items[i].Shard = d.shardID
 	}
 	out.ElapsedMs = float64(time.Since(start)) / float64(time.Millisecond)
-	writeJSON(w, http.StatusOK, out)
+	rolagdapi.WriteJSON(w, http.StatusOK, out)
 }
 
 // handleCacheExport serves one cache entry to a peer shard (or any
@@ -462,10 +456,10 @@ func (d *Daemon) handleCacheExport(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	ce, ok := d.engine.ExportCached(key)
 	if !ok {
-		writeJSON(w, http.StatusNotFound, rolagdapi.ErrorResponse{Error: "key not cached"})
+		rolagdapi.WriteJSON(w, http.StatusNotFound, rolagdapi.ErrorResponse{Error: "key not cached"})
 		return
 	}
-	writeJSON(w, http.StatusOK, ce)
+	rolagdapi.WriteJSON(w, http.StatusOK, ce)
 }
 
 // obsRing resolves the ring this daemon's spans land in.
@@ -511,86 +505,36 @@ func (d *Daemon) CacheStats() rolagdapi.CacheStats {
 	}
 }
 
-// statusWriter captures the response status for the request log line.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(status int) {
-	w.status = status
-	w.ResponseWriter.WriteHeader(status)
-}
-
-// traced wraps the route mux with per-request tracing: it adopts or
-// mints the X-Trace-Id, threads an obs.TraceContext through the request
-// context (so engine, sandbox, and RoLAG spans land on this request's
-// trace), records the HTTP handling itself as a span, and emits one
-// structured log line per request. Compiles log at Info, probes
-// (health/metrics/debug) at Debug.
-func (d *Daemon) traced(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		// Adopt the caller's trace ID and parent span only after
-		// validation: junk headers (non-hex, oversized, empty) re-mint
-		// instead of polluting the span ring and log fields.
-		tr := obs.NewTrace(obs.AdoptTraceID(r.Header.Get("X-Trace-Id")))
-		tr = tr.InRing(d.traceRing).WithParent(obs.AdoptSpanID(r.Header.Get("X-Trace-Parent")))
-		w.Header().Set("X-Trace-Id", tr.ID)
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		span := obs.Now()
-		start := time.Now()
-		next.ServeHTTP(sw, r.WithContext(obs.WithTrace(r.Context(), tr)))
-		obs.EndSpan(tr, "http:"+r.URL.Path, span, r.Method)
-		switch r.URL.Path {
-		case "/v1/compile":
-			d.compileHist.Observe(time.Since(start))
-		case "/v1/batch":
-			d.batchHist.Observe(time.Since(start))
-		}
-
-		level := slog.LevelDebug
-		if r.URL.Path == "/v1/compile" || r.URL.Path == "/v1/batch" {
-			level = slog.LevelInfo
-		}
-		d.logger().Log(r.Context(), level, "request",
-			"trace", tr.ID,
-			"method", r.Method,
-			"path", r.URL.Path,
-			"status", sw.status,
-			"elapsed", time.Since(start),
-		)
-	})
-}
-
-// Handler builds the daemon's routes behind the tracing middleware.
+// Handler builds the daemon's routes, runtime profiling included,
+// behind the tracing middleware.
 func (d *Daemon) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/compile", d.handleCompile)
 	mux.HandleFunc("POST /v1/batch", d.handleBatch)
 	mux.HandleFunc("GET /v1/cache/{key}", d.handleCacheExport)
 	mux.HandleFunc("GET /v1/cachestats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, d.CacheStats())
+		rolagdapi.WriteJSON(w, http.StatusOK, d.CacheStats())
 	})
 
 	// Force a cache snapshot save right now (operators, tests, and the
 	// chaos harness). 501 when the daemon runs without a snapshot path.
 	mux.HandleFunc("POST /v1/snapshot", func(w http.ResponseWriter, r *http.Request) {
 		if d.snapshotPath == "" {
-			writeJSON(w, http.StatusNotImplemented, rolagdapi.ErrorResponse{Error: "snapshotting not configured (start with -snapshot)"})
+			rolagdapi.WriteJSON(w, http.StatusNotImplemented, rolagdapi.ErrorResponse{Error: "snapshotting not configured (start with -snapshot)"})
 			return
 		}
 		n, err := d.SaveSnapshotNow()
 		if err != nil {
-			writeJSON(w, http.StatusInternalServerError, rolagdapi.ErrorResponse{Error: err.Error()})
+			rolagdapi.WriteJSON(w, http.StatusInternalServerError, rolagdapi.ErrorResponse{Error: err.Error()})
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"entries": n, "path": d.snapshotPath})
+		rolagdapi.WriteJSON(w, http.StatusOK, map[string]any{"entries": n, "path": d.snapshotPath})
 	})
 
 	// Liveness: the process is up and serving HTTP. Stays 200 through a
 	// graceful drain so orchestrators don't kill a draining instance.
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{
+		rolagdapi.WriteJSON(w, http.StatusOK, map[string]any{
 			"status":   "ok",
 			"shard":    d.shardID,
 			"draining": d.draining.Load(),
@@ -610,7 +554,7 @@ func (d *Daemon) Handler() http.Handler {
 		case d.engine.Dark():
 			status, state = http.StatusServiceUnavailable, "breaker-dark"
 		}
-		writeJSON(w, status, map[string]any{
+		rolagdapi.WriteJSON(w, status, map[string]any{
 			"status":   state,
 			"breakers": d.engine.Breakers(),
 		})
@@ -641,21 +585,14 @@ func (d *Daemon) Handler() http.Handler {
 	mux.HandleFunc("GET /debug/trace", func(w http.ResponseWriter, r *http.Request) {
 		filter := r.URL.Query().Get("trace")
 		if filter != "" && !obs.ValidTraceID(filter) {
-			writeJSON(w, http.StatusBadRequest, rolagdapi.ErrorResponse{Error: "invalid trace id"})
+			rolagdapi.WriteJSON(w, http.StatusBadRequest, rolagdapi.ErrorResponse{Error: "invalid trace id"})
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
 		d.obsRing().WriteChrome(w, filter)
 	})
 
-	// Runtime profiling. The default mux registers these as a side
-	// effect of importing net/http/pprof; rolagd builds its own mux, so
-	// wire them explicitly.
-	mux.HandleFunc("GET /debug/pprof/", pprof.Index)
-	mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
-
-	return d.traced(mux)
+	mw := &rolagdapi.Middleware{SpanPrefix: "http:", LogMsg: "request", Ring: d.traceRing,
+		Log: d.log, Compile: &d.compileHist, Batch: &d.batchHist}
+	return mw.Handler(mux)
 }

@@ -96,7 +96,7 @@ func (o *ChaosOracle) Check(src string, cfg rolag.Config) (fail *Failure, fired,
 	// Fault-free reference: the canonical compile of the same program,
 	// built with injection paused so it cannot itself degrade.
 	resume := faultpoint.Pause()
-	ref, err := rolag.Compile(src, "chaos-ref")
+	ref, err := rolag.Build(src, rolag.Config{Name: "chaos-ref"})
 	resume()
 	if err != nil {
 		counters.skipped.Add(1)
@@ -136,11 +136,11 @@ func (o *ChaosOracle) Check(src string, cfg rolag.Config) (fail *Failure, fired,
 
 	// A degraded result must still mean the same program.
 	h := &interp.Harness{MaxSteps: o.maxSteps()}
-	for _, fn := range ref.Funcs {
+	for _, fn := range ref.Module.Funcs {
 		if fn.IsDecl() {
 			continue
 		}
-		if err := interp.CheckEquiv(ref, res.Module, fn.Name, o.seeds(), h); err != nil {
+		if err := interp.CheckEquiv(ref.Module, res.Module, fn.Name, o.seeds(), h); err != nil {
 			return &Failure{Class: ClassEquiv, Variant: "chaos",
 				Detail: fmt.Sprintf("@%s: %v", fn.Name, err)}, fired, degraded
 		}

@@ -194,14 +194,13 @@ func (o *Oracle) Check(src string) (fail *Failure, exercised bool) {
 
 	for _, v := range o.variants() {
 		cfg := rolag.Config{
-			Name:       "fuzz",
-			Unroll:     v.Unroll,
-			Opt:        v.Opt,
-			Options:    v.Options,
-			Flatten:    v.Flatten,
-			CloneInput: true,
+			Name:    "fuzz",
+			Unroll:  v.Unroll,
+			Opt:     v.Opt,
+			Options: v.Options,
+			Flatten: v.Flatten,
 		}
-		res, err := rolag.Optimize(m, cfg)
+		res, err := rolag.Optimize(ir.CloneModule(m), cfg)
 		if err != nil {
 			return &Failure{Class: ClassVerify, Variant: v.Name, Detail: err.Error()}, true
 		}
@@ -221,7 +220,7 @@ func (o *Oracle) Check(src string) (fail *Failure, exercised bool) {
 	// cleanup pipeline one pass at a time with the verifier between, so
 	// breakage inside the cleanup sequence is attributed to the
 	// responsible pass.
-	res, err := rolag.Optimize(m, rolag.Config{Name: "fuzz", Opt: rolag.OptRoLAG, SkipCleanup: true, CloneInput: true, Remarks: true})
+	res, err := rolag.Optimize(ir.CloneModule(m), rolag.Config{Name: "fuzz", Opt: rolag.OptRoLAG, SkipCleanup: true, Remarks: true})
 	if err != nil {
 		return &Failure{Class: ClassVerify, Variant: "rolag-nocleanup", Detail: err.Error()}, true
 	}

@@ -59,14 +59,8 @@ func TestOracleSkipsNonCompiling(t *testing.T) {
 }
 
 func TestCheckEquivCatchesMiscompile(t *testing.T) {
-	orig, err := rolag.Compile("int g_r; int fz(int x) { g_r = x; return x + 1; }", "a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad, err := rolag.Compile("int g_r; int fz(int x) { g_r = x; return x + 2; }", "b")
-	if err != nil {
-		t.Fatal(err)
-	}
+	orig := canonical(t, "int g_r; int fz(int x) { g_r = x; return x + 1; }", "a")
+	bad := canonical(t, "int g_r; int fz(int x) { g_r = x; return x + 2; }", "b")
 	o := &Oracle{Seeds: 2}
 	h := &interp.Harness{MaxSteps: o.maxSteps()}
 	base := baselineFor(t, o, h, orig)
@@ -83,14 +77,8 @@ func TestCheckEquivTrapPolicy(t *testing.T) {
 	// Original traps (division by a folded zero): the seed is undefined
 	// behaviour in the source language, so nothing is checkable —
 	// whatever the transformed module does, the comparison is skipped.
-	orig, err := rolag.Compile("int fz(int x) { return 7 / (x - x); }", "a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	clean, err := rolag.Compile("int fz(int x) { return 0; }", "b")
-	if err != nil {
-		t.Fatal(err)
-	}
+	orig := canonical(t, "int fz(int x) { return 7 / (x - x); }", "a")
+	clean := canonical(t, "int fz(int x) { return 0; }", "b")
 	o := &Oracle{Seeds: 2}
 	h := &interp.Harness{MaxSteps: o.maxSteps()}
 	base := baselineFor(t, o, h, orig)
@@ -111,11 +99,8 @@ func TestCheckEquivTrapPolicy(t *testing.T) {
 
 func TestCheckCostCatchesDishonestResult(t *testing.T) {
 	src := Generate(3, 30)
-	m, err := rolag.Compile(src, "cost")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := rolag.Optimize(m, rolag.Config{Opt: rolag.OptRoLAG, CloneInput: true})
+	m := canonical(t, src, "cost")
+	res, err := rolag.Optimize(ir.CloneModule(m), rolag.Config{Opt: rolag.OptRoLAG})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,11 +122,8 @@ func TestCheckBackendCleanAndCounted(t *testing.T) {
 	// the clean-corpus test exercises it end to end. Here, pin the
 	// direct contract plus the failure counter.
 	src := Generate(7, 30)
-	m, err := rolag.Compile(src, "be")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := rolag.Optimize(m, rolag.Config{Opt: rolag.OptRoLAG, CloneInput: true})
+	m := canonical(t, src, "be")
+	res, err := rolag.Optimize(ir.CloneModule(m), rolag.Config{Opt: rolag.OptRoLAG})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,4 +168,15 @@ func TestFailureError(t *testing.T) {
 	if f.SameBug(&Failure{Class: ClassCost, Variant: "rolag"}) {
 		t.Error("different class is a different bug")
 	}
+}
+
+// canonical compiles mini-C src and runs the canonicalization pipeline,
+// with no rolling applied.
+func canonical(t *testing.T, src, name string) *ir.Module {
+	t.Helper()
+	res, err := rolag.Build(src, rolag.Config{Name: name})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Module
 }

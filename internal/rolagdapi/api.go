@@ -302,7 +302,7 @@ func (s *CacheStats) Add(other *CacheStats) {
 
 // ToService maps the wire request onto an engine request.
 func (cr *CompileRequest) ToService() (service.Request, error) {
-	req := service.Request{Source: cr.Source, IRInput: cr.IR}
+	req := service.Request{Source: cr.Source}
 	req.EmitIR = cr.EmitIR == nil || *cr.EmitIR
 	switch cr.Format {
 	case "":
@@ -315,7 +315,7 @@ func (cr *CompileRequest) ToService() (service.Request, error) {
 		return req, &codedError{CodeUnrollOutOfRange,
 			fmt.Sprintf("unroll %d exceeds %d", cr.Config.Unroll, MaxUnroll)}
 	}
-	cfg := rolag.Config{Name: cr.Config.Name, Unroll: cr.Config.Unroll, Flatten: cr.Config.Flatten, Remarks: cr.Remarks}
+	cfg := rolag.Config{Name: cr.Config.Name, IRInput: cr.IR, Unroll: cr.Config.Unroll, Flatten: cr.Config.Flatten, Remarks: cr.Remarks}
 	switch cr.Config.Opt {
 	case "none":
 		cfg.Opt = rolag.OptNone

@@ -25,7 +25,6 @@ import (
 	"rolag/internal/ir"
 	"rolag/internal/irparse"
 	"rolag/internal/obs"
-	"rolag/internal/passes"
 	rl "rolag/internal/rolag"
 )
 
@@ -84,12 +83,10 @@ type Config struct {
 // Request is one compilation job: one translation unit (typically a
 // single corpus function group) plus the pipeline configuration.
 type Request struct {
-	// Source is mini-C, or textual IR when IRInput is set.
+	// Source is mini-C, or textual IR when Config.IRInput is set.
 	Source string
-	// IRInput marks Source as textual IR (see internal/irparse).
-	IRInput bool
-	// Config selects the pipeline. Name does not affect the compiled
-	// output and is excluded from the cache key.
+	// Config selects the input language and the pipeline. Name does not
+	// affect the compiled output and is excluded from the cache key.
 	Config rolag.Config
 	// EmitIR asks for the final IR text in Response.IR.
 	EmitIR bool
@@ -108,22 +105,50 @@ type Request struct {
 // FormatAsm asks for x86-64 assembly and measured .text bytes.
 const FormatAsm = "asm"
 
-// Response is the outcome of one compilation job. All fields are owned
-// by the caller; nothing aliases the engine's cache.
+// CacheEntry is one compiled result: what the cache stores, what
+// snapshots and rolagd's GET /v1/cache/{key} peer endpoint serialize,
+// and what a Response carries. It is pointer-free apart from Stats and
+// Remarks, which every holder treats as read-only.
+//
+// Degraded results never become CacheEntries on the wire: the engine
+// refuses to cache them (a transient pass failure must not poison a
+// content-addressed key), and ExportCached and snapshots only read the
+// cache, so the peer tier inherits the same guarantee. That is why the
+// degradation report lives on entry and Response, not here.
+type CacheEntry struct {
+	// IR is the final IR text.
+	IR string `json:"ir"`
+	// Sizes under the profitability and binary cost models, as in
+	// rolag.Result.
+	SizeBefore   int `json:"sizeBefore"`
+	SizeAfter    int `json:"sizeAfter"`
+	BinaryBefore int `json:"binaryBefore"`
+	BinaryAfter  int `json:"binaryAfter"`
+	// Rerolled counts loops rerolled by the LLVM baseline.
+	Rerolled int `json:"rerolled,omitempty"`
+	// Stats holds RoLAG statistics (nil unless Opt == OptRoLAG).
+	Stats *rolag.Stats `json:"stats,omitempty"`
+	// Remarks is the deterministic remark stream (only when
+	// Config.Remarks, which is part of the cache key).
+	Remarks []rolag.Remark `json:"remarks,omitempty"`
+	// Asm is the x86-64 assembly of the optimized module and TextBytes
+	// the measured size of its encoded .text section (only for
+	// Request.Format == FormatAsm, which is part of the cache key).
+	// Unlike BinaryAfter, which is the cost model's estimate, TextBytes
+	// is counted from actual instruction encodings.
+	Asm       string `json:"asm,omitempty"`
+	TextBytes int64  `json:"textBytes,omitempty"`
+}
+
+// Response is the outcome of one compilation job. The embedded
+// CacheEntry's IR is set only when Request.EmitIR, and its Stats is the
+// caller's own copy; Remarks is shared read-only with other hits of the
+// same cache entry.
 type Response struct {
-	// IR is the final IR text (only when Request.EmitIR).
-	IR string
+	CacheEntry
 	// Module is a private clone of the final module (only when
 	// Request.NeedModule).
 	Module *ir.Module
-	// Sizes under the profitability and binary cost models, as in
-	// rolag.Result.
-	SizeBefore, SizeAfter     int
-	BinaryBefore, BinaryAfter int
-	// Stats holds RoLAG statistics (nil unless Opt == OptRoLAG).
-	Stats *rolag.Stats
-	// Rerolled counts loops rerolled by the LLVM baseline.
-	Rerolled int
 	// CacheHit reports that the result came from the cache or from an
 	// identical in-flight compilation rather than a fresh compile.
 	CacheHit bool
@@ -133,27 +158,6 @@ type Response struct {
 	// is shared (read-only) with single-flight followers of the same
 	// compilation; callers must not mutate it.
 	Degraded *rolag.Degraded
-	// Remarks is the optimization-remark stream (only when
-	// Request.Config.Remarks). Remark streams are deterministic, so
-	// cached and fresh results carry identical remarks; the slice is
-	// shared read-only with other hits of the same cache entry.
-	Remarks []rolag.Remark
-	// Asm is the x86-64 assembly of the optimized module (only when
-	// Request.Format == FormatAsm).
-	Asm string
-	// TextBytes is the measured size of the encoded .text section
-	// (only when Request.Format == FormatAsm). Unlike BinaryAfter,
-	// which is the cost model's estimate, this is counted from actual
-	// instruction encodings.
-	TextBytes int64
-}
-
-// Reduction returns the relative binary-size reduction in percent.
-func (r *Response) Reduction() float64 {
-	if r.BinaryBefore == 0 {
-		return 0
-	}
-	return 100 * float64(r.BinaryBefore-r.BinaryAfter) / float64(r.BinaryBefore)
 }
 
 // entry is an immutable cached result. The result module itself is
@@ -164,24 +168,11 @@ func (r *Response) Reduction() float64 {
 // rare NeedModule hit reparses it, which the printer/parser round-trip
 // guarantees is equivalent to cloning.
 type entry struct {
-	irText                    string
-	sizeBefore, sizeAfter     int
-	binaryBefore, binaryAfter int
-	stats                     *rolag.Stats
-	rerolled                  int
+	CacheEntry
 	// degraded is non-nil for fail-soft-degraded results. Such entries
 	// are handed to single-flight followers but never stored in the
 	// cache: a transient pass failure must not poison the key.
 	degraded *rolag.Degraded
-	// remarks is the deterministic remark stream; safe to cache because
-	// Config.Remarks is part of the cache key and two compiles of the
-	// same key produce byte-identical remarks.
-	remarks []rolag.Remark
-	// asm/textBytes carry the backend lowering (only for FormatAsm
-	// keys; Format is part of the cache key, so entries without asm
-	// never answer a request that wants it).
-	asm       string
-	textBytes int64
 	// fromSnapshot marks entries restored by LoadSnapshot so the first
 	// post-restart hit on each can be counted as snapshot warmth (the
 	// signal the chaos harness gates on). Peer-imported entries do not
@@ -345,7 +336,7 @@ func (e *Engine) Compile(ctx context.Context, req Request) (*Response, error) {
 			if ce, attempted := e.cfg.PeerFetch(ctx, key); ce != nil {
 				e.metrics.peerHits.Add(1)
 				peerHit = true
-				pe := entryFromWire(ce)
+				pe := &entry{CacheEntry: *ce}
 				e.cache.put(key, pe)
 				return pe, nil
 			} else if attempted {
@@ -482,37 +473,12 @@ func (e *Engine) runJob(j *job) (res jobResult) {
 	start := time.Now()
 	cfg := j.req.Config
 	defer func() { obs.EndSpan(tr, "engine:compile", span, cfg.Name) }()
-	// Pre-pipeline canonicalization of IR input runs under its own
-	// sandbox (nil = fail-hard) so its skips land on the same report.
-	var pre *passes.Sandbox
 	if !e.cfg.DisableFailSoft {
 		cfg.FailSoft = true
 		cfg.PassBudget = e.cfg.PassBudget
 		cfg.Guard = e.breakers
-		pre = &passes.Sandbox{Budget: cfg.PassBudget, Guard: cfg.Guard}
 	}
-	var out *rolag.Result
-	var err error
-	if j.req.IRInput {
-		var m *ir.Module
-		m, err = irparse.ParseModule(j.req.Source)
-		if err == nil {
-			passes.Standard().RunSandboxed(m, pre)
-			// The parsed module is reachable by nothing else, but clone
-			// anyway so a future module-input API cannot quietly alias
-			// cache-owned memory.
-			cfg.CloneInput = true
-			out, err = rolag.OptimizeContext(j.ctx, m, cfg)
-		}
-		if rep := pre.Report(); err == nil && rep != nil {
-			if out.Degraded != nil {
-				rep.Skips = append(rep.Skips, out.Degraded.Skips...)
-			}
-			out.Degraded = rep
-		}
-	} else {
-		out, err = rolag.BuildContext(j.ctx, j.req.Source, cfg)
-	}
+	out, err := rolag.BuildContext(j.ctx, j.req.Source, cfg)
 	if err != nil {
 		return jobResult{err: err}
 	}
@@ -528,8 +494,11 @@ func (e *Engine) runJob(j *job) (res jobResult) {
 		}
 	}
 	e.metrics.countRemarks(out.Remarks)
-	var asm string
-	var textBytes int64
+	en := &entry{degraded: out.Degraded, CacheEntry: CacheEntry{
+		IR: out.Module.String(), Rerolled: out.Rerolled, Stats: out.Stats, Remarks: out.Remarks,
+		SizeBefore: out.SizeBefore, SizeAfter: out.SizeAfter,
+		BinaryBefore: out.BinaryBefore, BinaryAfter: out.BinaryAfter,
+	}}
 	if j.req.Format == FormatAsm {
 		// Lower through the assembly backend under the request trace,
 		// so lower/encode spans show up in end-to-end traces next to
@@ -538,22 +507,9 @@ func (e *Engine) runJob(j *job) (res jobResult) {
 		if berr != nil {
 			return jobResult{err: fmt.Errorf("service: lower to asm: %w", berr)}
 		}
-		asm = r.Asm()
-		textBytes = r.Code.Text
+		en.Asm, en.TextBytes = r.Asm(), r.Code.Text
 	}
-	return jobResult{entry: &entry{
-		irText:       out.Module.String(),
-		sizeBefore:   out.SizeBefore,
-		sizeAfter:    out.SizeAfter,
-		binaryBefore: out.BinaryBefore,
-		binaryAfter:  out.BinaryAfter,
-		stats:        copyStats(out.Stats),
-		rerolled:     out.Rerolled,
-		degraded:     out.Degraded,
-		remarks:      out.Remarks,
-		asm:          asm,
-		textBytes:    textBytes,
-	}}
+	return jobResult{entry: en}
 }
 
 // testCompileHook, when set by a test, runs inside the worker before
@@ -595,24 +551,13 @@ func (e *Engine) Close(ctx context.Context) error {
 // respFromEntry materializes a caller-owned Response from an immutable
 // cache entry.
 func respFromEntry(en *entry, req *Request, hit bool) (*Response, error) {
-	resp := &Response{
-		SizeBefore:   en.sizeBefore,
-		SizeAfter:    en.sizeAfter,
-		BinaryBefore: en.binaryBefore,
-		BinaryAfter:  en.binaryAfter,
-		Stats:        copyStats(en.stats),
-		Rerolled:     en.rerolled,
-		CacheHit:     hit,
-		Degraded:     en.degraded,
-		Remarks:      en.remarks,
-		Asm:          en.asm,
-		TextBytes:    en.textBytes,
-	}
-	if req.EmitIR {
-		resp.IR = en.irText
+	resp := &Response{CacheEntry: en.CacheEntry, CacheHit: hit, Degraded: en.degraded}
+	resp.Stats = copyStats(en.Stats)
+	if !req.EmitIR {
+		resp.IR = ""
 	}
 	if req.NeedModule {
-		m, err := irparse.ParseModule(en.irText)
+		m, err := irparse.ParseModule(en.IR)
 		if err != nil {
 			return nil, fmt.Errorf("service: reparse cached result: %w", err)
 		}

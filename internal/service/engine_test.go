@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"rolag"
+	"rolag/internal/faultpoint"
 	"rolag/internal/workloads/angha"
 )
 
@@ -188,7 +189,7 @@ func TestCacheKey(t *testing.T) {
 	}
 
 	irIn := base
-	irIn.IRInput = true
+	irIn.Config.IRInput = true
 	if cacheKey(&base) == cacheKey(&irIn) {
 		t.Error("IRInput must change the cache key")
 	}
@@ -348,6 +349,41 @@ func TestEngineDeadline(t *testing.T) {
 	_, err := e.Compile(ctx, Request{Source: fn.Src, Config: rolag.Config{Opt: rolag.OptRoLAG}})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("got %v, want context.DeadlineExceeded", err)
+	}
+}
+
+// TestEngineIRDeadlineBetweenFunctions: a textual-IR job whose deadline
+// expires while its first function is being canonicalized stops before
+// the next function, as a mini-C job does, instead of canonicalizing
+// the whole module first.
+func TestEngineIRDeadlineBetweenFunctions(t *testing.T) {
+	src := "int f0(int x) { return x + 1; }\nint f1(int x) { return x + 2; }\n" +
+		"int f2(int x) { return x + 3; }\nint f3(int x) { return x + 4; }\n"
+	res, err := rolag.Build(src, rolag.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer faultpoint.Reset()
+	faultpoint.Reset()
+	// Every mem2reg visit stalls for faultpoint.DefaultStall, far past
+	// the job's deadline; the pass budget is large enough that the stall
+	// is not also a timeout.
+	faultpoint.Arm("pass:mem2reg", faultpoint.KindStall, 0)
+
+	e := New(Config{Workers: 1, CacheEntries: -1, PassBudget: time.Minute})
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	_, err = e.Compile(ctx, Request{Source: res.Module.String(),
+		Config: rolag.Config{IRInput: true, Opt: rolag.OptRoLAG}})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("got %v, want context.DeadlineExceeded", err)
+	}
+	// Close waits for the worker to leave the abandoned job.
+	if err := e.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if n := faultpoint.FiredAt("pass:mem2reg"); n != 1 {
+		t.Fatalf("mem2reg ran on %d functions after the deadline passed, want 1", n)
 	}
 }
 

@@ -19,11 +19,12 @@ const cacheKeyVersion = "v3"
 // source text plus a canonical encoding of every Config field that can
 // change the compiled output.
 //
+// Config.IRInput is part of the key (in the position the layout has
+// always hashed the input flag at): the same bytes read as mini-C and
+// as IR are different programs.
 // Config.Name is deliberately excluded — the module name never appears
 // in the printed IR or in any size measurement, so two requests that
-// differ only in name share one compilation. Config.CloneInput is an
-// ownership knob, not a pipeline knob, and is likewise excluded. The
-// fail-soft knobs (FailSoft, PassBudget, Guard) are excluded too: the
+// differ only in name share one compilation. The fail-soft knobs (FailSoft, PassBudget, Guard) are excluded too: the
 // engine sets them itself on every job, and a degraded result is never
 // stored, so the cache only ever holds outputs equal to what the
 // fail-hard pipeline would produce for the same key. Config.Parallelism
@@ -43,7 +44,7 @@ func cacheKey(req *Request) string {
 	h := sha256.New()
 	cfg := &req.Config
 	fmt.Fprintf(h, "%s|ir=%t|unroll=%d|opt=%d|flatten=%t|skipcleanup=%t|remarks=%t|format=%s|",
-		cacheKeyVersion, req.IRInput, cfg.Unroll, cfg.Opt, cfg.Flatten, cfg.SkipCleanup, cfg.Remarks, req.Format)
+		cacheKeyVersion, cfg.IRInput, cfg.Unroll, cfg.Opt, cfg.Flatten, cfg.SkipCleanup, cfg.Remarks, req.Format)
 	if cfg.Opt == rolag.OptRoLAG {
 		o := cfg.Options
 		if o == nil {

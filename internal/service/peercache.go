@@ -1,7 +1,5 @@
 package service
 
-import "rolag"
-
 // Key returns the content address of a request: the same SHA-256 key
 // the engine's cache is indexed by. Exported so the cluster layer can
 // route by key ownership — the router and every rolagd shard must
@@ -9,35 +7,10 @@ import "rolag"
 // by construction (one implementation, shared by all of them).
 func Key(req *Request) string { return cacheKey(req) }
 
-// CacheEntry is the wire form of one cached compilation result, served
-// by rolagd's GET /v1/cache/{key} peer endpoint and imported by a
-// shard that fetched it from the key's home shard.
-//
-// Degraded results never become CacheEntries: the engine refuses to
-// cache them locally (a transient pass failure must not poison a
-// content-addressed key) and ExportCached only reads the cache, so the
-// peer tier inherits the same guarantee for free. That is also why the
-// type has no degraded field.
-type CacheEntry struct {
-	IR           string         `json:"ir"`
-	SizeBefore   int            `json:"sizeBefore"`
-	SizeAfter    int            `json:"sizeAfter"`
-	BinaryBefore int            `json:"binaryBefore"`
-	BinaryAfter  int            `json:"binaryAfter"`
-	Rerolled     int            `json:"rerolled,omitempty"`
-	Stats        *rolag.Stats   `json:"stats,omitempty"`
-	Remarks      []rolag.Remark `json:"remarks,omitempty"`
-	// Asm/TextBytes carry the backend lowering for FormatAsm keys.
-	// Format is part of the cache key, so a shard importing this entry
-	// serves it only to requests that asked for the same format.
-	Asm       string `json:"asm,omitempty"`
-	TextBytes int64  `json:"textBytes,omitempty"`
-}
-
-// ExportCached returns the wire form of the cache entry for key, or
-// false when the key is not cached here. It only reads the local
-// cache — it never compiles and never fetches from a peer, so peer
-// cache lookups cannot recurse or cascade across the cluster.
+// ExportCached returns a copy of the cache entry for key, or false
+// when the key is not cached here. It only reads the local cache — it
+// never compiles and never fetches from a peer, so peer cache lookups
+// cannot recurse or cascade across the cluster.
 func (e *Engine) ExportCached(key string) (*CacheEntry, bool) {
 	if e.cache == nil {
 		return nil, false
@@ -46,25 +19,9 @@ func (e *Engine) ExportCached(key string) (*CacheEntry, bool) {
 	if !ok {
 		return nil, false
 	}
-	return wireFromEntry(en), true
-}
-
-// wireFromEntry is the inverse of entryFromWire: the pointer-free wire
-// form of a cached result, shared by the peer-cache endpoint and the
-// snapshot writer.
-func wireFromEntry(en *entry) *CacheEntry {
-	return &CacheEntry{
-		IR:           en.irText,
-		SizeBefore:   en.sizeBefore,
-		SizeAfter:    en.sizeAfter,
-		BinaryBefore: en.binaryBefore,
-		BinaryAfter:  en.binaryAfter,
-		Rerolled:     en.rerolled,
-		Stats:        copyStats(en.stats),
-		Remarks:      en.remarks,
-		Asm:          en.asm,
-		TextBytes:    en.textBytes,
-	}
+	ce := en.CacheEntry
+	ce.Stats = copyStats(ce.Stats)
+	return &ce, true
 }
 
 // ImportCached stores a peer-fetched entry in the local cache under
@@ -74,20 +31,5 @@ func (e *Engine) ImportCached(key string, ce *CacheEntry) {
 	if e.cache == nil || ce == nil {
 		return
 	}
-	e.cache.put(key, entryFromWire(ce))
-}
-
-func entryFromWire(ce *CacheEntry) *entry {
-	return &entry{
-		irText:       ce.IR,
-		sizeBefore:   ce.SizeBefore,
-		sizeAfter:    ce.SizeAfter,
-		binaryBefore: ce.BinaryBefore,
-		binaryAfter:  ce.BinaryAfter,
-		rerolled:     ce.Rerolled,
-		stats:        ce.Stats,
-		remarks:      ce.Remarks,
-		asm:          ce.Asm,
-		textBytes:    ce.TextBytes,
-	}
+	e.cache.put(key, &entry{CacheEntry: *ce})
 }

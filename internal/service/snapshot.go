@@ -102,7 +102,7 @@ func (e *Engine) SaveSnapshot(w io.Writer, shard string) (int, error) {
 		return 0, err
 	}
 	for _, it := range items {
-		raw, err := json.Marshal(wireFromEntry(it.val))
+		raw, err := json.Marshal(&it.val.CacheEntry)
 		if err != nil {
 			return 0, err
 		}
@@ -191,9 +191,7 @@ func (e *Engine) loadSnapshot(r io.Reader) (int, error) {
 		if err := json.Unmarshal(line.Entry, &ce); err != nil {
 			return 0, fmt.Errorf("entry %d: %v", i, err)
 		}
-		en := entryFromWire(&ce)
-		en.fromSnapshot = true
-		entries = append(entries, staged{key: line.Key, en: en})
+		entries = append(entries, staged{key: line.Key, en: &entry{CacheEntry: ce, fromSnapshot: true}})
 	}
 	// The whole file verified; commit. Oldest-first replay restores
 	// LRU recency.

@@ -1,7 +1,8 @@
 // Package rolag is the public facade of the RoLAG reproduction: it
-// compiles mini-C source to SSA IR, runs the canonicalization pipeline,
-// optionally unrolls loops, applies a loop-(re)rolling technique, and
-// reports code sizes under the project's cost models.
+// compiles mini-C source (or parses textual IR) to SSA IR, runs the
+// canonicalization pipeline, optionally unrolls loops, applies a
+// loop-(re)rolling technique, and reports code sizes under the
+// project's cost models.
 //
 // The implementation follows "Loop Rolling for Code Size Reduction",
 // Rocha, Petoumenos, Franke, Bhatotia, O'Boyle — CGO 2022. The primary
@@ -19,6 +20,7 @@ import (
 	"rolag/internal/costmodel"
 	"rolag/internal/interp"
 	"rolag/internal/ir"
+	"rolag/internal/irparse"
 	"rolag/internal/obs"
 	"rolag/internal/passes"
 	"rolag/internal/reroll"
@@ -86,8 +88,14 @@ func Extensions() *Options { return rl.Extensions() }
 
 // Config describes one compilation.
 type Config struct {
-	// Name is the module name (defaults to "module").
+	// Name is the module name of mini-C input (defaults to "module").
+	// Textual IR keeps the name the parser gives it.
 	Name string
+	// IRInput marks the source as the project's textual IR (see
+	// internal/irparse) instead of mini-C. The parsed module then runs
+	// the same pipeline a compiled one does: canonicalization, the
+	// configured stages and, with FailSoft, the same sandbox and trace.
+	IRInput bool
 	// Unroll, when >= 2, force-unrolls every canonical inner loop by
 	// this factor before optimizing (the TSVC methodology of §V.C).
 	Unroll int
@@ -101,11 +109,6 @@ type Config struct {
 	Flatten bool
 	// SkipCleanup disables the post-roll cleanup pipeline.
 	SkipCleanup bool
-	// CloneInput makes Optimize work on a deep copy of the input module,
-	// leaving the caller's module untouched. Result.Module is then owned
-	// exclusively by the caller. The compilation service sets this so
-	// cached results are immutable.
-	CloneInput bool
 	// FailSoft runs every pass (and RoLAG itself, per function) under a
 	// checkpointed sandbox: a pass that panics, exceeds the per-pass
 	// budget, or breaks the IR verifier is rolled back and skipped, the
@@ -179,27 +182,9 @@ func (r *Result) Reduction() float64 {
 	return 100 * float64(r.BinaryBefore-r.BinaryAfter) / float64(r.BinaryBefore)
 }
 
-// Compile parses mini-C source and runs the canonicalization pipeline,
-// returning the IR module without any rolling applied.
-func Compile(src, name string) (*ir.Module, error) {
-	if name == "" {
-		name = "module"
-	}
-	m, err := cc.Compile(src, name)
-	if err != nil {
-		return nil, err
-	}
-	passes.Standard().Run(m)
-	if err := m.Verify(); err != nil {
-		return nil, fmt.Errorf("rolag: internal error: %w", err)
-	}
-	return m, nil
-}
-
-// Build compiles src and applies the configured pipeline.
-//
-// Unless cfg.CloneInput is set, the returned Result.Module is the very
-// module the pipeline mutated; see Optimize for the aliasing contract.
+// Build compiles src (mini-C, or textual IR with cfg.IRInput) and
+// applies the configured pipeline. The returned Result.Module is owned
+// by the caller.
 func Build(src string, cfg Config) (*Result, error) {
 	return BuildContext(context.Background(), src, cfg)
 }
@@ -209,10 +194,33 @@ func Build(src string, cfg Config) (*Result, error) {
 // a cancelled compilation returns ctx.Err() promptly without leaving
 // the caller with a half-transformed module it should keep using.
 //
+// Both inputs take one path: the frontend (cc for mini-C, irparse for
+// textual IR) yields a verified module, and canonicalization and every
+// later stage run on it under one sandbox and the context's trace.
 // With cfg.FailSoft the canonicalization pipeline already runs under
 // the sandbox; frontend (parse/typecheck/lowering) errors still fail
 // hard, because without IR there is nothing correct to fall back to.
 func BuildContext(ctx context.Context, src string, cfg Config) (*Result, error) {
+	m, err := cfg.frontend(src)
+	if err != nil {
+		return nil, err
+	}
+	sb := cfg.sandbox(obs.TraceFrom(ctx))
+	if err := runStandard(ctx, m, sb); err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return optimizeContext(ctx, m, cfg, sb)
+}
+
+// frontend turns src into a verified module: textual IR through
+// irparse, which verifies what it parsed, and mini-C through cc.
+func (cfg Config) frontend(src string) (*ir.Module, error) {
+	if cfg.IRInput {
+		return irparse.ParseModule(src)
+	}
 	name := cfg.Name
 	if name == "" {
 		name = "module"
@@ -224,14 +232,7 @@ func BuildContext(ctx context.Context, src string, cfg Config) (*Result, error) 
 	if err := m.Verify(); err != nil {
 		return nil, fmt.Errorf("rolag: internal error: %w", err)
 	}
-	sb := cfg.sandbox(obs.TraceFrom(ctx))
-	if err := runStandard(ctx, m, sb); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return optimizeContext(ctx, m, cfg, sb)
+	return m, nil
 }
 
 // sandbox builds one fail-soft sandbox, or returns nil (fail-hard)
@@ -244,26 +245,14 @@ func (cfg Config) sandbox(tr obs.TraceContext) *passes.Sandbox {
 	return &passes.Sandbox{Budget: cfg.PassBudget, Guard: cfg.Guard, Trace: tr}
 }
 
-// Optimize applies the configured unrolling and rolling technique to a
-// compiled module.
+// Optimize applies the configured unrolling and rolling technique to an
+// already canonicalized module (cfg.IRInput is ignored).
 //
-// Aliasing: by default the module is transformed IN PLACE and
-// Result.Module is the same pointer as the input — callers that need
-// the pre-optimization module, or that cache and share Results, must
-// either clone first (ir.CloneModule) or set cfg.CloneInput, which
-// makes Optimize transform a private deep copy and leave the input
-// untouched.
+// Aliasing: the module is transformed IN PLACE and Result.Module is the
+// same pointer as the input. Callers that need the pre-optimization
+// module must optimize a copy: Optimize(ir.CloneModule(m), cfg).
 func Optimize(m *ir.Module, cfg Config) (*Result, error) {
-	return OptimizeContext(context.Background(), m, cfg)
-}
-
-// OptimizeContext is Optimize with a deadline/cancellation context,
-// checked between pipeline stages and between functions. When the
-// context expires mid-run the input module may already be partially
-// transformed (unless cfg.CloneInput is set); the error tells the
-// caller to discard it.
-func OptimizeContext(ctx context.Context, m *ir.Module, cfg Config) (*Result, error) {
-	return optimizeContext(ctx, m, cfg, cfg.sandbox(obs.TraceFrom(ctx)))
+	return optimizeContext(context.Background(), m, cfg, cfg.sandbox(obs.TraceContext{}))
 }
 
 // optimizeContext is the shared pipeline body. With sb == nil it is the
@@ -273,9 +262,6 @@ func OptimizeContext(ctx context.Context, m *ir.Module, cfg Config) (*Result, er
 // remains as a fail-hard backstop, but can only trip if the sandbox
 // itself has a bug, since each committed execution was verified.
 func optimizeContext(ctx context.Context, m *ir.Module, cfg Config, sb *passes.Sandbox) (*Result, error) {
-	if cfg.CloneInput {
-		m = ir.CloneModule(m)
-	}
 	tr := obs.TraceFrom(ctx)
 	if cfg.Unroll >= 2 {
 		st := obs.Now()
