@@ -9,114 +9,40 @@ type DomInfo struct {
 	// dominator.
 	IDom map[*ir.Block]*ir.Block
 	// Children is the dominator tree: the blocks immediately dominated
-	// by each block.
+	// by each block, in block order.
 	Children map[*ir.Block][]*ir.Block
 	// Frontier is the dominance frontier of each block.
 	Frontier map[*ir.Block][]*ir.Block
 
-	domSets map[*ir.Block]map[*ir.Block]bool
+	tree *ir.DomTree
 }
 
 // ComputeDom computes dominators, the dominator tree and dominance
-// frontiers for f using the classic iterative data-flow formulation
-// (adequate at the CFG sizes this project handles).
+// frontiers for f from the function's ir.DomTree.
 func ComputeDom(f *ir.Func) *DomInfo {
-	entry := f.Entry()
-	all := f.Blocks
-	dom := make(map[*ir.Block]map[*ir.Block]bool, len(all))
-	for _, b := range all {
-		if b == entry {
-			dom[b] = map[*ir.Block]bool{b: true}
-			continue
-		}
-		full := make(map[*ir.Block]bool, len(all))
-		for _, x := range all {
-			full[x] = true
-		}
-		dom[b] = full
-	}
-	preds := make(map[*ir.Block][]*ir.Block)
-	for _, b := range all {
-		for _, s := range b.Succs() {
-			preds[s] = append(preds[s], b)
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, b := range all {
-			if b == entry {
-				continue
-			}
-			var inter map[*ir.Block]bool
-			for _, p := range preds[b] {
-				if inter == nil {
-					inter = make(map[*ir.Block]bool, len(dom[p]))
-					for k := range dom[p] {
-						inter[k] = true
-					}
-					continue
-				}
-				for k := range inter {
-					if !dom[p][k] {
-						delete(inter, k)
-					}
-				}
-			}
-			if inter == nil {
-				inter = make(map[*ir.Block]bool)
-			}
-			inter[b] = true
-			if !sameSet(inter, dom[b]) {
-				dom[b] = inter
-				changed = true
-			}
-		}
-	}
-
+	t := f.Dominators()
 	di := &DomInfo{
 		Func:     f,
 		IDom:     make(map[*ir.Block]*ir.Block),
 		Children: make(map[*ir.Block][]*ir.Block),
 		Frontier: make(map[*ir.Block][]*ir.Block),
-		domSets:  dom,
+		tree:     t,
 	}
-	// idom(b): the dominator d != b dominated by every other strict
-	// dominator of b.
-	for _, b := range all {
-		if b == entry {
-			continue
-		}
-		var idom *ir.Block
-		for d := range dom[b] {
-			if d == b {
-				continue
-			}
-			candidate := true
-			for e := range dom[b] {
-				if e == b || e == d {
-					continue
-				}
-				if !dom[d][e] {
-					candidate = false
-					break
-				}
-			}
-			if candidate {
-				idom = d
-				break
-			}
-		}
-		if idom != nil {
+	for _, b := range f.Blocks {
+		if idom := t.IDom(b); idom != nil {
 			di.IDom[b] = idom
 			di.Children[idom] = append(di.Children[idom], b)
 		}
 	}
-	// Dominance frontiers.
-	for _, b := range all {
-		if len(preds[b]) < 2 {
+	// Dominance frontiers: walk up from each predecessor of a join
+	// point to the join's immediate dominator.
+	entry := f.Entry()
+	for _, b := range f.Blocks {
+		preds := t.Preds(b)
+		if len(preds) < 2 {
 			continue
 		}
-		for _, p := range preds[b] {
+		for _, p := range preds {
 			runner := p
 			for runner != nil && runner != di.IDom[b] {
 				di.Frontier[runner] = appendUnique(di.Frontier[runner], b)
@@ -132,19 +58,7 @@ func ComputeDom(f *ir.Func) *DomInfo {
 
 // Dominates reports whether a dominates b.
 func (di *DomInfo) Dominates(a, b *ir.Block) bool {
-	return di.domSets[b][a]
-}
-
-func sameSet(a, b map[*ir.Block]bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if !b[k] {
-			return false
-		}
-	}
-	return true
+	return di.tree.Dominates(a, b)
 }
 
 func appendUnique(s []*ir.Block, b *ir.Block) []*ir.Block {

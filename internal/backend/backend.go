@@ -61,14 +61,29 @@ func Lower(m *ir.Module, rec *obs.Recorder) (*mach.Module, error) {
 	// assembly self-contained for a system assembler without changing
 	// any measured .text byte. (.data vs .rodata placement does not
 	// affect code size.)
+	//
+	// Zero bytes stay implicit: a zero-initialized global is all tail,
+	// and any other symbol's trailing zeros move into its tail.
 	for _, g := range m.Globals {
-		ml.out.Rodata = append(ml.out.Rodata, mach.RodataSym{
-			Name:  g.Name,
-			Align: int64(g.Elem.Align()),
-			Data:  serializeConst(g.Init, g.Elem),
-		})
+		sym := mach.RodataSym{Name: g.Name, Align: int64(g.Elem.Align())}
+		switch g.Init.(type) {
+		case nil, *ir.ZeroConst:
+			sym.Zero = int64(max(g.Elem.Size(), 0))
+		default:
+			sym.Data = serializeConst(g.Init, g.Elem)
+		}
+		ml.out.Rodata = append(ml.out.Rodata, sym)
 	}
 	ml.out.Rodata = append(ml.out.Rodata, ml.fpOrder...)
+	for i := range ml.out.Rodata {
+		s := &ml.out.Rodata[i]
+		n := len(s.Data)
+		for n > 0 && s.Data[n-1] == 0 {
+			n--
+		}
+		s.Zero += int64(len(s.Data) - n)
+		s.Data = s.Data[:n]
+	}
 	lowerSpan.End(rec.TraceCtx(), start)
 	return ml.out, nil
 }

@@ -7,11 +7,14 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
 	"rolag"
 	"rolag/internal/backend"
+	"rolag/internal/backend/mach"
+	"rolag/internal/ir"
 	"rolag/internal/workloads/tsvc"
 )
 
@@ -148,13 +151,15 @@ func checkAssembled(t *testing.T, as, label string, r *backend.Result) {
 	if int64(text.Size) != r.Code.Text {
 		t.Errorf("%s: .text size: encoder %d, assembler %d", label, r.Code.Text, text.Size)
 	}
-	// The lowered data, each symbol zero-padded to its alignment.
+	// The lowered data, each symbol zero-padded to its alignment and
+	// followed by its zero tail.
 	var want []byte
 	for _, s := range r.Mach.Rodata {
 		for s.Align > 1 && int64(len(want))%s.Align != 0 {
 			want = append(want, 0)
 		}
 		want = append(want, s.Data...)
+		want = append(want, make([]byte, s.Zero)...)
 	}
 	var got []byte
 	if ro := ef.Section(".rodata"); ro != nil {
@@ -168,5 +173,53 @@ func checkAssembled(t *testing.T, as, label string, r *backend.Result) {
 	if !bytes.Equal(got, want) {
 		t.Errorf("%s: assembled .rodata (%d bytes) differs from the lowered data (%d bytes)",
 			label, len(got), len(want))
+	}
+}
+
+// TestZeroDataStaysImplicit lowers and prints a module holding one
+// zero-initialized 1 MiB global: the global prints as one .zero line
+// and costs about what a one-element global costs, whether its
+// initializer is nil or a ZeroConst.
+func TestZeroDataStaysImplicit(t *testing.T) {
+	module := func(n int, init func(ir.Type) ir.Const) *ir.Module {
+		m := ir.NewModule("m")
+		elem := ir.ArrayOf(n, ir.I64)
+		m.NewGlobal("big", elem, init(elem))
+		f := m.NewFunc("f", ir.Void)
+		ir.NewBuilder(f.NewBlock("entry")).Ret(nil)
+		return m
+	}
+	perPrint := func(m *ir.Module) (string, float64) {
+		const reps = 20
+		var asm string
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < reps; i++ {
+			mm, err := backend.Lower(m, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			asm = mach.Print(mm, nil)
+		}
+		runtime.ReadMemStats(&after)
+		return asm, float64(after.TotalAlloc-before.TotalAlloc) / reps
+	}
+	for _, tc := range []struct {
+		name string
+		init func(ir.Type) ir.Const
+	}{
+		{"nil", func(ir.Type) ir.Const { return nil }},
+		{"zeroconst", func(t ir.Type) ir.Const { return &ir.ZeroConst{Typ: t} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			asm, big := perPrint(module(1<<17, tc.init))
+			if n := strings.Count(asm, "\t.zero\t1048576\n"); n != 1 || strings.Contains(asm, ".byte") {
+				t.Errorf("want one .zero 1048576 line and no .byte lines, got:\n%s", asm)
+			}
+			_, small := perPrint(module(1, tc.init))
+			if extra := big - small; extra >= 4096 {
+				t.Errorf("a 1 MiB zero global cost %.0f bytes per lower+print over a one-element one, budget 4096", extra)
+			}
+		})
 	}
 }

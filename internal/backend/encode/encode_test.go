@@ -206,10 +206,11 @@ func TestBranchRelaxation(t *testing.T) {
 func TestRodataSize(t *testing.T) {
 	m := &mach.Module{Name: "t", Rodata: []mach.RodataSym{
 		{Name: "a", Align: 1, Data: make([]byte, 3)},
-		{Name: "b", Align: 8, Data: make([]byte, 10)},
-		{Name: "c", Align: 4, Data: make([]byte, 4)},
+		{Name: "b", Align: 8, Data: make([]byte, 6), Zero: 4},
+		{Name: "c", Align: 4, Zero: 4},
 	}}
-	// 3 bytes, pad to 8, +10 = 18, pad to 20, +4 = 24.
+	// 3 bytes, pad to 8, +6+4 = 18, pad to 20, +4 = 24: zero tails
+	// count like data.
 	if got := m.RodataSize(); got != 24 {
 		t.Fatalf("rodata size %d, want 24", got)
 	}

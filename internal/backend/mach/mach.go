@@ -315,11 +315,13 @@ func (f *Func) Class(r Reg) RegClass {
 }
 
 // RodataSym is one read-only data symbol: either a copied IR global
-// or a float literal pool entry.
+// or a float literal pool entry. Its contents are Data followed by Zero
+// zero bytes; the zero tail is never materialized.
 type RodataSym struct {
 	Name  string
 	Align int64
 	Data  []byte
+	Zero  int64
 }
 
 // Module is a set of lowered functions plus their .rodata section.
@@ -336,7 +338,7 @@ func (m *Module) RodataSize() int64 {
 	var off int64
 	for _, s := range m.Rodata {
 		off = alignUp(off, s.Align)
-		off += int64(len(s.Data))
+		off += int64(len(s.Data)) + s.Zero
 	}
 	return off
 }

@@ -275,7 +275,9 @@ func (p *printer) gprOrXmm(o Operand, gprSz int8) string {
 // comments (comments never change what the assembler produces).
 func Print(m *Module, ann map[string]int64) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "# module %s — x86-64 AT&T syntax (rolag backend)\n", m.Name)
+	// The header names no module: the service caches assembly under a
+	// key that excludes the module name.
+	b.WriteString("# x86-64 AT&T syntax (rolag backend)\n")
 	b.WriteString("\t.text\n")
 	for _, f := range m.Funcs {
 		p := &printer{b: &b, f: f}
@@ -302,9 +304,9 @@ func Print(m *Module, ann map[string]int64) string {
 	if len(m.Rodata) == 0 {
 		return b.String()
 	}
-	// Data can outweigh the code many times over (every TSVC module
-	// carries the suite's arrays), and callers such as the service cache
-	// keep the whole backing array, so the result is sized exactly.
+	// Initialized data can outweigh the code, and callers such as the
+	// service cache keep the whole backing array, so the result is sized
+	// exactly.
 	var out strings.Builder
 	out.Grow(b.Len() + rodataLen(m.Rodata))
 	out.WriteString(b.String())
@@ -316,6 +318,7 @@ const (
 	rodataHeader = "\n\t.section\t.rodata\n"
 	balignPrefix = "\t.balign\t"
 	bytePrefix   = "\t.byte\t"
+	zeroPrefix   = "\t.zero\t"
 	bytesPerLine = 16
 	hexDigits    = "0123456789abcdef"
 )
@@ -334,12 +337,16 @@ func rodataLen(syms []RodataSym) int {
 		// place of the last ", ".
 		lines := (len(s.Data) + bytesPerLine - 1) / bytesPerLine
 		n += lines*(len(bytePrefix)-len(", ")+len("\n")) + len(s.Data)*len("0xhh, ")
+		if s.Zero > 0 {
+			n += len(zeroPrefix) + len(strconv.FormatInt(s.Zero, 10)) + len("\n")
+		}
 	}
 	return n
 }
 
 // writeRodata prints the .rodata section: per symbol its alignment,
-// its label, and its bytes as .byte lines of up to 16.
+// its label, its bytes as .byte lines of up to 16, and its zero tail
+// as one .zero line.
 func writeRodata(b *strings.Builder, syms []RodataSym) {
 	b.WriteString(rodataHeader)
 	var line [len(bytePrefix) + bytesPerLine*len("0xhh, ")]byte
@@ -364,6 +371,11 @@ func writeRodata(b *strings.Builder, syms []RodataSym) {
 			// The last byte's ", " becomes the newline.
 			line[n-2] = '\n'
 			b.Write(line[:n-1])
+		}
+		if s.Zero > 0 {
+			b.WriteString(zeroPrefix)
+			b.WriteString(strconv.FormatInt(s.Zero, 10))
+			b.WriteByte('\n')
 		}
 	}
 }

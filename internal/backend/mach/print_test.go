@@ -8,7 +8,8 @@ import (
 )
 
 // refRodata renders a .rodata section the straightforward way, one
-// Fprintf per byte. Print must produce exactly this text.
+// Fprintf per byte and one .zero line per zero tail. Print must produce
+// exactly this text.
 func refRodata(syms []RodataSym) string {
 	var b strings.Builder
 	b.WriteString("\n\t.section\t.rodata\n")
@@ -27,6 +28,9 @@ func refRodata(syms []RodataSym) string {
 				fmt.Fprintf(&b, "0x%02x", s.Data[j])
 			}
 			b.WriteByte('\n')
+		}
+		if s.Zero > 0 {
+			fmt.Fprintf(&b, "\t.zero\t%d\n", s.Zero)
 		}
 	}
 	return b.String()
@@ -57,6 +61,10 @@ func TestPrintRodata(t *testing.T) {
 		RodataSym{Name: "bytes8", Align: 8, Data: all},
 		RodataSym{Name: "big_align", Align: 1024, Data: pattern(3)},
 		RodataSym{Name: "a-b c.d$e/é\xff", Align: 4, Data: pattern(5)},
+		RodataSym{Name: "all_zero", Align: 16, Zero: 14400},
+		RodataSym{Name: "trailing_zeros", Align: 8, Data: pattern(17), Zero: 47},
+		RodataSym{Name: "interior_zeros", Align: 4, Data: []byte{1, 0, 0, 0, 0, 2, 0, 3}},
+		RodataSym{Name: "empty", Align: 8},
 	)
 	check := func(t *testing.T, syms []RodataSym) {
 		t.Helper()

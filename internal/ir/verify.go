@@ -25,11 +25,11 @@ func (e *VerifyError) Error() string {
 }
 
 // Verify checks the structural invariants of the module: every block is
-// terminated, SSA definitions dominate uses (checked conservatively via a
-// reverse-postorder dominance walk for straight-line regions and phi edge
-// validity), operand types match opcode requirements, names are unique
-// and every use-list lists exactly the instruction's users. It returns
-// the first error found, or nil.
+// terminated, SSA definitions dominate uses (a phi's use at the end of
+// its incoming edge), phis match their block's predecessors, operand
+// types match opcode requirements, names are unique and every use-list
+// lists exactly the instruction's users. It returns the first error
+// found, or nil.
 func (m *Module) Verify() error {
 	for _, f := range m.Funcs {
 		if err := f.Verify(); err != nil {
@@ -147,9 +147,9 @@ func (f *Func) Verify() error {
 		return errf(v.Parent, v, "use-list %s", msg)
 	}
 
-	// Dominance: a simple iterative dominator computation over blocks,
-	// then each non-phi use must be dominated by its definition.
-	dom := f.dominators()
+	// Dominance: each use must be dominated by its definition. The
+	// dominator tree is built on the first use across blocks.
+	var dom *DomTree
 	dominates := func(def *Instr, useBlock *Block, useIdx int, usePhiPred *Block) bool {
 		db := def.Parent
 		if usePhiPred != nil {
@@ -160,7 +160,10 @@ func (f *Func) Verify() error {
 		if db == useBlock {
 			return pos[def] < useIdx
 		}
-		return dom[useBlock][db]
+		if dom == nil {
+			dom = f.Dominators()
+		}
+		return dom.Dominates(db, useBlock)
 	}
 	for _, b := range f.Blocks {
 		for ii, in := range b.Instrs {
@@ -180,75 +183,6 @@ func (f *Func) Verify() error {
 		}
 	}
 	return nil
-}
-
-// dominators returns, for each block b, the set of blocks that dominate
-// b, computed by the standard iterative data-flow algorithm.
-func (f *Func) dominators() map[*Block]map[*Block]bool {
-	all := make(map[*Block]bool, len(f.Blocks))
-	for _, b := range f.Blocks {
-		all[b] = true
-	}
-	dom := make(map[*Block]map[*Block]bool, len(f.Blocks))
-	entry := f.Entry()
-	for _, b := range f.Blocks {
-		if b == entry {
-			dom[b] = map[*Block]bool{b: true}
-		} else {
-			full := make(map[*Block]bool, len(all))
-			for k := range all {
-				full[k] = true
-			}
-			dom[b] = full
-		}
-	}
-	preds := make(map[*Block][]*Block)
-	for _, b := range f.Blocks {
-		for _, s := range b.Succs() {
-			preds[s] = append(preds[s], b)
-		}
-	}
-	changed := true
-	for changed {
-		changed = false
-		for _, b := range f.Blocks {
-			if b == entry {
-				continue
-			}
-			var inter map[*Block]bool
-			for _, p := range preds[b] {
-				if inter == nil {
-					inter = make(map[*Block]bool, len(dom[p]))
-					for k := range dom[p] {
-						inter[k] = true
-					}
-				} else {
-					for k := range inter {
-						if !dom[p][k] {
-							delete(inter, k)
-						}
-					}
-				}
-			}
-			if inter == nil {
-				inter = make(map[*Block]bool)
-			}
-			inter[b] = true
-			if len(inter) != len(dom[b]) {
-				dom[b] = inter
-				changed = true
-				continue
-			}
-			for k := range inter {
-				if !dom[b][k] {
-					dom[b] = inter
-					changed = true
-					break
-				}
-			}
-		}
-	}
-	return dom
 }
 
 func checkTypes(in *Instr) error {

@@ -42,36 +42,37 @@ func cseDom(f *ir.Func, di *analysis.DomInfo) bool {
 	ids := make(map[ir.Value]uint32)
 	var buf []byte
 
-	var stack []map[string]*ir.Instr
-	lookup := func(k string) *ir.Instr {
-		for i := len(stack) - 1; i >= 0; i-- {
-			if in, ok := stack[i][k]; ok {
-				return in
-			}
-		}
-		return nil
-	}
+	// One value table for the dominator-tree walk: a block's keys join
+	// it on entry and leave it, through the undo log, when the walk
+	// returns from the block's subtree. A key is inserted only when no
+	// open scope holds it, so removing it on exit is exact. The entry's
+	// scope closes only when the walk ends, so its keys are not logged.
+	entry := f.Entry()
+	table := make(map[string]*ir.Instr)
+	var undo []string
 
 	// Eliminated instructions leave their block in one sweep per block.
 	dead := make(map[*ir.Instr]bool)
 	isDead := func(in *ir.Instr) bool { return dead[in] }
 	var visit func(b *ir.Block)
 	visit = func(b *ir.Block) {
-		local := make(map[string]*ir.Instr)
-		stack = append(stack, local)
+		mark := len(undo)
 		for _, in := range b.Instrs {
 			kb, ok := cseKey(in, ids, buf[:0])
 			buf = kb
 			if !ok {
 				continue
 			}
-			k := string(kb)
-			if prev := lookup(k); prev != nil {
+			if prev, ok := table[string(kb)]; ok {
 				f.ReplaceAllUses(in, prev)
 				dead[in] = true
 				continue
 			}
-			local[k] = in
+			k := string(kb)
+			table[k] = in
+			if b != entry {
+				undo = append(undo, k)
+			}
 		}
 		if len(dead) > 0 {
 			b.RemoveIf(isDead)
@@ -81,9 +82,12 @@ func cseDom(f *ir.Func, di *analysis.DomInfo) bool {
 		for _, c := range di.Children[b] {
 			visit(c)
 		}
-		stack = stack[:len(stack)-1]
+		for _, k := range undo[mark:] {
+			delete(table, k)
+		}
+		undo = undo[:mark]
 	}
-	visit(f.Entry())
+	visit(entry)
 	if loadCSE(f) {
 		changed = true
 	}

@@ -8,6 +8,7 @@ import (
 	"rolag/internal/cc"
 	"rolag/internal/interp"
 	"rolag/internal/ir"
+	"rolag/internal/irparse"
 	"rolag/internal/passes"
 	"rolag/internal/workloads/angha"
 )
@@ -96,6 +97,42 @@ int f(int a) {
 	}
 	if v, _ := in.Call("f", interp.IntVal(-1)); v.I != 20 {
 		t.Errorf("f(-1) = %d", v.I)
+	}
+}
+
+// TestCanonicalizeUnreachableCycle canonicalizes a function whose promotable
+// alloca is stored to in a cycle no block enters (u1 <-> u2) that also
+// feeds the join. The dominator tree leaves both cycle blocks without
+// an immediate dominator; with the two as each other's immediate
+// dominator, mem2reg's frontier walk from the join's predecessors
+// never ended.
+func TestCanonicalizeUnreachableCycle(t *testing.T) {
+	m, err := irparse.ParseModule(`func i32 @f(i1 %c, i32 %x) {
+entry:
+  %p = alloca i32, i64 1
+  store i32 %x, i32* %p
+  br %j
+u1:
+  store i32 1, i32* %p
+  condbr i1 %c, %u2, %j
+u2:
+  condbr i1 %c, %u1, %j
+j:
+  %r = load i32, i32* %p
+  ret i32 %r
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	passes.Standard().Run(m)
+	f := m.FindFunc("f")
+	if err := f.Verify(); err != nil {
+		t.Fatalf("verify: %v\n%s", err, f)
+	}
+	in, _ := interp.New(m)
+	if v, _ := in.Call("f", interp.IntVal(1), interp.IntVal(7)); v.I != 7 {
+		t.Errorf("f(1, 7) = %d\n%s", v.I, f)
 	}
 }
 

@@ -29,7 +29,7 @@ entry:
 )
 
 // TestServiceKeyPinned pins service.Key for a fixed set of wire
-// requests. Routers and shards route by these keys and v3 snapshots are
+// requests. Routers and shards route by these keys and v4 snapshots are
 // indexed by them, so a change to the request mapping or to the key
 // layout that moves any of them re-keys the fleet and must bump the
 // cache-key version instead.
@@ -40,31 +40,31 @@ func TestServiceKeyPinned(t *testing.T) {
 		want string
 	}{
 		{"minic-rolag", CompileRequest{Source: keyMiniC},
-			"b840602ddad09b19e3e4b6c018634b7ae2a8b7c0ec3e1c1157d3171dc87a6643"},
+			"13633cbf5d4a8e43708cc060b871986a6441a2e9faee97ff50f7f2b631030a94"},
 		{"minic-none", CompileRequest{Source: keyMiniC, Config: CompileConfig{Opt: "none"}},
-			"ebfd503a0b4b2cd2e40d5b45ecae4acc6cacde7bc3b612b70e3948f56ffa9399"},
+			"9ac12a6b9248148d643af9a86c9c05d768f23a87c1830351544c930e1b6713fe"},
 		{"minic-llvm", CompileRequest{Source: keyMiniC, Config: CompileConfig{Opt: "llvm"}},
-			"6654fd6a91c63cd7783a3f999e69a89c5fe04e6a91bcea6355ae55ecd7ccb4fa"},
+			"433ffe236fce1410570b5f65dd369d586bf455a10760f5f298cf54c1a1cbe535"},
 		{"minic-unroll8", CompileRequest{Source: keyMiniC, Config: CompileConfig{Unroll: 8, Flatten: true}},
-			"45276dbaeca063de7e07a42b70c1df5359ce1d8151d7893b58d104100b52155a"},
+			"275fae70b779c46b5ad5af2613be7b0ce6eec37272d8e21a69531a1d9ffe79ec"},
 		{"minic-asm", CompileRequest{Source: keyMiniC, Format: "asm"},
-			"b2ad3a1721311f64db7bcfef112622a8c47f304e407dde790d280757d69601a8"},
+			"2bf096c2185901b165699286f41411338fc2fa8d37550a2deb68994acc8f84ad"},
 		{"minic-remarks", CompileRequest{Source: keyMiniC, Remarks: true},
-			"d83c4a5365bf1536e517dc66bfec0ecfab5573635509cbfd3c0f6126c3981641"},
+			"8f8b7718054caf75a915a0dbd5236ae0e0a11fad79b7195afcfae9a7d7ce99c9"},
 		{"ir-rolag", CompileRequest{Source: keyIR, IR: true},
-			"e7b71bd33f77bd32bc712b2d21714fec67283966bec760fd866494ed3e0e3572"},
+			"952eedd595f53b6b91d5bb013e742a3a02db34e300e7ada9ede2a1ffdeaf3269"},
 		{"ir-none", CompileRequest{Source: keyIR, IR: true, Config: CompileConfig{Opt: "none"}},
-			"fe1d82d5b36eb6ff0fc815fca72ee127d4939ee2eeafc3da8f3e932fa9fed87c"},
+			"e40be04018eba1aa10d637114b95095ade480fc83793b5c7f9a326b50f52630e"},
 		{"ir-llvm", CompileRequest{Source: keyIR, IR: true, Config: CompileConfig{Opt: "llvm"}},
-			"240fbd2e9f1156c2e500146b52566f5b9246bf00a82e34c8eeace7ed566beaea"},
+			"ef0b49b040a88c3b5a212070498fc688f5b8067394f0dbe665de4649fc57141b"},
 		{"ir-unroll8", CompileRequest{Source: keyIR, IR: true, Config: CompileConfig{Unroll: 8, Flatten: true}},
-			"02b3e8ee9698d369657e1a46772ca14c9fa0959c2864cf2e003dae4485ed39d6"},
+			"6209eb172f9ebabe6e30d477f8573f0a07f5477f8ae81c04bfbc480c40bca32b"},
 		{"ir-asm", CompileRequest{Source: keyIR, IR: true, Format: "asm"},
-			"08ed88c29eaae2435cd3f9b3e33681c2cd323d4ae3894b2be6969e85874c3e7d"},
+			"01a85637ca36c80d85f3a8e9ba6ae4de6605388584b68c9fdff708675f05cb57"},
 		{"ir-remarks", CompileRequest{Source: keyIR, IR: true, Remarks: true},
-			"318939006e3e8053fe3b465962a8613b01dc61c40c87f4c110d6ff39f75069b6"},
+			"e2c25d987e063f290089cc5ad2b29e908aaa70ecddad011f4ee3082331192fa5"},
 		{"ir-unroll8-asm-remarks", CompileRequest{Source: keyIR, IR: true, Config: CompileConfig{Unroll: 8}, Format: "asm", Remarks: true},
-			"f1014400b278c7a07209f99880408c4ca78f074e3589fe777e57275e77680c69"},
+			"7af3dd718f1f6e633f006648b095d21d74cdefe3b2a5f016b7b9ab37725c72b3"},
 	} {
 		req, err := tc.cr.ToService()
 		if err != nil {

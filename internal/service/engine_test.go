@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"rolag"
+	"rolag/internal/backend"
 	"rolag/internal/faultpoint"
 	"rolag/internal/workloads/angha"
 )
@@ -261,6 +262,43 @@ func TestEngineFormatAsm(t *testing.T) {
 	m := e.Metrics()
 	if m.EmitAsm != 2 {
 		t.Errorf("EmitAsm = %d, want 2 (two accepted asm requests)", m.EmitAsm)
+	}
+}
+
+// TestEngineAsmIgnoresModuleName compiles one source as module alpha
+// and then as module beta, a cache hit since the key excludes the
+// name: both responses carry the same assembly, equal to a direct
+// backend build under a third name.
+func TestEngineAsmIgnoresModuleName(t *testing.T) {
+	e := New(Config{Workers: 1})
+	defer e.Close(context.Background())
+
+	const src = "int sum4(int *a) { return a[0] + a[1] + a[2] + a[3]; }"
+	var asm [2]string
+	for i, name := range []string{"alpha", "beta"} {
+		resp, err := e.Compile(context.Background(), Request{
+			Source: src,
+			Config: rolag.Config{Name: name, Opt: rolag.OptRoLAG},
+			Format: FormatAsm,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.CacheHit != (i == 1) {
+			t.Fatalf("%s: cacheHit = %v", name, resp.CacheHit)
+		}
+		asm[i] = resp.Asm
+	}
+	res, err := rolag.Build(src, rolag.Config{Name: "direct", Opt: rolag.OptRoLAG})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := backend.Compile(res.Module, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if asm[0] != asm[1] || asm[0] != r.Asm() {
+		t.Errorf("assembly depends on the module name:\nalpha:\n%s\nbeta:\n%s\ndirect:\n%s", asm[0], asm[1], r.Asm())
 	}
 }
 

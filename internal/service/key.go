@@ -13,7 +13,10 @@ import (
 // of every key and is stamped into cache snapshots, so a snapshot
 // written under an older key layout can never warm a cache whose keys
 // are hashed under a newer one — the loader rejects it and starts cold.
-const cacheKeyVersion = "v3"
+//
+// v4: cached assembly no longer names the module and prints zero tails
+// as .zero, so v3 entries would serve stale text.
+const cacheKeyVersion = "v4"
 
 // cacheKey derives the content address of a request: the SHA-256 of the
 // source text plus a canonical encoding of every Config field that can
@@ -23,8 +26,9 @@ const cacheKeyVersion = "v3"
 // always hashed the input flag at): the same bytes read as mini-C and
 // as IR are different programs.
 // Config.Name is deliberately excluded — the module name never appears
-// in the printed IR or in any size measurement, so two requests that
-// differ only in name share one compilation. The fail-soft knobs (FailSoft, PassBudget, Guard) are excluded too: the
+// in the printed IR, the assembly or any size measurement, so two
+// requests that differ only in name share one compilation. The
+// fail-soft knobs (FailSoft, PassBudget, Guard) are excluded too: the
 // engine sets them itself on every job, and a degraded result is never
 // stored, so the cache only ever holds outputs equal to what the
 // fail-hard pipeline would produce for the same key. Config.Parallelism

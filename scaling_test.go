@@ -4,10 +4,11 @@ package rolag_test
 
 // Scaling gate: IR edits and queries cost what they touch, not the size
 // of the function, so doubling a body must not much more than double
-// its build time.
+// its build time, or for branchy code its bytes allocated.
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"syscall"
@@ -18,8 +19,9 @@ import (
 	"rolag/internal/workloads/tsvc"
 )
 
-// maxDoublingRatio bounds time(2n)/time(n): linear work doubles, the
-// quadratic edits this gate guards against quadruple.
+// maxDoublingRatio bounds time(2n)/time(n), or bytes(2n)/bytes(n):
+// linear work doubles, the quadratic edits this gate guards against
+// quadruple.
 const maxDoublingRatio = 2.5
 
 // runTime is the least process CPU time one timed run spends building.
@@ -67,13 +69,36 @@ func manyLocalsSource(d int) string {
 	return b.String()
 }
 
+// ifChainSource returns one function of n statements
+// `if (a[i] > x) { s = s + a[i+1]; a[i] = s; }`: n diamonds in a row,
+// so the dominator tree is about n blocks deep.
+func ifChainSource(n int) string {
+	var b strings.Builder
+	b.WriteString("int f(int *a, int x) {\n\tint s = 0;\n")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "\tif (a[%d] > x) { s = s + a[%d]; a[%d] = s; }\n", i, i+1, i)
+	}
+	b.WriteString("\treturn s;\n}\n")
+	return b.String()
+}
+
+// allocBytes returns the bytes the process has allocated so far.
+func allocBytes() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.TotalAlloc
+}
+
 // TestBuildScalesLinearly builds each shape at size n and then 2n,
 // fail-soft so the verifier's use-list check after every pass is timed
 // too, and gates the median of three such rounds' ratios. A timed run
 // repeats one size's build for at least runTime of process CPU time and
 // yields the mean, which spreads collector cycles evenly; the two sizes
 // of a round run back to back, so a noisy moment skews one round, not
-// the median.
+// the median. The if-chain shape gates bytes allocated instead of time:
+// ir.Func.Preds scans every block, and the verifier's phi check and
+// simplify's block merging call it per block, so its time still grows
+// fourfold per doubling.
 func TestBuildScalesLinearly(t *testing.T) {
 	if raceEnabled {
 		t.Skip("timing gate: the race detector's overhead distorts the ratio")
@@ -87,40 +112,55 @@ func TestBuildScalesLinearly(t *testing.T) {
 	shapes := []struct {
 		name  string
 		n     int
+		bytes bool // gate bytes allocated, not time
 		build func(n int) (string, rolag.Config)
 	}{
-		{"flat", 2000, func(n int) (string, rolag.Config) {
+		{"flat", 2000, false, func(n int) (string, rolag.Config) {
 			return flatSource(n), rolag.Config{Opt: rolag.OptRoLAG, FailSoft: true}
 		}},
-		{"many-locals", 250, func(n int) (string, rolag.Config) {
+		{"many-locals", 250, false, func(n int) (string, rolag.Config) {
 			return manyLocalsSource(n), rolag.Config{Opt: rolag.OptRoLAG, FailSoft: true}
 		}},
-		{"s1111-unroll", 64, func(n int) (string, rolag.Config) {
+		{"s1111-unroll", 64, false, func(n int) (string, rolag.Config) {
 			return s1111, rolag.Config{Opt: rolag.OptRoLAG, Unroll: n, Flatten: true, FailSoft: true}
+		}},
+		{"if-chain", 250, true, func(n int) (string, rolag.Config) {
+			return ifChainSource(n), rolag.Config{Opt: rolag.OptRoLAG, FailSoft: true}
 		}},
 	}
 	for _, sh := range shapes {
 		t.Run(sh.name, func(t *testing.T) {
+			what := "time"
+			if sh.bytes {
+				what = "bytes allocated"
+			}
 			var ratios []float64
 			for round := 0; round < 3; round++ {
 				var per [2]time.Duration
+				var perBytes [2]uint64
 				for i, n := range []int{sh.n, 2 * sh.n} {
 					src, cfg := sh.build(n)
-					builds, start := 0, cpuTime(t)
+					builds, start, startBytes := 0, cpuTime(t), allocBytes()
 					for ; builds == 0 || cpuTime(t)-start < runTime; builds++ {
 						if _, err := rolag.Build(src, cfg); err != nil {
 							t.Fatalf("n=%d: %v", n, err)
 						}
 					}
 					per[i] = (cpuTime(t) - start) / time.Duration(builds)
+					perBytes[i] = (allocBytes() - startBytes) / uint64(builds)
 				}
-				ratios = append(ratios, float64(per[1])/float64(per[0]))
-				t.Logf("round %d: n=%d %v, n=%d %v, ratio %.2f", round, sh.n, per[0], 2*sh.n, per[1], ratios[round])
+				ratio := float64(per[1]) / float64(per[0])
+				if sh.bytes {
+					ratio = float64(perBytes[1]) / float64(perBytes[0])
+				}
+				ratios = append(ratios, ratio)
+				t.Logf("round %d: n=%d %v %d B, n=%d %v %d B, %s ratio %.2f",
+					round, sh.n, per[0], perBytes[0], 2*sh.n, per[1], perBytes[1], what, ratio)
 			}
 			sort.Float64s(ratios)
 			if median := ratios[1]; median > maxDoublingRatio {
-				t.Errorf("doubling n from %d took %.2fx the time (median of %.2f), want at most %.1fx",
-					sh.n, median, ratios, maxDoublingRatio)
+				t.Errorf("doubling n from %d took %.2fx the %s (median of %.2f), want at most %.1fx",
+					sh.n, median, what, ratios, maxDoublingRatio)
 			}
 		})
 	}
