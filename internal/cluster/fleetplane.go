@@ -208,7 +208,7 @@ func (rt *Router) handleTraceStitch(w http.ResponseWriter, r *http.Request) {
 			if resp.StatusCode != http.StatusOK {
 				return
 			}
-			data, err := readReply(resp.Body, rt.maxReply)
+			data, err := rolagdapi.ReadReply(resp.Body, rt.maxReply)
 			if err != nil {
 				rt.logger().Debug("trace segment dropped", "shard", name, "trace", id, "err", err)
 				return

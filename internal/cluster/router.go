@@ -112,7 +112,7 @@ type Router struct {
 
 	traceRing *obs.TraceRing
 	collector *fleet.Collector
-	// maxReply is MaxShardReplyBytes; tests lower it to probe the cap.
+	// maxReply is rolagdapi.MaxReplyBytes; tests lower it to probe the cap.
 	maxReply int64
 	// compileHist/batchHist are the router-observed per-route request
 	// latencies (time to first usable shard answer, hops included) —
@@ -151,7 +151,7 @@ func New(cfg Config) (*Router, error) {
 		routed:        make(map[string]*atomic.Int64, len(cfg.Shards)),
 		traceRing:     cfg.TraceRing,
 		collector:     fleet.NewCollector(),
-		maxReply:      MaxShardReplyBytes,
+		maxReply:      rolagdapi.MaxReplyBytes,
 	}
 	names := make([]string, 0, len(cfg.Shards))
 	for name := range cfg.Shards {
@@ -191,28 +191,6 @@ func New(cfg Config) (*Router, error) {
 		go rt.scrapeLoop(interval)
 	}
 	return rt, nil
-}
-
-// MaxShardReplyBytes bounds what the router reads of one shard reply: a
-// compile or batch reply, a trace segment or a stats scrape. A legal
-// request body is at most rolagdapi.MaxBodyBytes. The most a request
-// byte expands by, measured over the AnghaBench-style corpus and the
-// TSVC kernels with IR, assembly and remarks all asked for, is 209
-// reply bytes (TSVC's va), so the largest legal batch reply is about
-// 209 MiB; the cap rounds that up to 256 times the body limit.
-const MaxShardReplyBytes = 256 * rolagdapi.MaxBodyBytes
-
-// errReplyTooLarge reports a shard reply longer than the read cap.
-var errReplyTooLarge = errors.New("cluster: shard reply exceeds the read cap")
-
-// readReply reads all of body, failing with errReplyTooLarge once it
-// passes limit bytes.
-func readReply(body io.Reader, limit int64) ([]byte, error) {
-	data, err := io.ReadAll(io.LimitReader(body, limit+1))
-	if err == nil && int64(len(data)) > limit {
-		return nil, errReplyTooLarge
-	}
-	return data, err
 }
 
 // tooLargeReply is the 502 body for a shard reply over the read cap.
@@ -304,8 +282,8 @@ func (rt *Router) forwardCtx(ctx context.Context, shard, path string, body []byt
 		return 0, nil, false, err
 	}
 	defer resp.Body.Close()
-	reply, err = readReply(resp.Body, rt.maxReply)
-	if errors.Is(err, errReplyTooLarge) {
+	reply, err = rolagdapi.ReadReply(resp.Body, rt.maxReply)
+	if errors.Is(err, rolagdapi.ErrReplyTooLarge) {
 		// The shard answered; any other shard would answer the same.
 		hopDone("error")
 		return resp.StatusCode, nil, false, err
@@ -395,7 +373,7 @@ func (rt *Router) handleCompile(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		res := rt.forwardHedged(r.Context(), shard, next, "/v1/compile", body)
-		if errors.Is(res.err, errReplyTooLarge) {
+		if errors.Is(res.err, rolagdapi.ErrReplyTooLarge) {
 			rolagdapi.WriteJSON(w, http.StatusBadGateway, tooLargeReply(rt.maxReply))
 			return
 		}
@@ -575,7 +553,7 @@ func (rt *Router) runGroups(r *http.Request, groups map[string]*shardBatch, time
 				var status int
 				var reply []byte
 				status, reply, _, err = rt.forwardCtx(r.Context(), g.shard, "/v1/batch", body)
-				if errors.Is(err, errReplyTooLarge) {
+				if errors.Is(err, rolagdapi.ErrReplyTooLarge) {
 					mu.Lock()
 					tooLarge = true
 					mu.Unlock()

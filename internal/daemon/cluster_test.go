@@ -345,3 +345,73 @@ func TestPeerMetricsSeries(t *testing.T) {
 		}
 	}
 }
+
+// TestPeerReplyCapped: a peer's /v1/cache reply is read through the
+// reply cap. One that streams past the cap, or one that does not
+// decode, is a peer miss: the shard compiles locally and answers.
+func TestPeerReplyCapped(t *testing.T) {
+	const replyCap = 4 << 10
+	for _, tc := range []struct {
+		name  string
+		reply func(w io.Writer)
+	}{
+		{"over-cap", func(w io.Writer) {
+			// A well-formed entry whose IR alone is 16x the cap.
+			io.WriteString(w, `{"ir":"`)
+			io.WriteString(w, strings.Repeat("x", 16*replyCap))
+			io.WriteString(w, `"}`)
+		}},
+		{"undecodable", func(w io.Writer) { io.WriteString(w, `{"ir": 12`) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				w.Header().Set("Content-Type", "application/json")
+				tc.reply(w)
+			}))
+			defer peer.Close()
+			var d *Daemon
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				d.Handler().ServeHTTP(w, r)
+			}))
+			defer srv.Close()
+			d = New(Config{
+				Engine:     service.Config{Workers: 1},
+				RequestCap: 10 * time.Second,
+				ShardID:    "self",
+				Peers:      map[string]string{"self": srv.URL, "peer": peer.URL},
+			})
+			defer d.Close(context.Background())
+			d.maxPeerReply = replyCap
+
+			var cr rolagdapi.CompileRequest
+			for i := 0; ; i++ {
+				cr = rolagdapi.CompileRequest{Source: fmt.Sprintf("void g%d() {}", i)}
+				sreq, err := cr.ToService()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d.ring.Owner(service.Key(&sreq)) == "peer" {
+					break
+				}
+			}
+			body, _ := json.Marshal(cr)
+			resp, err := http.Post(srv.URL+"/v1/compile", "application/json", strings.NewReader(string(body)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got rolagdapi.CompileResponse
+			err = json.NewDecoder(resp.Body).Decode(&got)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("status %d, decode error %v", resp.StatusCode, err)
+			}
+			if got.CacheHit || strings.Contains(got.IR, "xxxx") {
+				t.Errorf("peer reply served: cacheHit %v, IR %.40q", got.CacheHit, got.IR)
+			}
+			m := d.Engine().Metrics()
+			if m.PeerMisses != 1 || m.PeerHits != 0 || m.Compiles != 1 {
+				t.Errorf("peer hits %d, misses %d, compiles %d; want 0, 1, 1", m.PeerHits, m.PeerMisses, m.Compiles)
+			}
+		})
+	}
+}

@@ -99,6 +99,9 @@ type Daemon struct {
 	ring        *ring.Ring
 	peerTimeout time.Duration
 	peerClient  *http.Client
+	// maxPeerReply is rolagdapi.MaxReplyBytes; tests lower it to probe
+	// the cap.
+	maxPeerReply int64
 
 	snapshotPath string
 	snapMu       sync.Mutex // serializes snapshot saves
@@ -125,12 +128,13 @@ type Daemon struct {
 // (fetch-on-miss peer caching) before compiling.
 func New(cfg Config) *Daemon {
 	d := &Daemon{
-		requestCap:  cfg.RequestCap,
-		log:         cfg.Log,
-		shardID:     cfg.ShardID,
-		peers:       cfg.Peers,
-		peerTimeout: cfg.PeerTimeout,
-		traceRing:   cfg.TraceRing,
+		requestCap:   cfg.RequestCap,
+		log:          cfg.Log,
+		shardID:      cfg.ShardID,
+		peers:        cfg.Peers,
+		peerTimeout:  cfg.PeerTimeout,
+		maxPeerReply: rolagdapi.MaxReplyBytes,
+		traceRing:    cfg.TraceRing,
 	}
 	if d.peerTimeout <= 0 {
 		d.peerTimeout = DefaultPeerTimeout
@@ -244,7 +248,8 @@ func (d *Daemon) BeginDrain() { d.draining.Store(true) }
 // the key's home, ask the home shard's cache before compiling. It only
 // ever reads the peer's cache (GET /v1/cache/{key} never compiles), so
 // lookups cannot recurse across the cluster. Any failure — peer down,
-// timeout, 404 — degrades silently to a local compile.
+// timeout, 404, a reply over the read cap or one that does not decode —
+// degrades silently to a local compile.
 func (d *Daemon) peerFetch(ctx context.Context, key string) (*service.CacheEntry, bool) {
 	home := d.ring.Owner(key)
 	if home == d.shardID || home == "" {
@@ -288,7 +293,11 @@ func (d *Daemon) peerFetch(ctx context.Context, key string) (*service.CacheEntry
 		return nil, true
 	}
 	var ce service.CacheEntry
-	if err := json.NewDecoder(resp.Body).Decode(&ce); err != nil {
+	data, err := rolagdapi.ReadReply(resp.Body, d.maxPeerReply)
+	if err == nil {
+		err = json.Unmarshal(data, &ce)
+	}
+	if err != nil {
 		hopDone("error")
 		return nil, true
 	}

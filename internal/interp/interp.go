@@ -208,9 +208,6 @@ func (in *Interp) Alloc(size, align int64) (int64, error) {
 	return addr, nil
 }
 
-// GlobalAddr returns the address of a global.
-func (in *Interp) GlobalAddr(g *ir.Global) int64 { return in.globalAddr[g] }
-
 // Mem returns the backing memory up to the last allocation. Tests use
 // it to compare final state.
 func (in *Interp) Mem() []byte {
@@ -244,15 +241,6 @@ func (in *Interp) LoadBytes(addr, size int64) ([]byte, error) {
 	out := make([]byte, size)
 	copy(out, in.mem[addr:addr+size])
 	return out, nil
-}
-
-// StoreBytes writes b at addr.
-func (in *Interp) StoreBytes(addr int64, b []byte) error {
-	if err := in.checkRange(addr, int64(len(b))); err != nil {
-		return err
-	}
-	copy(in.mem[addr:], b)
-	return nil
 }
 
 // LoadTyped reads a scalar of type t at addr.

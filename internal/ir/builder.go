@@ -23,12 +23,6 @@ func (bd *Builder) SetBlock(b *Block) {
 	bd.At = -1
 }
 
-// SetInsertBefore positions the builder to insert before instruction in.
-func (bd *Builder) SetInsertBefore(in *Instr) {
-	bd.Block = in.Parent
-	bd.At = in.Index()
-}
-
 func (bd *Builder) insert(in *Instr) *Instr {
 	if !IsVoid(in.Typ) && in.Name == "" {
 		in.Name = bd.Func.uniqueName("t")

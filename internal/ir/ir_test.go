@@ -613,3 +613,60 @@ func TestNameIndexFollowsTheBody(t *testing.T) {
 		t.Errorf("UniqueName(bb) = %q after RemoveBlock, want bb", got)
 	}
 }
+
+// TestNameReplayMatchesUniqueName: replaying requests and departures
+// burns the name counter exactly as performing them on the body and
+// undoing the edit with RestoreKeepNames does.
+func TestNameReplayMatchesUniqueName(t *testing.T) {
+	build := func() (*Func, *Block, []*Instr) {
+		m := NewModule("t")
+		f := m.NewFunc("f", I32, &Param{Name: "x", Typ: I32})
+		b := f.NewBlock("entry")
+		bd := NewBuilder(b)
+		s := bd.Add(f.Params[0], ConstInt(I32, 1)) // t
+		t1 := bd.Add(s, s)
+		bd.named("t3", &Instr{Op: OpAdd, Typ: I32, Operands: []Value{s, s}})
+		t9 := bd.named("t9", &Instr{Op: OpAdd, Typ: I32, Operands: []Value{s, s}})
+		v := bd.named("v", &Instr{Op: OpMul, Typ: I32, Operands: []Value{s, s}})
+		bd.Ret(s)
+		return f, b, []*Instr{t1, t9, v}
+	}
+	// "t" skips the taken t3. Then t1, t9 and v leave: t1 can never be
+	// handed out again, while t9 and v are free to be.
+	bases := []string{"t", "t", "v", "v", "x", "blk", "", "t", "t", "t", "blk"}
+	const dropAfter = 1
+
+	f, b, gone := build()
+	var ck Checkpoint
+	ck.Take(f)
+	for i, base := range bases {
+		name := f.UniqueName(base)
+		b.InsertAt(0, &Instr{Op: OpAdd, Typ: I32, Name: name, Operands: []Value{f.Params[0], f.Params[0]}})
+		if i == dropAfter {
+			for _, in := range gone {
+				b.Remove(in)
+			}
+		}
+	}
+	ck.RestoreKeepNames()
+
+	g, _, ggone := build()
+	r := g.ReplayNames()
+	for i, base := range bases {
+		r.Request(base)
+		if i == dropAfter {
+			for _, in := range ggone {
+				r.Drop(in.Name)
+			}
+		}
+	}
+	r.Burn()
+	for _, base := range []string{"t", "v", "x"} {
+		if got, want := g.UniqueName(base), f.UniqueName(base); got != want {
+			t.Errorf("UniqueName(%q) after the replay %q, after the performed edit %q", base, got, want)
+		}
+	}
+	if got := g.String(); got != f.String() {
+		t.Errorf("replay changed the body:\n%s\nwant\n%s", got, f)
+	}
+}

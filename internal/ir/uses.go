@@ -3,6 +3,7 @@ package ir
 import (
 	"fmt"
 	"slices"
+	"strconv"
 )
 
 // Def-use chains and the name index are body state maintained by the
@@ -177,6 +178,106 @@ func (f *Func) dropName(name string) {
 	} else {
 		delete(f.names, name)
 	}
+}
+
+// NameReplay replays unique-name requests against a function's names
+// without changing its body. A transformation that is priced and then
+// abandoned before it is built can replay the names it would have
+// requested and burn them, leaving the name counter exactly where
+// building it and undoing it with Checkpoint.RestoreKeepNames would
+// have, so every later name stays the same.
+//
+// A replayed base must not end in a decimal digit, as no base the
+// compiler requests does. A name handed out as base+counter then ends
+// in the counter's digits alone, so no later request in the replay,
+// bare or numbered with a larger counter, can spell it again, and the
+// replay need not remember it. The replay edits f's name index for
+// departures and bare names, and Burn undoes those edits, so every
+// replay must end in Burn, with f unchanged in between.
+type NameReplay struct {
+	f       *Func
+	counter int
+	// edits lists the index entries the replay added (or removed), for
+	// Burn to undo.
+	edits []nameEdit
+	buf   []byte
+}
+
+type nameEdit struct {
+	name  string
+	added bool
+}
+
+// ReplayNames starts a replay at f's current names and name counter.
+func (f *Func) ReplayNames() NameReplay {
+	f.nameTaken("") // build the index
+	return NameReplay{f: f, counter: f.nameCounter}
+}
+
+// Drop replays an owner of name leaving the body.
+func (r *NameReplay) Drop(name string) {
+	if name == "" || r.spent(name) {
+		return
+	}
+	r.f.dropName(name)
+	r.edits = append(r.edits, nameEdit{name, false})
+}
+
+// spent reports whether no later request can be handed name: it ends
+// in digits that spell no counter value above the current one. A
+// numbered candidate ends in its larger counter, and a bare base in no
+// digit, so name's departure cannot change a later name.
+func (r *NameReplay) spent(name string) bool {
+	i := len(name)
+	for i > 0 && name[i-1] >= '0' && name[i-1] <= '9' {
+		i--
+	}
+	digits := name[i:]
+	if digits == "" {
+		return false
+	}
+	if digits[0] == '0' {
+		return true // no counter value is spelled with a leading zero
+	}
+	n, err := strconv.Atoi(digits)
+	return err == nil && n <= r.counter
+}
+
+// Request replays a unique-name request for base, which takes the name
+// it would get.
+func (r *NameReplay) Request(base string) {
+	if base == "" {
+		base = "t"
+	}
+	if last := base[len(base)-1]; last >= '0' && last <= '9' {
+		panic("ir: replayed name base " + base + " ends in a digit")
+	}
+	if r.f.names[base] == 0 {
+		r.f.addName(base)
+		r.edits = append(r.edits, nameEdit{base, true})
+		return
+	}
+	for {
+		r.counter++
+		r.buf = strconv.AppendInt(append(r.buf[:0], base...), int64(r.counter), 10)
+		if r.f.names[string(r.buf)] == 0 {
+			return
+		}
+	}
+}
+
+// Burn undoes the replay's edits of f's name index and moves f's name
+// counter to where the replayed requests left it.
+func (r *NameReplay) Burn() {
+	for i := len(r.edits) - 1; i >= 0; i-- {
+		if e := r.edits[i]; e.added {
+			r.f.dropName(e.name)
+		} else {
+			r.f.addName(e.name)
+		}
+	}
+	r.edits = r.edits[:0]
+	r.f.nameCounter = r.counter
 }
 
 // linkUses builds every use-list of a body assembled without the

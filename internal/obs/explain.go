@@ -88,7 +88,11 @@ func explainLine(r Remark) string {
 	case "rolled":
 		fmt.Fprintf(&sb, "rolled %s at %s: %d -> %d bytes (%+d)", lanes(r.Lanes), r.Instr, r.CostBefore, r.CostAfter, r.DeltaBytes)
 	case "not-profitable":
-		fmt.Fprintf(&sb, "cost model rejected roll at %s: %d -> %d bytes (%+d)", r.Instr, r.CostBefore, r.CostAfter, r.DeltaBytes)
+		bound := ""
+		if r.Detail == BoundDetail {
+			bound = "≥"
+		}
+		fmt.Fprintf(&sb, "cost model rejected roll at %s: %d -> %s%d bytes (%s%+d)", r.Instr, r.CostBefore, bound, r.CostAfter, bound, r.DeltaBytes)
 	case "rerolled":
 		fmt.Fprintf(&sb, "rerolled loop by factor %d", r.Lanes)
 	default:

@@ -380,3 +380,26 @@ func TestExplainFallbacks(t *testing.T) {
 		t.Errorf("'all' filter dropped a function:\n%s", out)
 	}
 }
+
+// TestExplainBoundRejection: a not-profitable remark decided on the
+// lower bound renders its cost after and delta as bounds; an exact one
+// does not.
+func TestExplainBoundRejection(t *testing.T) {
+	remarks := []Remark{
+		{Pass: "rolag", Name: "not-profitable", Status: StatusMissed, Func: "f", Block: "entry", Instr: "%t7",
+			Reason: "not-profitable", Detail: BoundDetail, CostBefore: 26, CostAfter: 34, DeltaBytes: 8},
+		{Pass: "rolag", Name: "not-profitable", Status: StatusMissed, Func: "f", Block: "entry", Instr: "store@3",
+			Reason: "not-profitable", Detail: "not profitable (40 >= 30 bytes)", CostBefore: 30, CostAfter: 40, DeltaBytes: 10},
+	}
+	var buf bytes.Buffer
+	Explain(&buf, remarks, "f")
+	out := buf.String()
+	for _, want := range []string{
+		"cost model rejected roll at %t7: 26 -> ≥34 bytes (≥+8) [not-profitable]",
+		"cost model rejected roll at store@3: 30 -> 40 bytes (+10) [not-profitable]",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("missing %q in:\n%s", want, out)
+		}
+	}
+}

@@ -54,10 +54,16 @@ type Remark struct {
 	// CostBefore/CostAfter/DeltaBytes report the cost-model verdict in
 	// bytes (Delta = after - before, negative when the roll shrinks the
 	// function). Set on "rolled" and "not-profitable".
+	// A "not-profitable" remark whose Detail is BoundDetail was decided
+	// before codegen: its CostAfter and DeltaBytes are lower bounds.
 	CostBefore int `json:"costBefore,omitempty"`
 	CostAfter  int `json:"costAfter,omitempty"`
 	DeltaBytes int `json:"deltaBytes,omitempty"`
 }
+
+// BoundDetail is the Detail of a "not-profitable" remark rejected on a
+// lower bound of the roll's cost, without generating the loop.
+const BoundDetail = "not profitable: lower bound on the cost after; no loop generated"
 
 // Collector accumulates remarks for one function. It is append-only
 // and NOT safe for concurrent use: the pipeline gives every function

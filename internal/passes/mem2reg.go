@@ -95,8 +95,10 @@ func Mem2Reg(f *ir.Func) bool {
 	// sweep at the end: removing them one by one would rescan their
 	// blocks and the allocas' use-lists once per instruction.
 	dead := make(map[*ir.Instr]bool)
+	renamed := make([]bool, len(f.Blocks))
 	var rename func(b *ir.Block)
 	rename = func(b *ir.Block) {
+		renamed[blockPos[b]] = true
 		var pushed []*ir.Instr
 		var loads []*ir.Instr // promoted loads of b, in block order
 		replace := make(map[ir.Value]ir.Value)
@@ -155,6 +157,15 @@ func Mem2Reg(f *ir.Func) bool {
 		}
 	}
 	rename(f.Entry())
+	// Blocks the entry does not reach are outside the dominator tree;
+	// rename each on its own, from empty stacks (a load before any
+	// store reads undef), so none keeps a use of a deleted alloca and
+	// the phis they feed get an incoming value for every predecessor.
+	for i, b := range f.Blocks {
+		if !renamed[i] {
+			rename(b)
+		}
+	}
 
 	for _, a := range allocas {
 		dead[a] = true

@@ -440,3 +440,48 @@ int f(int *a, int n) {
 		t.Errorf("pipeline not idempotent:\n--- first ---\n%s\n--- second ---\n%s", first, second)
 	}
 }
+
+// TestMem2RegAloneUnreachableBlocks: mem2reg on its own maps valid IR
+// to valid IR when a promoted alloca is stored to in blocks the entry
+// does not reach (TestCanonicalizeUnreachableCycle's input), instead of
+// leaving those stores to a deleted alloca for simplify to drop.
+func TestMem2RegAloneUnreachableBlocks(t *testing.T) {
+	m, err := irparse.ParseModule(`func i32 @f(i1 %c, i32 %x) {
+entry:
+  %p = alloca i32, i64 1
+  store i32 %x, i32* %p
+  br %j
+u1:
+  store i32 1, i32* %p
+  %v = load i32, i32* %p
+  condbr i1 %c, %u2, %j
+u2:
+  %w = load i32, i32* %p
+  condbr i1 %c, %u1, %j
+j:
+  %r = load i32, i32* %p
+  ret i32 %r
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := m.FindFunc("f")
+	if !passes.Mem2Reg(f) {
+		t.Fatal("mem2reg promoted nothing")
+	}
+	if err := f.Verify(); err != nil {
+		t.Fatalf("verify after mem2reg alone: %v\n%s", err, f)
+	}
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			if in.Op == ir.OpAlloca || in.Op == ir.OpLoad || in.Op == ir.OpStore {
+				t.Errorf("%s survived promotion:\n%s", in, f)
+			}
+		}
+	}
+	in, _ := interp.New(m)
+	if v, _ := in.Call("f", interp.IntVal(1), interp.IntVal(7)); v.I != 7 {
+		t.Errorf("f(1, 7) = %d\n%s", v.I, f)
+	}
+}

@@ -9,7 +9,8 @@ import (
 // a new single-block loop executes one graph iteration per lane, and a
 // new exit block receives the post-loop code, the extracted external
 // values and b's original terminator. The constant-table globals
-// codegen creates go to f.Parent.
+// codegen creates go to f.Parent. burnCodegenNames replays the unique
+// names it requests, in order, and must change with it.
 func GenerateLoop(f *ir.Func, b *ir.Block, g *Graph, sched *Schedule, opts *Options) {
 	lanes := g.Root.Lanes()
 	// Which lanes escape the loop is a question about the body before
@@ -165,15 +166,7 @@ func (cg *codegen) genIntSeq(n *Node) ir.Value {
 // the loop reads element iv (§IV.E).
 func (cg *codegen) genMismatch(n *Node) ir.Value {
 	t := n.Vals[0].Type()
-	allConstScalar := true
-	for _, v := range n.Vals {
-		switch v.(type) {
-		case *ir.IntConst, *ir.FloatConst:
-		default:
-			allConstScalar = false
-		}
-	}
-	if allConstScalar {
+	if allConstScalar(n) {
 		arr := &ir.ArrayConst{Typ: ir.ArrayOf(len(n.Vals), t)}
 		for _, v := range n.Vals {
 			arr.Elems = append(arr.Elems, v.(ir.Const))
@@ -358,18 +351,23 @@ func escapingLanes(g *Graph, sched *Schedule) map[*ir.Instr]bool {
 			continue
 		}
 		for _, in := range n.Insts {
-			if in == nil {
-				continue
-			}
-			for _, u := range in.Users() {
-				if _, isMatched := g.Matched[u]; !isMatched {
-					escapes[in] = true
-					break
-				}
+			if in != nil && usedOutside(in, g) {
+				escapes[in] = true
 			}
 		}
 	}
 	return escapes
+}
+
+// usedOutside reports whether matched instruction in has a user outside
+// the matched set.
+func usedOutside(in *ir.Instr, g *Graph) bool {
+	for _, u := range in.Users() {
+		if _, isMatched := g.Matched[u]; !isMatched {
+			return true
+		}
+	}
+	return false
 }
 
 func blockIndex(f *ir.Func, b *ir.Block) int {

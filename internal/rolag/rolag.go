@@ -24,15 +24,10 @@ func RollModule(m *ir.Module, opts *Options) *Stats {
 	return stats
 }
 
-// RollFunc runs RoLAG on every basic block of f (the main procedure of
-// Fig. 5). Newly generated loop blocks are not re-processed.
-func RollFunc(f *ir.Func, opts *Options) *Stats {
-	return RollFuncInto(f, opts, nil, nil, nil)
-}
-
-// RollFuncInto is RollFunc with the analysis cache and the
-// observability recorder made explicit. am carries cached per-function
-// analyses (nil for a private cache). sink must be nil or f.Parent:
+// RollFuncInto runs RoLAG on every basic block of f (the main
+// procedure of Fig. 5). Newly generated loop blocks are not
+// re-processed. am carries cached per-function analyses (nil for a
+// private cache). sink must be nil or f.Parent:
 // codegen's constant-table globals always go to f.Parent. rec collects
 // optimization remarks and carries the request trace; nil disables both
 // with zero added allocations on the hot path.
@@ -132,7 +127,7 @@ func rollBlockOnce(f *ir.Func, bi int, opts *Options, stats *Stats, am *analysis
 				Func: f.Name, Block: b.Name,
 				Instr: instrRef(a.groups[0].Instrs[0], idx),
 				Kind:  seedKindLabel(a.groups),
-				Lanes: len(a.groups[0].Instrs),
+				Lanes: a.groups[0].Lanes(),
 			})
 		}
 		loopBlock, err := tryRoll(f, bi, opts, stats, am, rec, a.groups)
@@ -154,7 +149,7 @@ func rollBlockOnce(f *ir.Func, bi int, opts *Options, stats *Stats, am *analysis
 func tryRoll(f *ir.Func, bi int, opts *Options, stats *Stats, am *analysis.Manager, rec *obs.Recorder, groups []*SeedGroup) (*ir.Block, error) {
 	b := f.Blocks[bi]
 	fi := am.Info(f)
-	lanes := len(groups[0].Instrs)
+	lanes := groups[0].Lanes()
 
 	t := phaseStart()
 	graph, err := buildGraphInfo(b, opts, fi, groups...)
@@ -182,6 +177,26 @@ func tryRoll(f *ir.Func, bi int, opts *Options, stats *Stats, am *analysis.Manag
 	}
 
 	t = phaseStart()
+	bound := rollBound(graph, sched, opts.Model)
+	if testHookPriced != nil {
+		testHookPriced(f, b, graph, sched, opts, bound)
+	}
+	if !opts.AlwaysRoll && bound >= 0 {
+		// The graph alone shows the roll cannot shrink f: reject it
+		// without a checkpoint or codegen, burning the names codegen
+		// would have.
+		burnCodegenNames(f, b, graph, sched)
+		stats.NotProfitable++
+		phaseEnd(rec, PhaseCodegen, t)
+		if rec.On() {
+			rm := missRemark("not-profitable", f, b, groups, fi, lanes, errBoundUnprofitable)
+			rm.CostBefore = opts.Model.Func(f)
+			rm.CostAfter = rm.CostBefore + bound
+			rm.DeltaBytes = bound
+			rec.Add(rm)
+		}
+		return nil, errBoundUnprofitable
+	}
 	// Codegen is speculative: checkpoint the body so a rejected roll
 	// puts the same blocks and instructions back, which keeps fi (and
 	// every other pointer into the body) describing f again.
@@ -241,6 +256,15 @@ func tryRoll(f *ir.Func, bi int, opts *Options, stats *Stats, am *analysis.Manag
 	}
 	return loopBlock, nil
 }
+
+// errBoundUnprofitable rejects a roll whose cost-delta lower bound
+// (rollBound) is already ≥ 0; its remark's costs are that bound.
+var errBoundUnprofitable = &errAbort{code: "not-profitable", reason: obs.BoundDetail}
+
+// testHookPriced, when set by the package's tests, sees every roll
+// attempt that passed scheduling, with its cost-delta lower bound,
+// before the bound decides anything. It must leave f as it found it.
+var testHookPriced func(f *ir.Func, b *ir.Block, g *Graph, sched *Schedule, opts *Options, bound int)
 
 // seedKindLabel names the seed-group kind of an attempt; joint
 // attempts are prefixed so the taxonomy distinguishes them.

@@ -21,25 +21,15 @@ type Schedule struct {
 	Emission []*Node
 }
 
-// AnalyzeScheduling verifies that the instructions of the alignment graph
-// can be rearranged into loop iterations while preserving the program's
-// semantics, and computes where every other instruction of the block must
-// be placed. It returns nil when the rearrangement is illegal.
-func AnalyzeScheduling(b *ir.Block, g *Graph) (*Schedule, error) {
-	idx := make(map[*ir.Instr]int, len(b.Instrs))
-	for i, in := range b.Instrs {
-		idx[in] = i
-	}
-	return analyzeSchedulingIdx(b, g, idx)
-}
-
-// analyzeSchedulingIdx is AnalyzeScheduling with the block position
-// index supplied by the caller (typically a cached
-// analysis.FuncInfo.Index, which maps every instruction to its position
-// within its own block — for b's instructions that is the position in
-// b). The index serves both roles the analysis needs positions for:
-// locating conflicts relative to the candidate and verifying the
-// reordered memory-operation pairs.
+// analyzeSchedulingIdx verifies that the instructions of the alignment
+// graph can be rearranged into loop iterations while preserving the
+// program's semantics, and computes where every other instruction of
+// the block must be placed. It returns an error when the rearrangement
+// is illegal. idx maps b's instructions to their positions in b
+// (typically a cached analysis.FuncInfo.Index, which maps every
+// instruction to its position within its own block); it serves both
+// roles the analysis needs positions for: locating conflicts relative
+// to the candidate and verifying the reordered memory-operation pairs.
 func analyzeSchedulingIdx(b *ir.Block, g *Graph, idx map[*ir.Instr]int) (*Schedule, error) {
 	emission := emissionOrder(g)
 

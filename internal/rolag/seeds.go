@@ -193,7 +193,7 @@ func baseObject(v ir.Value) ir.Value {
 // the tree. The leaves become the seed lanes.
 func collectReductions(b *ir.Block, opts *Options, minLanes int) []*SeedGroup {
 	// Users are counted function-wide, not per-block: an earlier roll in
-	// the same RollFunc invocation may have split the block, moving a
+	// the same RollFuncInto invocation may have split the block, moving a
 	// user of an intermediate value (a terminator operand, a value live
 	// across the split) into a successor block. A block-local count
 	// would miss that use, claim the intermediate as tree-internal, and

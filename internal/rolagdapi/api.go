@@ -7,6 +7,7 @@ package rolagdapi
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 
 	"rolag"
@@ -144,8 +145,31 @@ func BadRequest(err error) ErrorResponse {
 }
 
 // CodeReplyTooLarge is the Code of rolag-router's 502 reply when a
-// shard's reply exceeds the router's read cap.
+// shard's reply exceeds MaxReplyBytes.
 const CodeReplyTooLarge = "reply-too-large"
+
+// MaxReplyBytes bounds what one process of the cluster reads of
+// another's reply: the router of a shard's compile or batch reply,
+// trace segment or stats scrape, and a shard of a peer's cache entry.
+// A legal request body is at most MaxBodyBytes. The most a request
+// byte expands by, measured over the AnghaBench-style corpus and the
+// TSVC kernels with IR, assembly and remarks all asked for, is 209
+// reply bytes (TSVC's va), so the largest legal batch reply is about
+// 209 MiB; the cap rounds that up to 256 times the body limit.
+const MaxReplyBytes = 256 * MaxBodyBytes
+
+// ErrReplyTooLarge reports a reply longer than the read cap.
+var ErrReplyTooLarge = errors.New("rolagdapi: reply exceeds the read cap")
+
+// ReadReply reads all of body, failing with ErrReplyTooLarge once it
+// passes limit bytes.
+func ReadReply(body io.Reader, limit int64) ([]byte, error) {
+	data, err := io.ReadAll(io.LimitReader(body, limit+1))
+	if err == nil && int64(len(data)) > limit {
+		return nil, ErrReplyTooLarge
+	}
+	return data, err
+}
 
 // LimitBody caps r's body at MaxBodyBytes: reading past the cap fails
 // with an error BodyTooLarge recognizes.

@@ -23,13 +23,3 @@ func (e *Engine) ExportCached(key string) (*CacheEntry, bool) {
 	ce.Stats = copyStats(ce.Stats)
 	return &ce, true
 }
-
-// ImportCached stores a peer-fetched entry in the local cache under
-// key. The caller owns ce and must not mutate it afterwards (in
-// practice ce is freshly decoded JSON, so nothing else aliases it).
-func (e *Engine) ImportCached(key string, ce *CacheEntry) {
-	if e.cache == nil || ce == nil {
-		return
-	}
-	e.cache.put(key, &entry{CacheEntry: *ce})
-}

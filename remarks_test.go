@@ -140,3 +140,35 @@ func TestRemarksExplainNamesRejection(t *testing.T) {
 		t.Errorf("Explain output omits the rejection reason %q:\n%s", miss.Reason, out)
 	}
 }
+
+// TestReductionRemarksCarryLeafCount: a reduction's trip count is its
+// chain length, so its seed, rolled and not-profitable remarks report
+// the number of leaves, not the one root instruction of its seed group.
+func TestReductionRemarksCarryLeafCount(t *testing.T) {
+	src := `int sum8(int *a) { return a[0]+a[1]+a[2]+a[3]+a[4]+a[5]+a[6]+a[7]; }
+int mix3(int x, int y, int z) { return x*3 + y*5 + z*7; }
+`
+	res, err := rolag.Build(src, rolag.Config{Opt: rolag.OptRoLAG, Remarks: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int{"sum8": 8, "mix3": 3}
+	seen := map[string]bool{}
+	for _, r := range res.Remarks {
+		if r.Name != "seed" && r.Name != "rolled" && r.Name != "not-profitable" {
+			continue
+		}
+		if !strings.HasSuffix(r.Kind, "reduction") {
+			t.Fatalf("premise: %s remark of %s has kind %q, want a reduction", r.Name, r.Func, r.Kind)
+		}
+		seen[r.Func+"/"+r.Name] = true
+		if r.Lanes != want[r.Func] {
+			t.Errorf("%s remark of %s: lanes %d, want %d leaves", r.Name, r.Func, r.Lanes, want[r.Func])
+		}
+	}
+	for _, k := range []string{"sum8/seed", "sum8/rolled", "mix3/seed", "mix3/not-profitable"} {
+		if !seen[k] {
+			t.Errorf("no %s remark; stream: %+v", k, res.Remarks)
+		}
+	}
+}
