@@ -134,9 +134,11 @@ calib:
 # output is not correct, if any operation failed, or if throughput_ops
 # falls below half of its record's, or if alloc_kb_per_op exceeds 1.25x
 # its record's. On angha-cold that ceiling catches a return of
-# per-execution body clones in the sandbox, on tsvc-unroll8 a return of
-# materialized zero data (each kernel module carries about 14 KB of
-# zero-initialized arrays). Each record holds both benchmark output
+# per-node allocation in RoLAG's alignment (roll attempts that each
+# allocate their graph instead of reusing the function's attempt
+# arena measured 618 KiB against a 458 KiB record), on tsvc-unroll8 a
+# return of materialized zero data (each kernel module carries about
+# 14 KB of zero-initialized arrays). Each record holds both benchmark output
 # lines (provenance: rev, nproc, Go version; then the metrics), taken
 # on the machine that runs the gate by `make bench-smoke-record`.
 # BENCH_SMOKE_RECORD and BENCH_SMOKE_ANGHA_RECORD name other records.

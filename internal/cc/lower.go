@@ -98,6 +98,7 @@ func (lw *lowerer) irType(t *CType) ir.Type {
 		for _, f := range t.Struct.Fields {
 			st.Fields = append(st.Fields, lw.irType(f.Type))
 		}
+		st.Layout()
 		lw.mod.AddStruct(st)
 		return st
 	}

@@ -68,6 +68,50 @@ func TestRollAllocBudget(t *testing.T) {
 	}
 }
 
+// pinnedRejectedFunc returns fn_fieldcopy_0880 from angha.Generate(1000,
+// 1), the corpus the angha-cold benchmark sends. Its largest attempt is
+// a 3-lane mul reduction whose 235-node alignment graph (one lane's
+// 115-op chain padded with neutral elements) is priced and rejected;
+// one small roll elsewhere is kept.
+func pinnedRejectedFunc(t testing.TB) angha.Function {
+	fn := angha.Generate(1000, 1)[880]
+	if fn.Name != "fn_fieldcopy_0880" || fn.Family != angha.FamFieldCopy {
+		t.Fatalf("corpus drifted: funcs[880] = %s (%s), want fn_fieldcopy_0880 (field-copy); "+
+			"re-pin the function and re-measure the allocation budget", fn.Name, fn.Family)
+	}
+	return fn
+}
+
+// rejectedAllocBudget is the fail-soft allocs-per-Build ceiling for
+// pinnedRejectedFunc. Measured at ~8.4k allocs/op with every roll
+// attempt of a function aligned and scheduled in one reused arena; the
+// ceiling, about twice that, fails when alignment allocates per node
+// again (~20k allocs/op).
+const rejectedAllocBudget = 17000
+
+// TestRejectedAlignAllocBudget is the tier-1 allocation gate on roll
+// attempts that align, schedule and are then rejected, which
+// TestRollAllocBudget's rolling function does not cover.
+func TestRejectedAlignAllocBudget(t *testing.T) {
+	fn := pinnedRejectedFunc(t)
+	cfg := rolag.Config{Opt: rolag.OptRoLAG, FailSoft: true}
+	res, err := rolag.Build(fn.Src, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := res.Stats; s == nil || s.NotProfitable == 0 || res.Degraded != nil {
+		t.Fatalf("pinned function %s must reject a roll as unprofitable, cleanly; stats %+v, degraded %v", fn.Name, s, res.Degraded)
+	}
+	avg := testing.AllocsPerRun(10, func() {
+		if _, err := rolag.Build(fn.Src, cfg); err != nil {
+			t.Error(err)
+		}
+	})
+	if avg > rejectedAllocBudget {
+		t.Errorf("rolag.Build(%s), fail-soft: %.0f allocs/op, budget %d", fn.Name, avg, rejectedAllocBudget)
+	}
+}
+
 // sandboxAllocRatio caps fail-soft allocations on the pinned function
 // as a multiple of fail-hard ones. The sandbox checkpoints and verifies
 // the function three times per Build (once per canonicalization stage

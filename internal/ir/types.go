@@ -128,6 +128,54 @@ func (t ArrayType) Equal(u Type) bool {
 type StructType struct {
 	TypeName string
 	Fields   []Type
+	// layout caches the field offsets, size and alignment once Layout
+	// has computed them; nil means they are computed on every query.
+	layout *structLayout
+}
+
+type structLayout struct {
+	offsets     []int
+	size, align int
+}
+
+// Layout computes t's field offsets, size and alignment once, so that
+// FieldOffset, Size and Align stop walking the fields. Call it after
+// the body is set and no longer changes. It reports whether t is laid
+// out: a struct holding another struct by value, directly or in an
+// array, waits until that struct is laid out itself (its body may not
+// be known yet), and t is then still answered field by field.
+func (t *StructType) Layout() bool {
+	if t.layout != nil {
+		return true
+	}
+	for _, f := range t.Fields {
+		if !laidOut(f) {
+			return false
+		}
+	}
+	l := &structLayout{offsets: make([]int, len(t.Fields)), align: t.fieldAlign()}
+	off := 0
+	for i, f := range t.Fields {
+		off = alignUp(off, f.Align())
+		l.offsets[i] = off
+		off += f.Size()
+	}
+	if len(t.Fields) > 0 {
+		l.size = alignUp(off, l.align)
+	}
+	t.layout = l
+	return true
+}
+
+// laidOut reports whether every struct t holds by value is laid out.
+func laidOut(t Type) bool {
+	switch t := t.(type) {
+	case *StructType:
+		return t.layout != nil
+	case ArrayType:
+		return laidOut(t.Elem)
+	}
+	return true
 }
 
 func (t *StructType) String() string {
@@ -143,6 +191,9 @@ func (t *StructType) String() string {
 
 // FieldOffset returns the byte offset of field i under natural alignment.
 func (t *StructType) FieldOffset(i int) int {
+	if t.layout != nil {
+		return t.layout.offsets[i]
+	}
 	off := 0
 	for j := 0; j < i; j++ {
 		off = alignUp(off, t.Fields[j].Align())
@@ -152,6 +203,9 @@ func (t *StructType) FieldOffset(i int) int {
 }
 
 func (t *StructType) Size() int {
+	if t.layout != nil {
+		return t.layout.size
+	}
 	if len(t.Fields) == 0 {
 		return 0
 	}
@@ -161,6 +215,14 @@ func (t *StructType) Size() int {
 }
 
 func (t *StructType) Align() int {
+	if t.layout != nil {
+		return t.layout.align
+	}
+	return t.fieldAlign()
+}
+
+// fieldAlign is the largest alignment of t's fields (1 without any).
+func (t *StructType) fieldAlign() int {
 	a := 1
 	for _, f := range t.Fields {
 		if f.Align() > a {

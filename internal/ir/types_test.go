@@ -71,6 +71,38 @@ func TestStructLayout(t *testing.T) {
 	}
 }
 
+// TestStructLayoutCached: a laid-out struct answers FieldOffset, Size
+// and Align as the field walk does, and a struct holding a struct that
+// is not laid out yet waits for it.
+func TestStructLayoutCached(t *testing.T) {
+	inner := func() *StructType { return &StructType{Fields: []Type{I8, I64, I16}} }
+	outer := func(in *StructType) *StructType {
+		return &StructType{Fields: []Type{I8, ArrayOf(3, in), I32, Ptr(in), I16}}
+	}
+	walkIn, walkOut := inner(), outer(inner())
+	in := inner()
+	out := outer(in)
+	if out.Layout() {
+		t.Fatal("laid out a struct holding a struct that is not laid out")
+	}
+	if !in.Layout() || !out.Layout() {
+		t.Fatal("Layout failed on structs whose parts are laid out")
+	}
+	for _, c := range []struct{ got, want *StructType }{{in, walkIn}, {out, walkOut}} {
+		for i := range c.want.Fields {
+			if g, w := c.got.FieldOffset(i), c.want.FieldOffset(i); g != w {
+				t.Errorf("%s field %d: offset %d, field walk %d", c.want, i, g, w)
+			}
+		}
+		if c.got.Size() != c.want.Size() || c.got.Align() != c.want.Align() {
+			t.Errorf("%s: size/align %d/%d, field walk %d/%d", c.want, c.got.Size(), c.got.Align(), c.want.Size(), c.want.Align())
+		}
+	}
+	if out.Size() != 104 {
+		t.Errorf("size %d, want 104", out.Size())
+	}
+}
+
 func TestTypeEquality(t *testing.T) {
 	if !I32.Equal(IntType{Bits: 32}) {
 		t.Error("i32 should equal i32")

@@ -14,6 +14,7 @@ package irparse
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -36,6 +37,7 @@ func ParseModule(src string) (*ir.Module, error) {
 	if err := p.parse(); err != nil {
 		return nil, err
 	}
+	p.layoutStructs()
 	if err := p.mod.Verify(); err != nil {
 		return nil, fmt.Errorf("irparse: parsed module does not verify: %w", err)
 	}
@@ -169,6 +171,29 @@ type parser struct {
 	tok    token
 	peeked *token
 	mod    *ir.Module
+	// anon holds the anonymous struct types the text spells out.
+	anon []*ir.StructType
+}
+
+// layoutStructs lays out every struct type of the module once all
+// bodies are known (a named struct may be used before its definition).
+// A struct is laid out after the structs it holds by value, so the
+// passes repeat until one lays nothing out; a struct that holds itself
+// by value is never laid out.
+func (p *parser) layoutStructs() {
+	pending := slices.Concat(p.mod.Structs, p.anon)
+	for {
+		rest := pending[:0]
+		for _, st := range pending {
+			if !st.Layout() {
+				rest = append(rest, st)
+			}
+		}
+		if len(rest) == len(pending) {
+			return
+		}
+		pending = rest
+	}
 }
 
 func (p *parser) next() error {
@@ -313,6 +338,7 @@ func (p *parser) parseNested(depth int) (ir.Type, int, error) {
 			return nil, 0, err
 		}
 		st := &ir.StructType{}
+		p.anon = append(p.anon, st)
 		for !p.isPunct("}") {
 			ft, fh, err := p.parseNested(depth + 1)
 			if err != nil {

@@ -80,6 +80,31 @@ done:
 	}
 }
 
+// TestParseForwardStructLayout: a struct that holds a struct defined
+// after it is laid out with the later definition's body.
+func TestParseForwardStructLayout(t *testing.T) {
+	m, err := irparse.ParseModule(`
+type %outer = {i8, [2 x %inner], {i8, %inner}}
+type %inner = {i32, i64}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outer := m.FindStruct("outer")
+	if outer == nil {
+		t.Fatal("struct not parsed")
+	}
+	if got := outer.FieldOffset(2); got != 40 {
+		t.Errorf("offset of field 2 = %d, want 40", got)
+	}
+	if got := outer.Size(); got != 64 {
+		t.Errorf("size %d, want 64", got)
+	}
+	if !outer.Layout() {
+		t.Error("outer not laid out once its parts are")
+	}
+}
+
 func TestParseErrors(t *testing.T) {
 	cases := []string{
 		`func i32 @f() { entry: ret i32 %nosuch }`,

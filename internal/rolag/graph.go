@@ -1,6 +1,7 @@
 package rolag
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 
@@ -60,6 +61,9 @@ type Node struct {
 	// gen is the value generated for this node inside the rolled loop
 	// (set by codegen).
 	gen ir.Value
+	// prevLane0 links the match nodes sharing a lane-0 instruction,
+	// newest first (graphBuilder.byLane0).
+	prevLane0 *Node
 }
 
 // Lanes returns the number of lanes (loop iterations) of the graph
@@ -75,14 +79,17 @@ func (n *Node) Lanes() int {
 }
 
 // Graph is a complete alignment graph for one seed group (or joint seed
-// groups) of a basic block.
+// groups) of a basic block. A graph built during a roll attempt lives
+// in the attempt's arena: it and its nodes are valid only until the
+// attempt ends.
 type Graph struct {
 	Root  *Node
 	Block *ir.Block
 	// Nodes lists every node, in creation (bottom-up discovery) order.
 	Nodes []*Node
 	// Matched maps every instruction claimed by a match/reduction node
-	// to its lane (reduction internals use lane -1).
+	// to its lane (reduction internals no match node claims use lane
+	// -1).
 	Matched map[*ir.Instr]int
 }
 
@@ -153,58 +160,137 @@ type errAbort struct {
 
 func (e *errAbort) Error() string { return "rolag: " + e.reason }
 
-type laneRef struct {
-	node *Node
-	lane int
+// attemptArena is the memory the roll attempts of one RollFuncInto
+// call align and schedule in. The first attempt makes it, every later
+// attempt of the call reuses it (maps cleared, stores rewound, nothing
+// reallocated), and it dies with the call. The Graph and Schedule of an
+// attempt live in it, so they are valid only until the attempt ends:
+// nothing may keep a node, a lane slice or Graph.Matched past tryRoll.
+type attemptArena struct {
+	gb    graphBuilder
+	graph Graph
+	sc    scheduler
 }
 
-// graphBuilder constructs an alignment graph bottom-up.
+// graphBuilder constructs an alignment graph bottom-up. It lives in an
+// attemptArena and is reset, not rebuilt, for every attempt: its maps
+// are cleared and its stores rewound, so a graph that fails (or is
+// rejected after scheduling) leaves no garbage behind.
 type graphBuilder struct {
-	opts    *Options
-	block   *ir.Block
-	inBlock map[*ir.Instr]bool
-	memo    map[string]*Node
-	claimed map[*ir.Instr]laneRef
+	opts  *Options
+	block *ir.Block
+	// memo maps a lane group's key hash to its memoized nodes.
+	memo map[uint64]*memoEntry
+	// matched maps each instruction claimed by a match node to its lane
+	// (the first claim of a shared pure instruction stands); it becomes
+	// Graph.Matched, which adds the reduction internals.
+	matched map[*ir.Instr]int
 	nodes   []*Node
 	// intern assigns the dense value ids behind memoization keys; it is
 	// shared across all graph builds of a function (via the analysis
 	// cache) so ids — and their map entries — are reused.
 	intern *analysis.Interner
-	// keyBuf is the scratch buffer groupKey encodes into; reused across
-	// calls, so steady-state key construction allocates only the final
-	// string.
+	// keyBuf is the scratch buffer groupKey encodes into.
 	keyBuf []byte
 	// byLane0 indexes the match nodes by their lane-0 instruction, the
 	// only nodes a group can form a recurrence with (recursOn needs
-	// vals[1] == ref.Insts[0]). Each list is in creation order.
-	byLane0 map[*ir.Instr][]*Node
+	// vals[1] == ref.Insts[0]). Each entry heads a list, newest first,
+	// linked through Node.prevLane0.
+	byLane0 map[*ir.Instr]*Node
 	// seen is the duplicate-lane scratch set of tryMatch and the
 	// neutral-element builders, cleared before each use; every use ends
 	// before the builder recurses.
 	seen map[*ir.Instr]bool
+	// neutrals are the neutral elements tryNeutralBinOp pads with.
+	neutrals []neutralConst
+
+	// The stores every node, lane slice and memo entry of the graph
+	// comes from.
+	nodeStore chunks[Node]
+	valStore  chunks[ir.Value]
+	instStore chunks[*ir.Instr]
+	kidStore  chunks[*Node]
+	memoStore chunks[memoEntry]
+	keyStore  chunks[byte]
 }
 
-func newGraphBuilder(opts *Options, b *ir.Block, intern *analysis.Interner) *graphBuilder {
-	gb := &graphBuilder{
-		opts:    opts,
-		block:   b,
-		inBlock: make(map[*ir.Instr]bool, len(b.Instrs)),
-		memo:    make(map[string]*Node),
-		claimed: make(map[*ir.Instr]laneRef),
-		intern:  intern,
-		byLane0: make(map[*ir.Instr][]*Node),
-		seen:    make(map[*ir.Instr]bool),
+// reset readies gb for a new graph of block b: the maps are cleared
+// (made on first use) and the stores rewound.
+func (gb *graphBuilder) reset(opts *Options, b *ir.Block, intern *analysis.Interner) {
+	gb.opts, gb.block, gb.intern = opts, b, intern
+	if gb.memo == nil {
+		gb.memo = make(map[uint64]*memoEntry)
+		gb.matched = make(map[*ir.Instr]int)
+		gb.byLane0 = make(map[*ir.Instr]*Node)
+		gb.seen = make(map[*ir.Instr]bool)
 	}
-	for _, in := range b.Instrs {
-		gb.inBlock[in] = true
+	clear(gb.memo)
+	clear(gb.matched)
+	clear(gb.byLane0)
+	gb.nodes = gb.nodes[:0]
+	gb.neutrals = gb.neutrals[:0]
+	gb.nodeStore.reset()
+	gb.valStore.reset()
+	gb.instStore.reset()
+	gb.kidStore.reset()
+	gb.memoStore.reset()
+	gb.keyStore.reset()
+}
+
+// chunks is a bump store of T: take hands out slices carved from a
+// list of chunks that doubles as it grows, and reset makes every chunk
+// available again without freeing it.
+type chunks[T any] struct {
+	list [][]T
+	cur  int // the chunk take carves from
+	off  int // the first free element of list[cur]
+}
+
+// minChunk is the length of a store's first chunk.
+const minChunk = 16
+
+func (c *chunks[T]) reset() { c.cur, c.off = 0, 0 }
+
+// take returns a slice of length and capacity n, valid until the next
+// reset. After a reset its elements may hold an earlier attempt's
+// values: every caller sets each one before reading it.
+func (c *chunks[T]) take(n int) []T {
+	for ; c.cur < len(c.list); c.cur, c.off = c.cur+1, 0 {
+		if ch := c.list[c.cur]; c.off+n <= len(ch) {
+			s := ch[c.off : c.off+n : c.off+n]
+			c.off += n
+			return s
+		}
 	}
-	return gb
+	size := minChunk
+	if k := len(c.list); k > 0 {
+		size = 2 * len(c.list[k-1])
+	}
+	ch := make([]T, max(size, n))
+	c.list = append(c.list, ch)
+	c.cur, c.off = len(c.list)-1, n
+	return ch[:n:n]
+}
+
+// newNode stores n in the arena and returns its address.
+func (gb *graphBuilder) newNode(n Node) *Node {
+	p := &gb.nodeStore.take(1)[0]
+	*p = n
+	return p
+}
+
+// copyVals returns a copy of vals from the arena.
+func (gb *graphBuilder) copyVals(vals []ir.Value) []ir.Value {
+	s := gb.valStore.take(len(vals))
+	copy(s, vals)
+	return s
 }
 
 func (gb *graphBuilder) addNode(n *Node) *Node {
 	gb.nodes = append(gb.nodes, n)
 	if n.Kind == KindMatch && n.Insts[0] != nil {
-		gb.byLane0[n.Insts[0]] = append(gb.byLane0[n.Insts[0]], n)
+		n.prevLane0 = gb.byLane0[n.Insts[0]]
+		gb.byLane0[n.Insts[0]] = n
 	}
 	return n
 }
@@ -218,12 +304,43 @@ func (gb *graphBuilder) scratchSeen() map[*ir.Instr]bool {
 // groupKey identifies a lane group for memoization. Instructions and
 // other named values key by identity; constants key by type and value so
 // that structurally equal constant groups (e.g. the index sequence 0..n
-// appearing under several parents) share one node. The key is the
-// hash-consed id sequence of the lanes — four bytes per lane — rather
-// than a formatted string.
-func (gb *graphBuilder) groupKey(vals []ir.Value) string {
+// appearing under several parents) share one node. The key, left in
+// gb.keyBuf, is the hash-consed id sequence of the lanes — four bytes
+// per lane — rather than a formatted string; groupKey returns its
+// FNV-1a hash, which indexes the memo.
+func (gb *graphBuilder) groupKey(vals []ir.Value) uint64 {
 	gb.keyBuf = gb.intern.AppendKey(gb.keyBuf[:0], vals)
-	return string(gb.keyBuf)
+	h := uint64(14695981039346656037)
+	for _, c := range gb.keyBuf {
+		h = (h ^ uint64(c)) * 1099511628211
+	}
+	return h
+}
+
+// memoEntry is one memoized lane group: its key and its node. Entries
+// whose keys share a hash are chained, newest first.
+type memoEntry struct {
+	key  []byte
+	node *Node
+	next *memoEntry
+}
+
+// memoized returns the node memoized under the key in gb.keyBuf with
+// hash h, or nil.
+func (gb *graphBuilder) memoized(h uint64) *Node {
+	for e := gb.memo[h]; e != nil; e = e.next {
+		if bytes.Equal(e.key, gb.keyBuf) {
+			return e.node
+		}
+	}
+	return nil
+}
+
+// memoize records n under key, whose hash is h.
+func (gb *graphBuilder) memoize(h uint64, key []byte, n *Node) {
+	e := &gb.memoStore.take(1)[0]
+	*e = memoEntry{key: key, node: n, next: gb.memo[h]}
+	gb.memo[h] = e
 }
 
 // build classifies a lane group and returns its node. parent is the
@@ -239,7 +356,7 @@ func (gb *graphBuilder) build(vals []ir.Value, parent *Node) (*Node, error) {
 		}
 	}
 	if allSame {
-		return gb.addNode(&Node{Kind: KindIdentical, Vals: append([]ir.Value(nil), vals...)}), nil
+		return gb.addNode(gb.newNode(Node{Kind: KindIdentical, Vals: gb.copyVals(vals)})), nil
 	}
 
 	// Recurrence: lane k is some already-aligned node's lane k-1 value
@@ -256,24 +373,27 @@ func (gb *graphBuilder) build(vals []ir.Value, parent *Node) (*Node, error) {
 			recurrenceProbe(gb, vals, parent, ref)
 		}
 		if ref != nil {
-			return gb.addNode(&Node{
+			return gb.addNode(gb.newNode(Node{
 				Kind:      KindRecurrence,
-				Vals:      append([]ir.Value(nil), vals...),
+				Vals:      gb.copyVals(vals),
 				Init:      vals[0],
 				RefParent: ref,
-			}), nil
+			})), nil
 		}
 	}
 
-	key := gb.groupKey(vals)
-	if n, ok := gb.memo[key]; ok {
+	h := gb.groupKey(vals)
+	if n := gb.memoized(h); n != nil {
 		return n, nil
 	}
+	// classify reuses keyBuf, so the key moves to the arena first.
+	key := gb.keyStore.take(len(gb.keyBuf))
+	copy(key, gb.keyBuf)
 	n, err := gb.classify(vals)
 	if err != nil {
 		return nil, err
 	}
-	gb.memo[key] = n
+	gb.memoize(h, key, n)
 	return n, nil
 }
 
@@ -291,9 +411,8 @@ func (gb *graphBuilder) findRecurrence(vals []ir.Value, parent *Node) *Node {
 	if !ok {
 		return nil
 	}
-	cands := gb.byLane0[lane1]
-	for i := len(cands) - 1; i >= 0; i-- {
-		if ref := cands[i]; ref != parent && recursOn(vals, ref) {
+	for ref := gb.byLane0[lane1]; ref != nil; ref = ref.prevLane0 {
+		if ref != parent && recursOn(vals, ref) {
 			return ref
 		}
 	}
@@ -373,33 +492,33 @@ func (gb *graphBuilder) tryIntSeq(vals []ir.Value) *Node {
 		}
 		prev = c.Val
 	}
-	return gb.addNode(&Node{
+	return gb.addNode(gb.newNode(Node{
 		Kind:   KindIntSeq,
-		Vals:   append([]ir.Value(nil), vals...),
+		Vals:   gb.copyVals(vals),
 		Start:  c0.Val,
 		Step:   step,
 		SeqTyp: typ,
-	})
+	}))
 }
 
 // tryMatch builds a match node when all lanes are distinct isomorphic
-// instructions from the seed block.
+// instructions from the seed block. The lanes are checked before
+// anything is allocated.
 func (gb *graphBuilder) tryMatch(vals []ir.Value) (*Node, error) {
-	insts := make([]*ir.Instr, len(vals))
 	seen := gb.scratchSeen()
-	for i, v := range vals {
+	for _, v := range vals {
 		in, ok := v.(*ir.Instr)
-		if !ok || !gb.inBlock[in] || seen[in] {
+		if !ok || in.Parent != gb.block || seen[in] {
 			return nil, nil
 		}
 		if in.Op == ir.OpPhi || in.Op == ir.OpAlloca || in.IsTerminator() {
 			return nil, nil
 		}
 		seen[in] = true
-		insts[i] = in
 	}
-	t := insts[0]
-	for _, in := range insts[1:] {
+	t := vals[0].(*ir.Instr)
+	for _, v := range vals[1:] {
+		in := v.(*ir.Instr)
 		if in.Op != t.Op || !in.Typ.Equal(t.Typ) || in.Pred != t.Pred ||
 			in.Callee != t.Callee || len(in.Operands) != len(t.Operands) {
 			return nil, nil
@@ -410,10 +529,9 @@ func (gb *graphBuilder) tryMatch(vals []ir.Value) (*Node, error) {
 			}
 		}
 	}
-	if t.Op == ir.OpGEP {
-		if _, _, _, ok := gepPlan(insts); !ok {
-			return nil, nil
-		}
+	insts := gb.instStore.take(len(vals))
+	for i, v := range vals {
+		insts[i] = v.(*ir.Instr)
 	}
 	return gb.makeMatch(insts)
 }
@@ -499,74 +617,79 @@ func gepPlan(insts []*ir.Instr) (needCast bool, elem ir.Type, prefixElems int64,
 // different lanes — each node regenerates its own copy inside the loop —
 // but instructions with memory effects must have a single owner, since
 // duplicating them would change the program's memory behaviour.
-func (gb *graphBuilder) claim(n *Node, insts []*ir.Instr) error {
+func (gb *graphBuilder) claim(insts []*ir.Instr) error {
 	for lane, in := range insts {
 		if in == nil {
 			continue
 		}
-		if prev, ok := gb.claimed[in]; ok {
+		if prev, ok := gb.matched[in]; ok {
 			if in.HasMemoryEffect() || in.Op == ir.OpCall {
-				return &errAbort{code: "side-effect-claimed-twice", reason: fmt.Sprintf("instruction %%%s with side effects claimed by two nodes (lanes %d and %d)", in.Name, prev.lane, lane)}
+				return &errAbort{code: "side-effect-claimed-twice", reason: fmt.Sprintf("instruction %%%s with side effects claimed by two nodes (lanes %d and %d)", in.Name, prev, lane)}
 			}
 			continue // shared pure instruction; first claim stands
 		}
-		gb.claimed[in] = laneRef{node: n, lane: lane}
+		gb.matched[in] = lane
 	}
 	return nil
 }
 
 // makeMatch claims the lanes, creates the node and recurses into the
-// operand groups.
+// operand groups. The node keeps insts, which nothing writes to.
 func (gb *graphBuilder) makeMatch(insts []*ir.Instr) (*Node, error) {
-	n := &Node{
-		Kind:   KindMatch,
-		Vals:   make([]ir.Value, len(insts)),
-		Insts:  append([]*ir.Instr(nil), insts...),
-		Op:     insts[0].Op,
-		Typ:    insts[0].Typ,
-		Pred:   insts[0].Pred,
-		Callee: insts[0].Callee,
-	}
-	if n.Op == ir.OpGEP {
+	t := insts[0]
+	var castElem ir.Type
+	var prefixElems int64
+	if t.Op == ir.OpGEP {
 		needCast, elem, prefix, ok := gepPlan(insts)
 		if !ok {
 			return nil, nil
 		}
 		if needCast {
-			n.GepCastElem = elem
-			n.GepPrefixElems = prefix
+			castElem, prefixElems = elem, prefix
 		}
 	}
+	vals := gb.valStore.take(len(insts))
 	for i, in := range insts {
-		n.Vals[i] = in
+		vals[i] = in
 	}
-	if err := gb.claim(n, insts); err != nil {
+	n := gb.newNode(Node{
+		Kind:           KindMatch,
+		Vals:           vals,
+		Insts:          insts,
+		Op:             t.Op,
+		Typ:            t.Typ,
+		Pred:           t.Pred,
+		Callee:         t.Callee,
+		GepCastElem:    castElem,
+		GepPrefixElems: prefixElems,
+	})
+	if err := gb.claim(insts); err != nil {
 		return nil, err
 	}
 	gb.addNode(n)
 	// One backing array for all operand groups; each group is a view.
 	// The views stay alive only through node Vals copies, so the shared
 	// backing is safe.
-	numOps := len(insts[0].Operands)
+	numOps := len(t.Operands)
 	lanes := len(insts)
-	flat := make([]ir.Value, numOps*lanes)
-	groups := make([][]ir.Value, numOps)
+	flat := gb.valStore.take(numOps * lanes)
+	group := func(oi int) []ir.Value { return flat[oi*lanes : (oi+1)*lanes : (oi+1)*lanes] }
 	for oi := 0; oi < numOps; oi++ {
-		g := flat[oi*lanes : (oi+1)*lanes : (oi+1)*lanes]
+		g := group(oi)
 		for k, in := range insts {
 			g[k] = in.Operand(oi)
 		}
-		groups[oi] = g
 	}
-	if gb.opts.EnableCommutative && insts[0].Op.IsCommutative() && numOps == 2 {
-		reorderCommutative(groups[0], groups[1])
+	if gb.opts.EnableCommutative && t.Op.IsCommutative() && numOps == 2 {
+		reorderCommutative(group(0), group(1))
 	}
-	for oi := 0; oi < numOps; oi++ {
-		child, err := gb.build(groups[oi], n)
+	n.Children = gb.kidStore.take(numOps)
+	for oi := range n.Children {
+		child, err := gb.build(group(oi), n)
 		if err != nil {
 			return nil, err
 		}
-		n.Children = append(n.Children, child)
+		n.Children[oi] = child
 	}
 	return n, nil
 }
@@ -641,8 +764,8 @@ func (gb *graphBuilder) tryNeutralGep(vals []ir.Value) (*Node, error) {
 	if !base.Type().Equal(resType) {
 		return nil, nil
 	}
-	insts := make([]*ir.Instr, len(vals))
-	idxGroup := make([]ir.Value, len(vals))
+	insts := gb.instStore.take(len(vals))
+	idxGroup := gb.valStore.take(len(vals))
 	seen := gb.scratchSeen()
 	for k, v := range vals {
 		if in, ok := v.(*ir.Instr); ok && in.Op == ir.OpGEP && len(in.Operands) == 2 && in.Operand(0) == base {
@@ -650,7 +773,7 @@ func (gb *graphBuilder) tryNeutralGep(vals []ir.Value) (*Node, error) {
 				return nil, nil
 			}
 			seen[in] = true
-			if gb.inBlock[in] {
+			if in.Parent == gb.block {
 				insts[k] = in
 			} else {
 				// Out-of-block gep: regenerate, do not claim. Its index
@@ -667,31 +790,22 @@ func (gb *graphBuilder) tryNeutralGep(vals []ir.Value) (*Node, error) {
 		insts[k] = nil
 		idxGroup[k] = ir.ZeroValue(idxType)
 	}
-	n := &Node{
+	n := gb.newNode(Node{
 		Kind:  KindMatch,
-		Vals:  append([]ir.Value(nil), vals...),
+		Vals:  gb.copyVals(vals),
 		Insts: insts,
 		Op:    ir.OpGEP,
 		Typ:   resType,
-	}
-	if err := gb.claim(n, insts); err != nil {
+	})
+	if err := gb.claim(insts); err != nil {
 		return nil, err
 	}
 	gb.addNode(n)
-	baseGroup := make([]ir.Value, len(vals))
+	baseGroup := gb.valStore.take(len(vals))
 	for k := range baseGroup {
 		baseGroup[k] = base
 	}
-	bnode, err := gb.build(baseGroup, n)
-	if err != nil {
-		return nil, err
-	}
-	inode, err := gb.build(idxGroup, n)
-	if err != nil {
-		return nil, err
-	}
-	n.Children = []*Node{bnode, inode}
-	return n, nil
+	return gb.buildPair(n, baseGroup, idxGroup)
 }
 
 // tryNeutralBinOp pads lanes that lack the group's dominant binary
@@ -711,7 +825,7 @@ func (gb *graphBuilder) tryNeutralBinOp(vals []ir.Value) (*Node, error) {
 		} else if !v.Type().Equal(typ) {
 			return nil, nil
 		}
-		if in, ok := v.(*ir.Instr); ok && gb.inBlock[in] && in.Op.IsBinary() {
+		if in, ok := v.(*ir.Instr); ok && in.Parent == gb.block && in.Op.IsBinary() {
 			counts[in.Op]++
 			if counts[in.Op] > best {
 				domOp, best = in.Op, counts[in.Op]
@@ -721,7 +835,7 @@ func (gb *graphBuilder) tryNeutralBinOp(vals []ir.Value) (*Node, error) {
 	if best == 0 || best == len(vals) || best < len(vals)/2 {
 		return nil, nil
 	}
-	neutral := domOp.NeutralElement(typ)
+	neutral := gb.neutral(domOp, typ)
 	if neutral == nil {
 		return nil, nil
 	}
@@ -730,12 +844,12 @@ func (gb *graphBuilder) tryNeutralBinOp(vals []ir.Value) (*Node, error) {
 		// payloads) unless fast-math is on.
 		return nil, nil
 	}
-	insts := make([]*ir.Instr, len(vals))
-	lhs := make([]ir.Value, len(vals))
-	rhs := make([]ir.Value, len(vals))
+	insts := gb.instStore.take(len(vals))
+	lhs := gb.valStore.take(len(vals))
+	rhs := gb.valStore.take(len(vals))
 	seen := gb.scratchSeen()
 	for k, v := range vals {
-		if in, ok := v.(*ir.Instr); ok && gb.inBlock[in] && in.Op == domOp {
+		if in, ok := v.(*ir.Instr); ok && in.Parent == gb.block && in.Op == domOp {
 			if seen[in] {
 				return nil, nil
 			}
@@ -747,30 +861,59 @@ func (gb *graphBuilder) tryNeutralBinOp(vals []ir.Value) (*Node, error) {
 		insts[k] = nil
 		lhs[k], rhs[k] = v, neutral
 	}
-	n := &Node{
+	n := gb.newNode(Node{
 		Kind:  KindMatch,
-		Vals:  append([]ir.Value(nil), vals...),
+		Vals:  gb.copyVals(vals),
 		Insts: insts,
 		Op:    domOp,
 		Typ:   typ,
-	}
-	if err := gb.claim(n, insts); err != nil {
+	})
+	if err := gb.claim(insts); err != nil {
 		return nil, err
 	}
 	gb.addNode(n)
 	if gb.opts.EnableCommutative && domOp.IsCommutative() {
 		reorderCommutative(lhs, rhs)
 	}
-	lnode, err := gb.build(lhs, n)
+	return gb.buildPair(n, lhs, rhs)
+}
+
+// buildPair builds the two operand groups of match node n, in order,
+// as its children.
+func (gb *graphBuilder) buildPair(n *Node, lhs, rhs []ir.Value) (*Node, error) {
+	l, err := gb.build(lhs, n)
 	if err != nil {
 		return nil, err
 	}
-	rnode, err := gb.build(rhs, n)
+	r, err := gb.build(rhs, n)
 	if err != nil {
 		return nil, err
 	}
-	n.Children = []*Node{lnode, rnode}
+	n.Children = gb.kidStore.take(2)
+	n.Children[0], n.Children[1] = l, r
 	return n, nil
+}
+
+// neutral returns op's neutral element of type t, or nil. Each element
+// is made once per graph: constants compare by content everywhere (the
+// interner, ir.SameValue, CSE), so the lanes it pads may share it.
+func (gb *graphBuilder) neutral(op ir.Op, t ir.Type) ir.Const {
+	for _, n := range gb.neutrals {
+		if n.op == op && n.c.Type() == t {
+			return n.c
+		}
+	}
+	c := op.NeutralElement(t)
+	if c != nil {
+		gb.neutrals = append(gb.neutrals, neutralConst{op, c})
+	}
+	return c
+}
+
+// neutralConst is one of the neutral elements a graph has made.
+type neutralConst struct {
+	op ir.Op
+	c  ir.Const
 }
 
 // mismatch builds a mismatching node, verifying that the lanes share a
@@ -790,5 +933,5 @@ func (gb *graphBuilder) mismatch(vals []ir.Value) (*Node, error) {
 	default:
 		return nil, &errAbort{code: "mismatch-nonscalar", reason: "mismatching lanes of non-scalar type"}
 	}
-	return gb.addNode(&Node{Kind: KindMismatch, Vals: append([]ir.Value(nil), vals...)}), nil
+	return gb.addNode(gb.newNode(Node{Kind: KindMismatch, Vals: gb.copyVals(vals)})), nil
 }

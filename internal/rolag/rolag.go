@@ -48,6 +48,7 @@ func RollFuncInto(f *ir.Func, opts *Options, am *analysis.Manager, sink *ir.Modu
 	// skipped.
 	skip := make(map[*ir.Block]bool)
 	revisits := make(map[string]int)
+	var arena *attemptArena // made by the first attempt, reused by the rest
 	for i := 0; i < len(f.Blocks); i++ {
 		b := f.Blocks[i]
 		if skip[b] {
@@ -61,7 +62,7 @@ func RollFuncInto(f *ir.Func, opts *Options, am *analysis.Manager, sink *ir.Modu
 		}
 		revisits[b.Name]++
 		stats.BlocksScanned++
-		rolled, loopBlock := rollBlockOnce(f, i, opts, stats, am, rec)
+		rolled, loopBlock := rollBlockOnce(f, i, opts, stats, am, rec, &arena)
 		if rolled {
 			skip[loopBlock] = true
 			// Revisit the (now shorter) preheader for further seed
@@ -77,8 +78,9 @@ func RollFuncInto(f *ir.Func, opts *Options, am *analysis.Manager, sink *ir.Modu
 // order until one rolls profitably. It reports whether a roll happened
 // and the created loop block. A rejected attempt restores the body in
 // place and keeps the cached analyses valid, so the groups, their joint
-// partners and their signatures are collected once per visit.
-func rollBlockOnce(f *ir.Func, bi int, opts *Options, stats *Stats, am *analysis.Manager, rec *obs.Recorder) (bool, *ir.Block) {
+// partners and their signatures are collected once per visit. Every
+// attempt aligns and schedules in *arena, which the first one makes.
+func rollBlockOnce(f *ir.Func, bi int, opts *Options, stats *Stats, am *analysis.Manager, rec *obs.Recorder, arena **attemptArena) (bool, *ir.Block) {
 	b := f.Blocks[bi]
 	fi := am.Info(f)
 	t := phaseStart()
@@ -130,7 +132,10 @@ func rollBlockOnce(f *ir.Func, bi int, opts *Options, stats *Stats, am *analysis
 				Lanes: a.groups[0].Lanes(),
 			})
 		}
-		loopBlock, err := tryRoll(f, bi, opts, stats, am, rec, a.groups)
+		if *arena == nil {
+			*arena = new(attemptArena)
+		}
+		loopBlock, err := tryRoll(f, bi, opts, stats, am, rec, *arena, a.groups)
 		if err == nil {
 			return true, loopBlock
 		}
@@ -144,17 +149,21 @@ func rollBlockOnce(f *ir.Func, bi int, opts *Options, stats *Stats, am *analysis
 
 // tryRoll builds the alignment graph, runs the scheduling analysis,
 // generates the loop, and keeps it only if the cost model deems it
-// smaller (Fig. 5). On any failure the function body is restored in
+// smaller (Fig. 5). The graph and the schedule live in arena and die
+// with the attempt. On any failure the function body is restored in
 // place and am's cached analyses of f stay valid.
-func tryRoll(f *ir.Func, bi int, opts *Options, stats *Stats, am *analysis.Manager, rec *obs.Recorder, groups []*SeedGroup) (*ir.Block, error) {
+func tryRoll(f *ir.Func, bi int, opts *Options, stats *Stats, am *analysis.Manager, rec *obs.Recorder, arena *attemptArena, groups []*SeedGroup) (*ir.Block, error) {
 	b := f.Blocks[bi]
 	fi := am.Info(f)
 	lanes := groups[0].Lanes()
 
 	t := phaseStart()
-	graph, err := buildGraphInfo(b, opts, fi, groups...)
+	graph, err := buildGraph(arena, b, opts, fi.Interner(), groups...)
 	phaseEnd(rec, PhaseAlign, t)
 	if err != nil {
+		if testHookAttempt != nil {
+			testHookAttempt(b, opts, groups, nil, nil, err)
+		}
 		if rec.On() {
 			rec.Add(missRemark("align-reject", f, b, groups, fi, lanes, err))
 		}
@@ -166,8 +175,11 @@ func tryRoll(f *ir.Func, bi int, opts *Options, stats *Stats, am *analysis.Manag
 	}
 
 	t = phaseStart()
-	sched, err := analyzeSchedulingIdx(b, graph, fi.Index())
+	sched, err := analyzeScheduling(arena, b, graph, fi.Index())
 	phaseEnd(rec, PhaseSchedule, t)
+	if testHookAttempt != nil {
+		testHookAttempt(b, opts, groups, graph, sched, err)
+	}
 	if err != nil {
 		stats.ScheduleFailed++
 		if rec.On() {
@@ -260,6 +272,12 @@ func tryRoll(f *ir.Func, bi int, opts *Options, stats *Stats, am *analysis.Manag
 // errBoundUnprofitable rejects a roll whose cost-delta lower bound
 // (rollBound) is already ≥ 0; its remark's costs are that bound.
 var errBoundUnprofitable = &errAbort{code: "not-profitable", reason: obs.BoundDetail}
+
+// testHookAttempt, when set by the package's tests, sees every roll
+// attempt once: after scheduling, with the graph and the schedule or
+// the scheduling error, or, when alignment failed, with that error
+// alone. It must leave f as it found it.
+var testHookAttempt func(b *ir.Block, opts *Options, groups []*SeedGroup, g *Graph, sched *Schedule, err error)
 
 // testHookPriced, when set by the package's tests, sees every roll
 // attempt that passed scheduling, with its cost-delta lower bound,

@@ -21,21 +21,55 @@ type Schedule struct {
 	Emission []*Node
 }
 
-// analyzeSchedulingIdx verifies that the instructions of the alignment
-// graph can be rearranged into loop iterations while preserving the
-// program's semantics, and computes where every other instruction of
-// the block must be placed. It returns an error when the rearrangement
-// is illegal. idx maps b's instructions to their positions in b
-// (typically a cached analysis.FuncInfo.Index, which maps every
-// instruction to its position within its own block); it serves both
-// roles the analysis needs positions for: locating conflicts relative
-// to the candidate and verifying the reordered memory-operation pairs.
-func analyzeSchedulingIdx(b *ir.Block, g *Graph, idx map[*ir.Instr]int) (*Schedule, error) {
-	emission := emissionOrder(g)
+// scheduler is the scheduling analysis' scratch state, kept in an
+// attemptArena: the sets are cleared and the lists truncated for every
+// attempt, and the Schedule it returns is valid until the next one.
+type scheduler struct {
+	inputSet, pre, dependsOnMatched map[*ir.Instr]bool
+	// emitted is emissionOrder's visited set.
+	emitted  map[*Node]bool
+	newOrder []*ir.Instr
+	orig     []int
+	sched    Schedule
+}
+
+// reset readies sc for a new attempt: the sets are cleared (made on
+// first use) and the lists truncated.
+func (sc *scheduler) reset() {
+	if sc.pre == nil {
+		sc.inputSet = make(map[*ir.Instr]bool)
+		sc.pre = make(map[*ir.Instr]bool)
+		sc.dependsOnMatched = make(map[*ir.Instr]bool)
+		sc.emitted = make(map[*Node]bool)
+	}
+	clear(sc.inputSet)
+	clear(sc.pre)
+	clear(sc.dependsOnMatched)
+	clear(sc.emitted)
+	sc.newOrder = sc.newOrder[:0]
+	sc.sched = Schedule{Pre: sc.sched.Pre[:0], Post: sc.sched.Post[:0], Emission: sc.sched.Emission[:0]}
+}
+
+// analyzeScheduling verifies, in arena, that the instructions of the
+// alignment graph can be rearranged into loop iterations while
+// preserving the program's semantics, and computes where every other
+// instruction of the block must be placed. It returns an error when
+// the rearrangement is illegal. idx maps b's instructions to their
+// positions in b (typically a cached analysis.FuncInfo.Index, which
+// maps every instruction to its position within its own block); it
+// serves both roles the analysis needs positions for: locating
+// conflicts relative to the candidate and verifying the reordered
+// memory-operation pairs.
+func analyzeScheduling(arena *attemptArena, b *ir.Block, g *Graph, idx map[*ir.Instr]int) (*Schedule, error) {
+	sc := &arena.sc
+	sc.reset()
+	sched := &sc.sched
+	sched.Emission = sc.emissionOrder(sched.Emission, g.Root)
+	emission := sched.Emission
 
 	// Inputs: unmatched values inside the block that the rolled loop
 	// reads (they are materialized before the loop).
-	inputSet := make(map[*ir.Instr]bool)
+	inputSet := sc.inputSet
 	addInput := func(v ir.Value) {
 		if d, ok := v.(*ir.Instr); ok && d.Parent == b {
 			inputSet[d] = true
@@ -59,33 +93,9 @@ func analyzeSchedulingIdx(b *ir.Block, g *Graph, idx map[*ir.Instr]int) (*Schedu
 	// PRE: inputs plus their transitive in-block dependences. A
 	// dependence on a matched instruction is a circular dependence
 	// across the loop boundary — prohibited (§IV.D).
-	pre := make(map[*ir.Instr]bool)
-	var mark func(in *ir.Instr) bool
-	mark = func(in *ir.Instr) bool {
-		if pre[in] {
-			return true
-		}
-		if _, matched := g.Matched[in]; matched {
-			return false
-		}
-		pre[in] = true
-		if in.Op == ir.OpPhi {
-			// A phi stays at the block head; its incoming values are not
-			// execution dependences (the backedge value is defined later
-			// by construction).
-			return true
-		}
-		for _, op := range in.Operands {
-			if d, ok := op.(*ir.Instr); ok && d.Parent == b && d.Op != ir.OpPhi {
-				if !mark(d) {
-					return false
-				}
-			}
-		}
-		return true
-	}
+	pre := sc.pre
 	for in := range inputSet {
-		if !mark(in) {
+		if !sc.mark(b, g, in) {
 			return nil, &errAbort{code: "circular-dependence", reason: "circular dependence: a loop input depends on a matched instruction"}
 		}
 	}
@@ -97,7 +107,7 @@ func analyzeSchedulingIdx(b *ir.Block, g *Graph, idx map[*ir.Instr]int) (*Schedu
 	// its side of the rolled region: independents that originally ran
 	// before the first matched instruction stay in front, the rest sink
 	// behind — minimizing memory-order disturbance.
-	dependsOnMatched := make(map[*ir.Instr]bool)
+	dependsOnMatched := sc.dependsOnMatched
 	for _, in := range b.Instrs {
 		if in.Op == ir.OpPhi {
 			continue
@@ -189,8 +199,6 @@ func analyzeSchedulingIdx(b *ir.Block, g *Graph, idx map[*ir.Instr]int) (*Schedu
 			}
 		}
 	}
-	var sched Schedule
-	sched.Emission = emission
 	for _, in := range b.Instrs {
 		if in.Op == ir.OpPhi || in.IsTerminator() {
 			continue
@@ -212,7 +220,7 @@ func analyzeSchedulingIdx(b *ir.Block, g *Graph, idx map[*ir.Instr]int) (*Schedu
 	// likewise POST memory ops sink below later iterations' ops, and
 	// matched memory ops are reordered iteration-major. Verify every
 	// reordered pair of conflicting memory operations (§IV.D).
-	var newOrder []*ir.Instr
+	newOrder := sc.newOrder
 	for _, in := range sched.Pre {
 		if in.HasMemoryEffect() {
 			newOrder = append(newOrder, in)
@@ -237,10 +245,12 @@ func analyzeSchedulingIdx(b *ir.Block, g *Graph, idx map[*ir.Instr]int) (*Schedu
 	}
 	// The check visits every pair, so read the original positions
 	// from a slice, not the index map.
-	orig := make([]int, len(newOrder))
-	for i, in := range newOrder {
-		orig[i] = idx[in]
+	sc.newOrder = newOrder
+	orig := sc.orig[:0]
+	for _, in := range newOrder {
+		orig = append(orig, idx[in])
 	}
+	sc.orig = orig
 	for i := 0; i < len(newOrder); i++ {
 		for j := i + 1; j < len(newOrder); j++ {
 			a, c := newOrder[i], newOrder[j]
@@ -251,29 +261,50 @@ func analyzeSchedulingIdx(b *ir.Block, g *Graph, idx map[*ir.Instr]int) (*Schedu
 			}
 		}
 	}
-	return &sched, nil
+	return sched, nil
 }
 
-// emissionOrder returns the nodes in deterministic post-order (operands
-// before users); recurrence back-references are not traversed. Shared
-// nodes appear once, at their first (deepest-needed) position.
-func emissionOrder(g *Graph) []*Node {
-	var order []*Node
-	seen := make(map[*Node]bool)
-	var visit func(n *Node)
-	visit = func(n *Node) {
-		if seen[n] {
-			return
-		}
-		seen[n] = true
-		for _, gr := range n.Groups {
-			visit(gr)
-		}
-		for _, c := range n.Children {
-			visit(c)
-		}
-		order = append(order, n)
+// mark adds in and its transitive in-block dependences to the PRE set.
+// It reports false when one of them is a matched instruction: a
+// circular dependence across the loop boundary.
+func (sc *scheduler) mark(b *ir.Block, g *Graph, in *ir.Instr) bool {
+	if sc.pre[in] {
+		return true
 	}
-	visit(g.Root)
-	return order
+	if _, matched := g.Matched[in]; matched {
+		return false
+	}
+	sc.pre[in] = true
+	if in.Op == ir.OpPhi {
+		// A phi stays at the block head; its incoming values are not
+		// execution dependences (the backedge value is defined later
+		// by construction).
+		return true
+	}
+	for _, op := range in.Operands {
+		if d, ok := op.(*ir.Instr); ok && d.Parent == b && d.Op != ir.OpPhi {
+			if !sc.mark(b, g, d) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// emissionOrder appends to order the nodes under n in deterministic
+// post-order (operands before users); recurrence back-references are
+// not traversed. Shared nodes appear once, at their first
+// (deepest-needed) position.
+func (sc *scheduler) emissionOrder(order []*Node, n *Node) []*Node {
+	if sc.emitted[n] {
+		return order
+	}
+	sc.emitted[n] = true
+	for _, gr := range n.Groups {
+		order = sc.emissionOrder(order, gr)
+	}
+	for _, c := range n.Children {
+		order = sc.emissionOrder(order, c)
+	}
+	return append(order, n)
 }

@@ -1,6 +1,7 @@
 package rolag
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -58,15 +59,10 @@ func (s *SeedGroup) Lanes() int {
 	return len(s.Instrs)
 }
 
-// CollectSeedGroups scans a basic block and returns the seed groups
-// ordered by descending lane count (bigger rolls first), breaking ties by
-// first-seed position.
-func CollectSeedGroups(b *ir.Block, opts *Options) []*SeedGroup {
-	return collectSeedGroupsInfo(b, opts, analysis.NewManager().Info(b.Parent))
-}
-
-// collectSeedGroupsInfo is CollectSeedGroups against cached analyses:
-// the position index comes from fi instead of being rebuilt per call.
+// collectSeedGroupsInfo scans a basic block and returns the seed
+// groups ordered by descending lane count (bigger rolls first),
+// breaking ties by first-seed position. The position index comes from
+// fi's cached analyses.
 func collectSeedGroupsInfo(b *ir.Block, opts *Options, fi *analysis.FuncInfo) []*SeedGroup {
 	minLanes := opts.MinLanes
 	if minLanes < 2 {
@@ -209,10 +205,34 @@ func collectReductions(b *ir.Block, opts *Options, minLanes int) []*SeedGroup {
 	}
 	var out []*SeedGroup
 	claimed := make(map[*ir.Instr]bool)
+	// Each root's tree is walked into the same scratch lists; a tree
+	// that becomes a seed group gets copies of its own.
+	var root *ir.Instr
+	var internal []*ir.Instr
+	var leaves []ir.Value
+	ok := true
+	var walk func(v ir.Value)
+	walk = func(v ir.Value) {
+		if !ok {
+			return
+		}
+		in, isInstr := v.(*ir.Instr)
+		if isInstr && in.Parent == b && in.Op == root.Op && (in == root || singleUser(in)) {
+			if claimed[in] {
+				ok = false
+				return
+			}
+			internal = append(internal, in)
+			walk(in.Operand(0))
+			walk(in.Operand(1))
+			return
+		}
+		leaves = append(leaves, v)
+	}
 	// Scan in reverse so roots (late in the block) are found before
 	// their internals.
 	for i := len(b.Instrs) - 1; i >= 0; i-- {
-		root := b.Instrs[i]
+		root = b.Instrs[i]
 		if claimed[root] || !root.Op.IsBinary() || !assoc(root.Op) {
 			continue
 		}
@@ -228,27 +248,7 @@ func collectReductions(b *ir.Block, opts *Options, minLanes int) []*SeedGroup {
 		if !isRoot {
 			continue
 		}
-		var internal []*ir.Instr
-		var leaves []ir.Value
-		ok := true
-		var walk func(v ir.Value)
-		walk = func(v ir.Value) {
-			if !ok {
-				return
-			}
-			in, isInstr := v.(*ir.Instr)
-			if isInstr && in.Parent == b && in.Op == root.Op && (in == root || singleUser(in)) {
-				if claimed[in] {
-					ok = false
-					return
-				}
-				internal = append(internal, in)
-				walk(in.Operand(0))
-				walk(in.Operand(1))
-				return
-			}
-			leaves = append(leaves, v)
-		}
+		internal, leaves, ok = internal[:0], leaves[:0], true
 		walk(root)
 		if !ok || len(internal) < 2 || len(leaves) < minLanes {
 			continue
@@ -261,8 +261,8 @@ func collectReductions(b *ir.Block, opts *Options, minLanes int) []*SeedGroup {
 			Instrs:      []*ir.Instr{root},
 			RedRoot:     root,
 			RedOp:       root.Op,
-			RedInternal: internal,
-			RedLeaves:   leaves,
+			RedInternal: slices.Clone(internal),
+			RedLeaves:   slices.Clone(leaves),
 		})
 	}
 	return out
@@ -280,19 +280,11 @@ func singleUser(v *ir.Instr) bool {
 	return n == 1
 }
 
-// TryJoin attempts to combine seed groups that alternate in position into
-// one joint group (§IV.C6). It returns the groups to roll together in
-// body order, or nil when g cannot be joined.
-func TryJoin(b *ir.Block, g *SeedGroup, others []*SeedGroup) []*SeedGroup {
-	index := make(map[*ir.Instr]int, len(b.Instrs))
-	for i, in := range b.Instrs {
-		index[in] = i
-	}
-	return tryJoinIdx(b, g, others, index)
-}
-
-// tryJoinIdx is TryJoin with the block position index supplied by the
-// caller (typically a cached analysis.FuncInfo.Index).
+// tryJoinIdx attempts to combine seed groups that alternate in
+// position into one joint group (§IV.C6). It returns the groups to roll
+// together in body order, or nil when g cannot be joined. index maps
+// b's instructions to their positions (typically a cached
+// analysis.FuncInfo.Index).
 func tryJoinIdx(b *ir.Block, g *SeedGroup, others []*SeedGroup, index map[*ir.Instr]int) []*SeedGroup {
 	if g.Kind == SeedReduction {
 		return nil
@@ -340,61 +332,46 @@ func interleaved(gs []*SeedGroup, o *SeedGroup, index map[*ir.Instr]int) bool {
 	return true
 }
 
-// BuildGraph constructs the alignment graph for a seed group (or, for
-// joint rolling, several alternating groups). It returns nil with an
-// error when the group cannot be aligned.
-func BuildGraph(b *ir.Block, opts *Options, groups ...*SeedGroup) (*Graph, error) {
-	return buildGraphIntern(b, opts, analysis.NewInterner(), groups...)
-}
-
-// buildGraphInfo is BuildGraph with the function's cached analyses: the
-// value interner persists across graph builds of the same function, so
-// memoization keys are reused integer ids instead of freshly formatted
-// strings.
-func buildGraphInfo(b *ir.Block, opts *Options, fi *analysis.FuncInfo, groups ...*SeedGroup) (*Graph, error) {
-	return buildGraphIntern(b, opts, fi.Interner(), groups...)
-}
-
-func buildGraphIntern(b *ir.Block, opts *Options, intern *analysis.Interner, groups ...*SeedGroup) (*Graph, error) {
-	gb := newGraphBuilder(opts, b, intern)
-	var roots []*Node
-	for _, g := range groups {
-		var root *Node
+// buildGraph constructs, in arena, the alignment graph for a seed
+// group (or, for joint rolling, several alternating groups); it is
+// valid until the arena builds the next one. It returns nil with an
+// error when the group cannot be aligned. intern is the function's
+// value interner (analysis.FuncInfo.Interner), which persists across
+// graph builds, so memoization keys are reused integer ids instead of
+// freshly formatted strings.
+func buildGraph(arena *attemptArena, b *ir.Block, opts *Options, intern *analysis.Interner, groups ...*SeedGroup) (*Graph, error) {
+	gb := &arena.gb
+	gb.reset(opts, b, intern)
+	roots := gb.kidStore.take(len(groups))
+	for i, g := range groups {
 		var err error
 		switch g.Kind {
 		case SeedReduction:
-			root, err = gb.buildReduction(g)
+			roots[i], err = gb.buildReduction(g)
 		default:
-			root, err = gb.makeMatch(g.Instrs)
-			if root == nil && err == nil {
+			roots[i], err = gb.makeMatch(g.Instrs)
+			if roots[i] == nil && err == nil {
 				err = &errAbort{code: "seeds-not-isomorphic", reason: "seed instructions are not isomorphic"}
 			}
 		}
 		if err != nil {
 			return nil, err
 		}
-		roots = append(roots, root)
 	}
-	var root *Node
-	if len(roots) == 1 {
-		root = roots[0]
-	} else {
-		root = gb.addNode(&Node{Kind: KindJoint, Groups: roots})
-	}
-	graph := &Graph{
-		Root:    root,
-		Block:   b,
-		Nodes:   gb.nodes,
-		Matched: make(map[*ir.Instr]int),
-	}
-	for in, ref := range gb.claimed {
-		graph.Matched[in] = ref.lane
+	root := roots[0]
+	if len(roots) > 1 {
+		root = gb.addNode(gb.newNode(Node{Kind: KindJoint, Groups: roots}))
 	}
 	// Reduction internals are consumed by the roll but have no lane.
+	// An instruction a match node claimed keeps its lane, so a lane
+	// ≥ 0 below still means "claimed".
+	matched := gb.matched
 	for _, n := range gb.nodes {
 		if n.Kind == KindReduction {
 			for _, in := range n.RedInternal {
-				graph.Matched[in] = -1
+				if _, claimed := matched[in]; !claimed {
+					matched[in] = -1
+				}
 			}
 		}
 	}
@@ -407,20 +384,20 @@ func buildGraphIntern(b *ir.Block, opts *Options, intern *analysis.Interner, gro
 		case KindIdentical, KindMismatch:
 			inputs = n.Vals
 		case KindRecurrence:
-			inputs = []ir.Value{n.Init}
+			inputs = n.Vals[:1] // n.Init
 		}
 		for _, v := range inputs {
 			if d, ok := v.(*ir.Instr); ok {
-				if _, isClaimed := gb.claimed[d]; isClaimed {
+				if lane, isMatched := matched[d]; isMatched && lane >= 0 {
 					return nil, &errAbort{code: "input-matched", reason: "loop input is also a matched instruction"}
-				}
-				if _, isRed := graph.Matched[d]; isRed {
+				} else if isMatched {
 					return nil, &errAbort{code: "input-in-reduction", reason: "loop input is inside a reduction tree"}
 				}
 			}
 		}
 	}
-	return graph, nil
+	arena.graph = Graph{Root: root, Block: b, Nodes: gb.nodes, Matched: matched}
+	return &arena.graph, nil
 }
 
 // buildReduction creates the reduction node and grows the graph from the
@@ -429,14 +406,14 @@ func buildGraphIntern(b *ir.Block, opts *Options, intern *analysis.Interner, gro
 // non-uniform leaf — it becomes the accumulator's initial value instead
 // of a lane, mirroring how reductions enter loops in SSA form.
 func (gb *graphBuilder) buildReduction(g *SeedGroup) (*Node, error) {
-	n := gb.addNode(&Node{
+	n := gb.addNode(gb.newNode(Node{
 		Kind:        KindReduction,
 		RedOp:       g.RedOp,
 		RedRoot:     g.RedRoot,
-		RedInternal: append([]*ir.Instr(nil), g.RedInternal...),
+		RedInternal: g.RedInternal,
 		MinMaxPred:  g.MinMaxPred,
 		MinMaxCmp:   g.MinMaxCmp,
-	})
+	}))
 	leaves := g.RedLeaves
 	if g.MinMaxPred != ir.PredInvalid {
 		n.Init = g.MinMaxInit
@@ -448,7 +425,8 @@ func (gb *graphBuilder) buildReduction(g *SeedGroup) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	n.Children = []*Node{child}
+	n.Children = gb.kidStore.take(1)
+	n.Children[0] = child
 	return n, nil
 }
 
