@@ -56,11 +56,6 @@ func (am *Manager) Invalidate(f *ir.Func) {
 	delete(am.infos, f)
 }
 
-// InvalidateAll drops the whole cache.
-func (am *Manager) InvalidateAll() {
-	clear(am.infos)
-}
-
 // FuncInfo holds the cached analyses of one function. Every accessor
 // computes on first use and memoizes; the struct is invalidated as a
 // whole (the analyses are cheap relative to the queries they serve, and

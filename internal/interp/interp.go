@@ -8,7 +8,6 @@ package interp
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -57,8 +56,8 @@ func (k TrapKind) String() string {
 	return "unknown trap"
 }
 
-// Trap is a defined runtime error. It wraps no other error; use AsTrap to
-// recover it from the (possibly annotated) error chain.
+// Trap is a defined runtime error. It wraps no other error; use
+// errors.As to recover it from the (possibly annotated) error chain.
 type Trap struct {
 	Kind   TrapKind
 	Detail string
@@ -69,24 +68,6 @@ func (t *Trap) Error() string {
 		return "interp: trap: " + t.Kind.String()
 	}
 	return "interp: trap: " + t.Kind.String() + ": " + t.Detail
-}
-
-// AsTrap extracts a *Trap from an error chain.
-func AsTrap(err error) (*Trap, bool) {
-	var t *Trap
-	if errors.As(err, &t) {
-		return t, true
-	}
-	return nil, false
-}
-
-// IsResourceTrap reports whether err is a fuel, memory or call-depth
-// trap — the traps whose trigger point legitimately differs between two
-// equivalent programs (a rolled loop executes more instructions than its
-// straight-line original).
-func IsResourceTrap(err error) bool {
-	t, ok := AsTrap(err)
-	return ok && (t.Kind == TrapStepLimit || t.Kind == TrapMemLimit || t.Kind == TrapCallDepth)
 }
 
 // Val is a runtime value: integers and pointers in I (pointers are
@@ -206,15 +187,6 @@ func (in *Interp) Alloc(size, align int64) (int64, error) {
 		in.mem = append(in.mem, make([]byte, len(in.mem))...)
 	}
 	return addr, nil
-}
-
-// Mem returns the backing memory up to the last allocation. Tests use
-// it to compare final state.
-func (in *Interp) Mem() []byte {
-	if len(in.spans) == 0 {
-		return in.mem[:0]
-	}
-	return in.mem[:in.spans[len(in.spans)-1].end]
 }
 
 // checkRange traps unless [addr, addr+size) lies entirely inside one

@@ -6,6 +6,7 @@ package interp_test
 // these guarantees to classify failures.
 
 import (
+	"errors"
 	"testing"
 
 	"rolag/internal/cc"
@@ -46,8 +47,8 @@ func wantTrap(t *testing.T, err error, kind interp.TrapKind) {
 	if err == nil {
 		t.Fatalf("expected %v trap, got success", kind)
 	}
-	tr, ok := interp.AsTrap(err)
-	if !ok {
+	var tr *interp.Trap
+	if !errors.As(err, &tr) {
 		t.Fatalf("expected %v trap, got non-trap error: %v", kind, err)
 	}
 	if tr.Kind != kind {

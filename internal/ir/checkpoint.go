@@ -87,13 +87,6 @@ func (c *Checkpoint) Take(f *Func) {
 // per Take.
 func (c *Checkpoint) Restore() {
 	c.f.nameCounter = c.counter
-	c.RestoreKeepNames()
-}
-
-// RestoreKeepNames is Restore without rewinding the name counter: names
-// generated by the undone transformation stay burned, as RoLAG's
-// rejected roll attempts have always left them.
-func (c *Checkpoint) RestoreKeepNames() {
 	// Detach the current body first; the restore re-attaches what was
 	// saved, so only objects created since Take stay detached.
 	for _, b := range c.f.Blocks {

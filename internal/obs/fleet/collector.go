@@ -231,19 +231,6 @@ func (c *Collector) Routes() []RouteLatency {
 	return out
 }
 
-// TraceDroppedTotal sums the fleet's shard-side dropped-span counters.
-func (c *Collector) TraceDroppedTotal() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var total uint64
-	for _, r := range c.shards {
-		if r.hasCur {
-			total += r.cur.TraceDropped
-		}
-	}
-	return total
-}
-
 // RouterStats is the router's own contribution to the fleet overview:
 // counters no shard can see (hedging, failover, router-observed
 // latency).

@@ -227,14 +227,6 @@ func (s HistSnapshot) Quantile(q float64) float64 {
 	return lastFinite
 }
 
-// Mean returns the average observation in seconds (0 when empty).
-func (s HistSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.SumSeconds / float64(s.Count)
-}
-
 // round3 trims a float for JSON presentation (milliseconds with
 // microsecond precision survive; the noise below that does not).
 func round3(v float64) float64 {

@@ -20,9 +20,6 @@ import (
 //go:embed remarks.schema.json
 var schemaJSON []byte
 
-// Schema returns the committed remark schema document.
-func Schema() []byte { return schemaJSON }
-
 // Validate checks that data (a JSON document) conforms to the remark
 // schema. It returns the first violation found, with a JSON-pointer-ish
 // path to the offending value.

@@ -136,17 +136,6 @@ func (t TraceContext) InRing(r *TraceRing) TraceContext {
 	return t
 }
 
-// Fork returns a context with the same ID (and ring and parent) but a
-// fresh lane, so spans from a concurrent worker render on their own
-// row in the trace view.
-func (t TraceContext) Fork() TraceContext {
-	if !t.Active() {
-		return t
-	}
-	t.tid = tidCounter.Add(1)
-	return t
-}
-
 type traceCtxKey struct{}
 
 // WithTrace attaches a trace context to ctx.
@@ -225,20 +214,9 @@ func TracingEnabled() bool { return gates.Load()&gateTrace != 0 }
 // DefaultTraceCapacity).
 func SetTraceCapacity(n int) { defaultRing.SetCapacity(n) }
 
-// ResetTrace drops every event buffered in the default ring.
-func ResetTrace() { defaultRing.Reset() }
-
 // TraceEvents returns a copy of the default ring's events sorted by
 // start time.
 func TraceEvents() []TraceEvent { return defaultRing.Events() }
-
-// TraceDropped returns how many events the default ring has
-// overwritten before they were ever exported.
-func TraceDropped() uint64 { return defaultRing.Dropped() }
-
-// WriteChromeTrace renders the default ring as Chrome trace-event
-// JSON (load it in chrome://tracing or https://ui.perfetto.dev).
-func WriteChromeTrace(w io.Writer) error { return defaultRing.WriteChrome(w, "") }
 
 // SetCapacity resizes the ring and clears it (0 restores
 // DefaultTraceCapacity). The dropped counter is preserved: resizing is

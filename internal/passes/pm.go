@@ -54,13 +54,6 @@ func Standard() *Pipeline {
 	}}
 }
 
-// RunFunc applies the pipeline to one function, returning whether any
-// pass changed it. Analyses are cached across passes through a private
-// analysis.Manager and invalidated whenever a pass reports a change.
-func (p *Pipeline) RunFunc(f *ir.Func) bool {
-	return p.RunFuncSandboxed(f, nil)
-}
-
 // Run applies the pipeline to every function in the module.
 func (p *Pipeline) Run(m *ir.Module) bool {
 	return p.RunSandboxed(m, nil)

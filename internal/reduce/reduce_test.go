@@ -1,6 +1,7 @@
 package reduce_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -25,8 +26,8 @@ func divTraps(src string) bool {
 	}
 	h := &interp.Harness{MaxSteps: 1_000_000}
 	_, rerr := h.Run(m, "fz", 1)
-	tr, ok := interp.AsTrap(rerr)
-	return ok && tr.Kind == interp.TrapDivByZero
+	var tr *interp.Trap
+	return errors.As(rerr, &tr) && tr.Kind == interp.TrapDivByZero
 }
 
 // plantBug inserts a division by a folded zero into a generated

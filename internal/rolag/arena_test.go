@@ -14,7 +14,7 @@ import (
 // kinds, the PRE and POST placements and the emission order, or else
 // the same error.
 func TestAttemptArenaMatchesFresh(t *testing.T) {
-	inputs := rollCorpus()
+	inputs := rollCorpus(20220402, 300)
 	for _, cfg := range []struct {
 		name string
 		opts *rolag.Options

@@ -72,100 +72,6 @@ func rollBound(g *Graph, sched *Schedule, m *costmodel.Model) int {
 	return delta
 }
 
-// burnCodegenNames advances f's name counter exactly as
-// GenerateLoop(f, b, g, sched, opts) followed by
-// Checkpoint.RestoreKeepNames would, without building anything: it
-// replays, in GenerateLoop's order, every unique-name request codegen
-// makes and the names of the matched instructions leaving the body. A
-// roll rejected by rollBound therefore leaves every later name as a
-// generated-and-restored roll did. Any change to the names GenerateLoop
-// requests must be mirrored here; TestRollBoundSound compares the two
-// on every attempt of the test corpora.
-func burnCodegenNames(f *ir.Func, b *ir.Block, g *Graph, sched *Schedule) {
-	lanes := g.Root.Lanes()
-	r := f.ReplayNames()
-	r.Request("roll.loop")
-	r.Request("roll.exit")
-	for _, in := range b.Instrs {
-		if _, matched := g.Matched[in]; matched && in.Op != ir.OpPhi {
-			r.Drop(in.Name)
-		}
-	}
-	r.Request("roll.iv")
-	for _, n := range sched.Emission {
-		switch n.Kind {
-		case KindIntSeq:
-			if n.Step != 1 {
-				r.Request("t")
-			}
-			if n.Start != 0 {
-				r.Request("t")
-			}
-			if n.SeqTyp.Bits < 64 {
-				r.Request("t")
-			}
-		case KindMismatch:
-			if !allConstScalar(n) {
-				r.Request("roll.vdata")
-				for range n.Vals {
-					r.Request("t") // lane k's element pointer
-				}
-			}
-			r.Request("t") // element iv's pointer
-			r.Request("t") // its load
-		case KindMatch:
-			switch {
-			case n.GepCastElem != nil:
-				if !genType(n.Children[0]).Equal(ir.Ptr(n.GepCastElem)) {
-					r.Request("t") // bitcast of the base
-				}
-				if it, ok := genType(n.Children[len(n.Children)-1]).(ir.IntType); ok && it.Bits < 64 {
-					r.Request("t") // sext of the index
-				}
-				if n.GepPrefixElems != 0 {
-					r.Request("t") // index offset
-				}
-				r.Request("t") // the gep
-			case !ir.IsVoid(n.Typ):
-				r.Request("roll")
-			}
-		case KindRecurrence:
-			r.Request("roll.rec")
-		case KindReduction:
-			r.Request("roll.acc")
-			if n.MinMaxPred != ir.PredInvalid {
-				r.Request("roll.mm")
-			}
-			r.Request("t") // the accumulating operation or select
-		}
-	}
-	// extractExternalUses: lanes other than the last alone escape
-	// through a stack array reloaded in the exit block.
-	for _, n := range sched.Emission {
-		if n.Kind != KindMatch || ir.IsVoid(n.Typ) {
-			continue
-		}
-		ext, last := 0, -1
-		for k, in := range n.Insts {
-			if in != nil && usedOutside(in, g) {
-				ext, last = ext+1, k
-			}
-		}
-		if ext == 0 || ext == 1 && last == lanes-1 {
-			continue
-		}
-		r.Request("roll.out")
-		r.Request("t") // element iv's pointer
-		for ; ext > 0; ext-- {
-			r.Request("roll.extp")
-			r.Request("roll.ext")
-		}
-	}
-	r.Request("t") // latch increment
-	r.Request("t") // latch compare
-	r.Burn()
-}
-
 // allConstScalar reports whether every lane of mismatch node n is a
 // scalar constant, which codegen lowers to a read-only global table.
 func allConstScalar(n *Node) bool {
@@ -177,26 +83,4 @@ func allConstScalar(n *Node) bool {
 		}
 	}
 	return true
-}
-
-// genType is the type of the value codegen generates for node n
-// (n.gen).
-func genType(n *Node) ir.Type {
-	switch n.Kind {
-	case KindMatch:
-		if n.GepCastElem != nil {
-			return ir.Ptr(n.GepCastElem)
-		}
-		return n.Typ
-	case KindIntSeq:
-		if n.SeqTyp.Bits < 64 {
-			return n.SeqTyp
-		}
-		return ir.I64
-	case KindRecurrence:
-		return n.RefParent.Typ
-	case KindReduction:
-		return n.RedRoot.Typ
-	}
-	return n.Vals[0].Type()
 }

@@ -9,8 +9,7 @@ import (
 // a new single-block loop executes one graph iteration per lane, and a
 // new exit block receives the post-loop code, the extracted external
 // values and b's original terminator. The constant-table globals
-// codegen creates go to f.Parent. burnCodegenNames replays the unique
-// names it requests, in order, and must change with it.
+// codegen creates go to f.Parent.
 func GenerateLoop(f *ir.Func, b *ir.Block, g *Graph, sched *Schedule, opts *Options) {
 	lanes := g.Root.Lanes()
 	// Which lanes escape the loop is a question about the body before

@@ -150,8 +150,9 @@ func rollBlockOnce(f *ir.Func, bi int, opts *Options, stats *Stats, am *analysis
 // tryRoll builds the alignment graph, runs the scheduling analysis,
 // generates the loop, and keeps it only if the cost model deems it
 // smaller (Fig. 5). The graph and the schedule live in arena and die
-// with the attempt. On any failure the function body is restored in
-// place and am's cached analyses of f stay valid.
+// with the attempt. On any failure the function body, its name counter
+// and the module's globals are as they were, so am's cached analyses
+// of f stay valid and later names do not depend on the attempt.
 func tryRoll(f *ir.Func, bi int, opts *Options, stats *Stats, am *analysis.Manager, rec *obs.Recorder, arena *attemptArena, groups []*SeedGroup) (*ir.Block, error) {
 	b := f.Blocks[bi]
 	fi := am.Info(f)
@@ -195,9 +196,7 @@ func tryRoll(f *ir.Func, bi int, opts *Options, stats *Stats, am *analysis.Manag
 	}
 	if !opts.AlwaysRoll && bound >= 0 {
 		// The graph alone shows the roll cannot shrink f: reject it
-		// without a checkpoint or codegen, burning the names codegen
-		// would have.
-		burnCodegenNames(f, b, graph, sched)
+		// without a checkpoint or codegen.
 		stats.NotProfitable++
 		phaseEnd(rec, PhaseCodegen, t)
 		if rec.On() {
@@ -228,9 +227,9 @@ func tryRoll(f *ir.Func, bi int, opts *Options, stats *Stats, am *analysis.Manag
 
 	costAfter := opts.Model.Func(f) + rodataSize(m) - rodataBefore
 	if !opts.AlwaysRoll && costAfter >= costBefore {
-		// Not profitable: restore the body and drop added globals. The
-		// names codegen generated stay burned, as they always have.
-		ck.RestoreKeepNames()
+		// Not profitable: restore the body and its names and drop
+		// added globals.
+		ck.Restore()
 		m.ResetGlobals(gmark)
 		stats.NotProfitable++
 		phaseEnd(rec, PhaseCodegen, t)

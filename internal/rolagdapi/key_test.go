@@ -29,7 +29,7 @@ entry:
 )
 
 // TestServiceKeyPinned pins service.Key for a fixed set of wire
-// requests. Routers and shards route by these keys and v4 snapshots are
+// requests. Routers and shards route by these keys and v5 snapshots are
 // indexed by them, so a change to the request mapping or to the key
 // layout that moves any of them re-keys the fleet and must bump the
 // cache-key version instead.
@@ -40,31 +40,31 @@ func TestServiceKeyPinned(t *testing.T) {
 		want string
 	}{
 		{"minic-rolag", CompileRequest{Source: keyMiniC},
-			"13633cbf5d4a8e43708cc060b871986a6441a2e9faee97ff50f7f2b631030a94"},
+			"ae884bfd3c1b742b8604017dd0468f56404b0fa04aba57a8d405590ddbfe7377"},
 		{"minic-none", CompileRequest{Source: keyMiniC, Config: CompileConfig{Opt: "none"}},
-			"9ac12a6b9248148d643af9a86c9c05d768f23a87c1830351544c930e1b6713fe"},
+			"7f3e5627dc750fcabadf7644e7bcc28e874c74760cf8e612ca13a9c80dab4ed8"},
 		{"minic-llvm", CompileRequest{Source: keyMiniC, Config: CompileConfig{Opt: "llvm"}},
-			"433ffe236fce1410570b5f65dd369d586bf455a10760f5f298cf54c1a1cbe535"},
+			"908c47caa6812c84819dd2554ac57bf96e424984e84e5909e02ebffe0432a1ba"},
 		{"minic-unroll8", CompileRequest{Source: keyMiniC, Config: CompileConfig{Unroll: 8, Flatten: true}},
-			"275fae70b779c46b5ad5af2613be7b0ce6eec37272d8e21a69531a1d9ffe79ec"},
+			"962657f6ea2f3548341f75044a66bebae7b40ec26237e37b5ae0050a3dc0342d"},
 		{"minic-asm", CompileRequest{Source: keyMiniC, Format: "asm"},
-			"2bf096c2185901b165699286f41411338fc2fa8d37550a2deb68994acc8f84ad"},
+			"c30c1fce951c7e7b1b39ecee8069ac04f155859c6852f4d3299312710cc2b310"},
 		{"minic-remarks", CompileRequest{Source: keyMiniC, Remarks: true},
-			"8f8b7718054caf75a915a0dbd5236ae0e0a11fad79b7195afcfae9a7d7ce99c9"},
+			"3b19326e12c745c5a5f0673485fdef9a6b60403e41865c945fab88b9ec082b6c"},
 		{"ir-rolag", CompileRequest{Source: keyIR, IR: true},
-			"952eedd595f53b6b91d5bb013e742a3a02db34e300e7ada9ede2a1ffdeaf3269"},
+			"4fe46082cc88618fd7e35aed60a667bb33e2536d6bd7ddb8561a157c2093e344"},
 		{"ir-none", CompileRequest{Source: keyIR, IR: true, Config: CompileConfig{Opt: "none"}},
-			"e40be04018eba1aa10d637114b95095ade480fc83793b5c7f9a326b50f52630e"},
+			"ce4fe405a16caa324522c9a4612625dced836003c04ad752f20f3be3e04392e0"},
 		{"ir-llvm", CompileRequest{Source: keyIR, IR: true, Config: CompileConfig{Opt: "llvm"}},
-			"ef0b49b040a88c3b5a212070498fc688f5b8067394f0dbe665de4649fc57141b"},
+			"0fd3261371f7606726a23f47ccf3b6717e9aa8b210babdf49a396408f3294864"},
 		{"ir-unroll8", CompileRequest{Source: keyIR, IR: true, Config: CompileConfig{Unroll: 8, Flatten: true}},
-			"6209eb172f9ebabe6e30d477f8573f0a07f5477f8ae81c04bfbc480c40bca32b"},
+			"46c661576ca31de5b76bf028c7d6d8c5046e5f7afd71c27aab36d941675d948d"},
 		{"ir-asm", CompileRequest{Source: keyIR, IR: true, Format: "asm"},
-			"01a85637ca36c80d85f3a8e9ba6ae4de6605388584b68c9fdff708675f05cb57"},
+			"bb050f143d32904f9b14315dd808a6d5a67dabb446a4ff7a808fa95e8a3259e9"},
 		{"ir-remarks", CompileRequest{Source: keyIR, IR: true, Remarks: true},
-			"e2c25d987e063f290089cc5ad2b29e908aaa70ecddad011f4ee3082331192fa5"},
+			"ed6206bab9b80293eb15c2e1ffdd2802104a865b0124c0922ebb2f4aa100ebc7"},
 		{"ir-unroll8-asm-remarks", CompileRequest{Source: keyIR, IR: true, Config: CompileConfig{Unroll: 8}, Format: "asm", Remarks: true},
-			"7af3dd718f1f6e633f006648b095d21d74cdefe3b2a5f016b7b9ab37725c72b3"},
+			"59909dd2df95bd93a5548f0131830e6819fbce21a62d055b0a00c8ddf87dd285"},
 	} {
 		req, err := tc.cr.ToService()
 		if err != nil {

@@ -16,7 +16,12 @@ import (
 //
 // v4: cached assembly no longer names the module and prints zero tails
 // as .zero, so v3 entries would serve stale text.
-const cacheKeyVersion = "v4"
+//
+// v5: a rejected roll rewinds the function's name counter, so cached IR
+// of a function with a rejected roll now has different SSA and block
+// names; a v4 snapshot would break serial = daemon parity after a
+// restart.
+const cacheKeyVersion = "v5"
 
 // cacheKey derives the content address of a request: the SHA-256 of the
 // source text plus a canonical encoding of every Config field that can
