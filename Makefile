@@ -60,6 +60,7 @@ fuzz-smoke:
 	$(GO) test ./internal/fuzzgen -run '^$$' -fuzz '^FuzzMutated$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fuzzgen -run '^$$' -fuzz '^FuzzSource$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/irparse -run '^$$' -fuzz '^FuzzParseModule$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/cc -run '^$$' -fuzz '^FuzzLexer$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/rolagdapi -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime $(FUZZTIME)
 
 # Fault-injection chaos smoke: the seeded chaos suite under the race

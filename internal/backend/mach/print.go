@@ -1,7 +1,7 @@
 package mach
 
 import (
-	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"unicode/utf8"
@@ -17,156 +17,225 @@ var gpr16 = [16]string{"ax", "cx", "dx", "bx", "sp", "bp", "si", "di",
 var gpr8 = [16]string{"al", "cl", "dl", "bl", "spl", "bpl", "sil", "dil",
 	"r8b", "r9b", "r10b", "r11b", "r12b", "r13b", "r14b", "r15b"}
 
-// RegName returns the AT&T name (no %) of a physical register at the
-// given width. Virtual registers print as v<n> for debugging.
-func RegName(r Reg, sz int8) string {
-	if r.IsVirtual() {
-		return fmt.Sprintf("v%d", r-VRegBase)
-	}
-	if r.IsXMM() {
-		return fmt.Sprintf("xmm%d", r.Enc())
+// appendReg appends the AT&T name (with %) of a register at the given
+// width. Virtual registers print as %v<n> for debugging.
+func appendReg(b []byte, r Reg, sz int8) []byte {
+	b = append(b, '%')
+	switch {
+	case r.IsVirtual():
+		return strconv.AppendInt(append(b, 'v'), int64(r-VRegBase), 10)
+	case r.IsXMM():
+		return strconv.AppendInt(append(b, "xmm"...), int64(r.Enc()), 10)
 	}
 	switch sz {
 	case 1:
-		return gpr8[r.Enc()]
+		return append(b, gpr8[r.Enc()]...)
 	case 2:
-		return gpr16[r.Enc()]
+		return append(b, gpr16[r.Enc()]...)
 	case 4:
-		return gpr32[r.Enc()]
+		return append(b, gpr32[r.Enc()]...)
 	default:
-		return gpr64[r.Enc()]
+		return append(b, gpr64[r.Enc()]...)
 	}
 }
 
-func sizeSuffix(sz int8) string {
+// sizeSuffix is the AT&T operand-size letter of a width in bytes.
+func sizeSuffix(sz int8) byte {
 	switch sz {
 	case 1:
-		return "b"
+		return 'b'
 	case 2:
-		return "w"
+		return 'w'
 	case 4:
-		return "l"
+		return 'l'
 	default:
-		return "q"
+		return 'q'
 	}
 }
 
-// sanitizeLabel maps an IR block name onto the assembler label charset.
-func sanitizeLabel(s string) string {
-	var b strings.Builder
+// appendLabel appends s mapped onto the assembler label charset: one
+// byte per rune, '_' for a rune outside it.
+func appendLabel(b []byte, s string) []byte {
 	for _, c := range s {
 		switch {
 		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z',
 			c >= '0' && c <= '9', c == '_', c == '.', c == '$':
-			b.WriteRune(c)
+			b = append(b, byte(c))
 		default:
-			b.WriteByte('_')
+			b = append(b, '_')
 		}
 	}
-	return b.String()
+	return b
 }
 
-// BlockLabel is the assembler-local label of block i of f.
-func BlockLabel(f *Func, i int) string {
-	return fmt.Sprintf(".L%s_%d_%s", sanitizeLabel(f.Name), i, sanitizeLabel(f.Blocks[i].Name))
-}
-
+// printer appends one module's assembly to b.
 type printer struct {
-	b *strings.Builder
-	f *Func
+	b []byte
+	// labels holds the current function's label, which ends at
+	// nameEnd, then its block labels back to back: block i's label ends
+	// at ends[i]. They are computed once per function, not once per
+	// jump.
+	labels  []byte
+	nameEnd int
+	ends    []int
 }
 
-func (p *printer) reg(r Reg, sz int8) string { return "%" + RegName(r, sz) }
+// setFunc computes f's label and its block labels,
+// .L<func>_<i>_<block>.
+func (p *printer) setFunc(f *Func) {
+	// Names print at most one byte per byte; a block label adds ".L",
+	// two '_' and up to 20 digits.
+	n := len(f.Name)
+	for _, blk := range f.Blocks {
+		n += 24 + len(f.Name) + len(blk.Name)
+	}
+	p.labels = appendLabel(slices.Grow(p.labels[:0], n), f.Name)
+	p.nameEnd = len(p.labels)
+	p.ends = slices.Grow(p.ends[:0], len(f.Blocks))
+	for i, blk := range f.Blocks {
+		p.labels = append(p.labels, ".L"...)
+		p.labels = append(p.labels, p.labels[:p.nameEnd]...)
+		p.labels = append(p.labels, '_')
+		p.labels = strconv.AppendInt(p.labels, int64(i), 10)
+		p.labels = append(p.labels, '_')
+		p.labels = appendLabel(p.labels, blk.Name)
+		p.ends = append(p.ends, len(p.labels))
+	}
+}
 
-func (p *printer) operand(o Operand, sz int8) string {
+// label appends block i's label.
+func (p *printer) label(i int) {
+	start := p.nameEnd
+	if i > 0 {
+		start = p.ends[i-1]
+	}
+	p.b = append(p.b, p.labels[start:p.ends[i]]...)
+}
+
+// name appends the current function's label.
+func (p *printer) name() { p.b = append(p.b, p.labels[:p.nameEnd]...) }
+
+func (p *printer) str(s string) { p.b = append(p.b, s...) }
+
+func (p *printer) imm(v int64) { p.b = strconv.AppendInt(p.b, v, 10) }
+
+func (p *printer) reg(r Reg, sz int8) { p.b = appendReg(p.b, r, sz) }
+
+func (p *printer) operand(o Operand, sz int8) {
 	switch o.Kind {
 	case KReg:
-		return p.reg(o.Reg, sz)
+		p.reg(o.Reg, sz)
 	case KImm:
-		return fmt.Sprintf("$%d", o.Imm)
+		p.b = append(p.b, '$')
+		p.imm(o.Imm)
 	case KMem:
 		if o.Sym != "" {
+			p.b = appendLabel(p.b, o.Sym)
 			if o.Imm != 0 {
-				return fmt.Sprintf("%s+%d(%%rip)", sanitizeLabel(o.Sym), o.Imm)
+				p.b = append(p.b, '+')
+				p.imm(o.Imm)
 			}
-			return fmt.Sprintf("%s(%%rip)", sanitizeLabel(o.Sym))
+			p.str("(%rip)")
+			return
 		}
-		var b strings.Builder
 		if o.Imm != 0 {
-			fmt.Fprintf(&b, "%d", o.Imm)
+			p.imm(o.Imm)
 		}
-		b.WriteByte('(')
+		p.b = append(p.b, '(')
 		if o.Base != NoReg {
-			b.WriteString(p.reg(o.Base, 8))
+			p.reg(o.Base, 8)
 		}
 		if o.Index != NoReg {
-			fmt.Fprintf(&b, ",%s,%d", p.reg(o.Index, 8), o.Scale)
+			p.b = append(p.b, ',')
+			p.reg(o.Index, 8)
+			p.b = append(p.b, ',')
+			p.imm(int64(o.Scale))
 		}
-		b.WriteByte(')')
-		return b.String()
+		p.b = append(p.b, ')')
 	case KFrame:
-		return fmt.Sprintf("frame%d+%d", int(o.Index), o.Imm)
+		p.str("frame")
+		p.imm(int64(o.Index))
+		p.b = append(p.b, '+')
+		p.imm(o.Imm)
 	case KIncoming:
-		return fmt.Sprintf("incoming%d", int(o.Index))
+		p.str("incoming")
+		p.imm(int64(o.Index))
+	default:
+		p.b = append(p.b, '?')
 	}
-	return "?"
 }
 
-// widthSuffix for movzx/movsx: source then dest letter (movzbl etc).
-func extMnemonic(base string, srcSz, dstSz int8) string {
-	letter := func(sz int8) string {
-		switch sz {
-		case 1:
-			return "b"
-		case 2:
-			return "w"
-		case 4:
-			return "l"
-		default:
-			return "q"
-		}
+// gprOrXmm sizes a register operand by its file: XMM registers have a
+// single name, GPRs use the given integer width.
+func (p *printer) gprOrXmm(o Operand, gprSz int8) {
+	if o.Kind == KReg && !o.Reg.IsVirtual() && !o.Reg.IsXMM() {
+		p.reg(o.Reg, gprSz)
+		return
 	}
-	if base == "movs" && srcSz == 4 && dstSz == 8 {
-		return "movslq"
-	}
-	return base + letter(srcSz) + letter(dstSz)
+	p.operand(o, 8)
 }
 
-func (p *printer) inst(in *Inst) string {
-	suf := sizeSuffix(in.Sz)
-	two := func(m string) string {
-		return fmt.Sprintf("%s\t%s, %s", m, p.operand(in.Src, in.Sz), p.operand(in.Dst, in.Sz))
+// mnemonic appends m, then suffix unless it is 0, then a tab.
+func (p *printer) mnemonic(m string, suffix byte) {
+	p.str(m)
+	if suffix != 0 {
+		p.b = append(p.b, suffix)
 	}
-	// Float ops: register operands are always xmm (or mem); no suffix
-	// logic needed beyond the mnemonic itself.
-	fp := func(m string) string {
-		return fmt.Sprintf("%s\t%s, %s", m, p.operand(in.Src, 8), p.operand(in.Dst, 8))
+	p.b = append(p.b, '\t')
+}
+
+// operands appends "src, dst" at the widths given.
+func (p *printer) operands(src Operand, srcSz int8, dst Operand, dstSz int8) {
+	p.operand(src, srcSz)
+	p.str(", ")
+	p.operand(dst, dstSz)
+}
+
+// twoOps maps the two-operand integer ops to their mnemonic stems,
+// which take the operand-size suffix.
+var twoOps = [...]string{
+	OMov: "mov", OAdd: "add", OSub: "sub", OAnd: "and", OOr: "or",
+	OXor: "xor", OImul: "imul", OCmp: "cmp", OTest: "test",
+}
+
+// fpOps maps the SSE ops whose operands print at width 8 (xmm
+// registers, or memory) to their mnemonics.
+var fpOps = [...]string{
+	OMovss: "movss", OMovsd: "movsd", OAddss: "addss", OAddsd: "addsd",
+	OSubss: "subss", OSubsd: "subsd", OMulss: "mulss", OMulsd: "mulsd",
+	ODivss: "divss", ODivsd: "divsd", OUcomiss: "ucomiss", OUcomisd: "ucomisd",
+	OXorps: "xorps", OCvtss2sd: "cvtss2sd", OCvtsd2ss: "cvtsd2ss",
+}
+
+// inst appends one instruction, without its leading tab and newline.
+func (p *printer) inst(in *Inst) {
+	if int(in.Op) < len(twoOps) && twoOps[in.Op] != "" && !(in.Op == OImul && in.Src.Kind == KImm) {
+		p.mnemonic(twoOps[in.Op], sizeSuffix(in.Sz))
+		p.operands(in.Src, in.Sz, in.Dst, in.Sz)
+		return
+	}
+	if int(in.Op) < len(fpOps) && fpOps[in.Op] != "" {
+		p.mnemonic(fpOps[in.Op], 0)
+		p.operands(in.Src, 8, in.Dst, 8)
+		return
 	}
 	switch in.Op {
 	case ONop:
-		return "nop"
-	case OMov:
-		return two("mov" + suf)
+		p.str("nop")
 	case OMovAbs:
-		return fmt.Sprintf("movabsq\t$%d, %s", in.Src.Imm, p.operand(in.Dst, 8))
+		p.str("movabsq\t$")
+		p.imm(in.Src.Imm)
+		p.str(", ")
+		p.operand(in.Dst, 8)
 	case OLea:
-		return fmt.Sprintf("leaq\t%s, %s", p.operand(in.Src, 8), p.operand(in.Dst, 8))
-	case OAdd:
-		return two("add" + suf)
-	case OSub:
-		return two("sub" + suf)
-	case OAnd:
-		return two("and" + suf)
-	case OOr:
-		return two("or" + suf)
-	case OXor:
-		return two("xor" + suf)
-	case OImul:
-		if in.Src.Kind == KImm {
-			return fmt.Sprintf("imul%s\t$%d, %s, %s", suf, in.Src.Imm,
-				p.operand(in.Dst, in.Sz), p.operand(in.Dst, in.Sz))
-		}
-		return two("imul" + suf)
+		p.str("leaq\t")
+		p.operands(in.Src, 8, in.Dst, 8)
+	case OImul: // immediate form: imul $imm, dst, dst
+		p.mnemonic("imul", sizeSuffix(in.Sz))
+		p.b = append(p.b, '$')
+		p.imm(in.Src.Imm)
+		p.str(", ")
+		p.operands(in.Dst, in.Sz, in.Dst, in.Sz)
 	case OShl, OShr, OSar:
 		m := "sar"
 		switch in.Op {
@@ -175,141 +244,151 @@ func (p *printer) inst(in *Inst) string {
 		case OShr:
 			m = "shr"
 		}
+		p.mnemonic(m, sizeSuffix(in.Sz))
 		if in.Src.Kind == KImm {
-			return fmt.Sprintf("%s%s\t$%d, %s", m, suf, in.Src.Imm, p.operand(in.Dst, in.Sz))
+			p.b = append(p.b, '$')
+			p.imm(in.Src.Imm)
+		} else {
+			p.str("%cl")
 		}
-		return fmt.Sprintf("%s%s\t%%cl, %s", m, suf, p.operand(in.Dst, in.Sz))
-	case OCmp:
-		return two("cmp" + suf)
-	case OTest:
-		return two("test" + suf)
-	case OMovzx:
-		return fmt.Sprintf("%s\t%s, %s", extMnemonic("movz", in.SrcSz, in.Sz),
-			p.operand(in.Src, in.SrcSz), p.operand(in.Dst, in.Sz))
-	case OMovsx:
-		return fmt.Sprintf("%s\t%s, %s", extMnemonic("movs", in.SrcSz, in.Sz),
-			p.operand(in.Src, in.SrcSz), p.operand(in.Dst, in.Sz))
+		p.str(", ")
+		p.operand(in.Dst, in.Sz)
+	case OMovzx, OMovsx:
+		if in.Op == OMovzx {
+			p.str("movz")
+		} else {
+			p.str("movs")
+		}
+		if in.Op == OMovsx && in.SrcSz == 4 && in.Sz == 8 {
+			p.str("lq")
+		} else {
+			p.b = append(p.b, sizeSuffix(in.SrcSz), sizeSuffix(in.Sz))
+		}
+		p.b = append(p.b, '\t')
+		p.operands(in.Src, in.SrcSz, in.Dst, in.Sz)
 	case OCwd:
 		if in.Sz == 8 {
-			return "cqto"
+			p.str("cqto")
+		} else {
+			p.str("cltd")
 		}
-		return "cltd"
 	case OIdiv:
-		return fmt.Sprintf("idiv%s\t%s", suf, p.operand(in.Src, in.Sz))
+		p.mnemonic("idiv", sizeSuffix(in.Sz))
+		p.operand(in.Src, in.Sz)
 	case ODiv:
-		return fmt.Sprintf("div%s\t%s", suf, p.operand(in.Src, in.Sz))
+		p.mnemonic("div", sizeSuffix(in.Sz))
+		p.operand(in.Src, in.Sz)
 	case OSet:
-		return fmt.Sprintf("set%s\t%s", in.Cond.Name(), p.operand(in.Dst, 1))
+		p.str("set")
+		p.mnemonic(in.Cond.Name(), 0)
+		p.operand(in.Dst, 1)
 	case OCmov:
-		return fmt.Sprintf("cmov%s\t%s, %s", in.Cond.Name(),
-			p.operand(in.Src, in.Sz), p.operand(in.Dst, in.Sz))
+		p.str("cmov")
+		p.mnemonic(in.Cond.Name(), 0)
+		p.operands(in.Src, in.Sz, in.Dst, in.Sz)
 	case OJmp:
-		return fmt.Sprintf("jmp\t%s", BlockLabel(p.f, in.Target))
+		p.str("jmp\t")
+		p.label(in.Target)
 	case OJcc:
-		return fmt.Sprintf("j%s\t%s", in.Cond.Name(), BlockLabel(p.f, in.Target))
+		p.b = append(p.b, 'j')
+		p.mnemonic(in.Cond.Name(), 0)
+		p.label(in.Target)
 	case OCall:
-		return fmt.Sprintf("call\t%s", sanitizeLabel(in.Src.Sym))
+		p.str("call\t")
+		p.b = appendLabel(p.b, in.Src.Sym)
 	case ORet:
-		return "ret"
+		p.str("ret")
 	case OPush:
-		return fmt.Sprintf("pushq\t%s", p.operand(in.Src, 8))
+		p.str("pushq\t")
+		p.operand(in.Src, 8)
 	case OPop:
-		return fmt.Sprintf("popq\t%s", p.operand(in.Dst, 8))
-	case OMovss:
-		return fp("movss")
-	case OMovsd:
-		return fp("movsd")
-	case OAddss:
-		return fp("addss")
-	case OAddsd:
-		return fp("addsd")
-	case OSubss:
-		return fp("subss")
-	case OSubsd:
-		return fp("subsd")
-	case OMulss:
-		return fp("mulss")
-	case OMulsd:
-		return fp("mulsd")
-	case ODivss:
-		return fp("divss")
-	case ODivsd:
-		return fp("divsd")
-	case OUcomiss:
-		return fp("ucomiss")
-	case OUcomisd:
-		return fp("ucomisd")
-	case OXorps:
-		return fp("xorps")
+		p.str("popq\t")
+		p.operand(in.Dst, 8)
 	case OMovd:
-		return fmt.Sprintf("movd\t%s, %s", p.gprOrXmm(in.Src, 4), p.gprOrXmm(in.Dst, 4))
+		p.str("movd\t")
+		p.gprOrXmm(in.Src, 4)
+		p.str(", ")
+		p.gprOrXmm(in.Dst, 4)
 	case OMovq:
-		return fmt.Sprintf("movq\t%s, %s", p.gprOrXmm(in.Src, 8), p.gprOrXmm(in.Dst, 8))
-	case OCvtss2sd:
-		return fp("cvtss2sd")
-	case OCvtsd2ss:
-		return fp("cvtsd2ss")
-	case OCvtsi2ss:
-		return fmt.Sprintf("cvtsi2ss\t%s, %s", p.operand(in.Src, in.SrcSz), p.operand(in.Dst, 8))
-	case OCvtsi2sd:
-		return fmt.Sprintf("cvtsi2sd\t%s, %s", p.operand(in.Src, in.SrcSz), p.operand(in.Dst, 8))
-	case OCvttss2si:
-		return fmt.Sprintf("cvttss2si\t%s, %s", p.operand(in.Src, 8), p.operand(in.Dst, in.Sz))
-	case OCvttsd2si:
-		return fmt.Sprintf("cvttsd2si\t%s, %s", p.operand(in.Src, 8), p.operand(in.Dst, in.Sz))
+		p.str("movq\t")
+		p.gprOrXmm(in.Src, 8)
+		p.str(", ")
+		p.gprOrXmm(in.Dst, 8)
+	case OCvtsi2ss, OCvtsi2sd:
+		p.str("cvtsi2s")
+		p.b = append(p.b, "sd"[in.Op-OCvtsi2ss], '\t')
+		p.operands(in.Src, in.SrcSz, in.Dst, 8)
+	case OCvttss2si, OCvttsd2si:
+		p.str("cvtts")
+		p.b = append(p.b, "sd"[in.Op-OCvttss2si])
+		p.str("2si\t")
+		p.operands(in.Src, 8, in.Dst, in.Sz)
+	default:
+		p.str("?op")
+		p.imm(int64(in.Op))
 	}
-	return fmt.Sprintf("?op%d", in.Op)
 }
 
-// gprOrXmm sizes a register operand by its file: XMM registers have a
-// single name, GPRs use the given integer width.
-func (p *printer) gprOrXmm(o Operand, gprSz int8) string {
-	if o.Kind == KReg && !o.Reg.IsVirtual() && !o.Reg.IsXMM() {
-		return p.reg(o.Reg, gprSz)
+// textEstimate is the estimated length of a function's printed text:
+// a header and about 24 bytes per instruction line.
+func textEstimate(f *Func) int {
+	n := 96 + 4*len(f.Name)
+	for _, blk := range f.Blocks {
+		n += 2*len(f.Name) + len(blk.Name) + 16 + 24*len(blk.Insts)
 	}
-	return p.operand(o, 8)
+	return n
 }
 
 // Print renders the module as GNU-as-compatible AT&T assembly. ann, if
 // non-nil, maps function names to encoded .text byte counts emitted as
 // comments (comments never change what the assembler produces).
 func Print(m *Module, ann map[string]int64) string {
-	var b strings.Builder
+	n := 64
+	for _, f := range m.Funcs {
+		n += textEstimate(f)
+	}
+	p := &printer{b: make([]byte, 0, n)}
 	// The header names no module: the service caches assembly under a
 	// key that excludes the module name.
-	b.WriteString("# x86-64 AT&T syntax (rolag backend)\n")
-	b.WriteString("\t.text\n")
+	p.str("# x86-64 AT&T syntax (rolag backend)\n\t.text\n")
 	for _, f := range m.Funcs {
-		p := &printer{b: &b, f: f}
-		name := sanitizeLabel(f.Name)
-		b.WriteByte('\n')
-		if ann != nil {
-			if n, ok := ann[f.Name]; ok {
-				fmt.Fprintf(&b, "# .text %s: %d bytes\n", f.Name, n)
-			}
+		p.setFunc(f)
+		p.b = append(p.b, '\n')
+		if size, ok := ann[f.Name]; ok {
+			p.str("# .text ")
+			p.str(f.Name)
+			p.str(": ")
+			p.imm(size)
+			p.str(" bytes\n")
 		}
-		fmt.Fprintf(&b, "\t.globl\t%s\n", name)
-		fmt.Fprintf(&b, "\t.type\t%s, @function\n", name)
-		fmt.Fprintf(&b, "%s:\n", name)
+		p.str("\t.globl\t")
+		p.name()
+		p.str("\n\t.type\t")
+		p.name()
+		p.str(", @function\n")
+		p.name()
+		p.str(":\n")
 		for i, blk := range f.Blocks {
-			fmt.Fprintf(&b, "%s:\n", BlockLabel(f, i))
+			p.label(i)
+			p.str(":\n")
 			for _, in := range blk.Insts {
-				b.WriteByte('\t')
-				b.WriteString(p.inst(in))
-				b.WriteByte('\n')
+				p.b = append(p.b, '\t')
+				p.inst(in)
+				p.b = append(p.b, '\n')
 			}
 		}
-		fmt.Fprintf(&b, "\t.size\t%s, .-%s\n", name, name)
+		p.str("\t.size\t")
+		p.name()
+		p.str(", .-")
+		p.name()
+		p.b = append(p.b, '\n')
 	}
-	if len(m.Rodata) == 0 {
-		return b.String()
-	}
-	// Initialized data can outweigh the code, and callers such as the
-	// service cache keep the whole backing array, so the result is sized
-	// exactly.
+	// The result is sized exactly, once: callers such as the service
+	// cache keep the whole backing array, and initialized data can
+	// outweigh the code.
 	var out strings.Builder
-	out.Grow(b.Len() + rodataLen(m.Rodata))
-	out.WriteString(b.String())
+	out.Grow(len(p.b) + rodataLen(m.Rodata))
+	out.Write(p.b)
 	writeRodata(&out, m.Rodata)
 	return out.String()
 }
@@ -325,12 +404,15 @@ const (
 
 // rodataLen is the exact length of writeRodata's output.
 func rodataLen(syms []RodataSym) int {
+	if len(syms) == 0 {
+		return 0
+	}
 	n := len(rodataHeader)
 	for _, s := range syms {
 		if s.Align > 1 {
-			n += len(balignPrefix) + len(strconv.FormatInt(s.Align, 10)) + len("\n")
+			n += len(balignPrefix) + decimalLen(s.Align) + len("\n")
 		}
-		// sanitizeLabel writes one byte per rune (an invalid byte
+		// appendLabel writes one byte per rune (an invalid byte
 		// counts as one rune and becomes '_').
 		n += utf8.RuneCountInString(s.Name) + len(":\n")
 		// A line of k bytes is the prefix, k "0xhh, " and a "\n" in
@@ -338,26 +420,42 @@ func rodataLen(syms []RodataSym) int {
 		lines := (len(s.Data) + bytesPerLine - 1) / bytesPerLine
 		n += lines*(len(bytePrefix)-len(", ")+len("\n")) + len(s.Data)*len("0xhh, ")
 		if s.Zero > 0 {
-			n += len(zeroPrefix) + len(strconv.FormatInt(s.Zero, 10)) + len("\n")
+			n += len(zeroPrefix) + decimalLen(s.Zero) + len("\n")
 		}
+	}
+	return n
+}
+
+// decimalLen is the length of strconv.FormatInt(v, 10).
+func decimalLen(v int64) int {
+	n := 1
+	if v < 0 {
+		n++
+	}
+	for ; v <= -10 || v >= 10; v /= 10 {
+		n++
 	}
 	return n
 }
 
 // writeRodata prints the .rodata section: per symbol its alignment,
 // its label, its bytes as .byte lines of up to 16, and its zero tail
-// as one .zero line.
+// as one .zero line. No symbols print nothing.
 func writeRodata(b *strings.Builder, syms []RodataSym) {
+	if len(syms) == 0 {
+		return
+	}
 	b.WriteString(rodataHeader)
 	var line [len(bytePrefix) + bytesPerLine*len("0xhh, ")]byte
 	copy(line[:], bytePrefix)
+	var label [64]byte
 	for _, s := range syms {
 		if s.Align > 1 {
 			b.WriteString(balignPrefix)
-			b.WriteString(strconv.FormatInt(s.Align, 10))
+			b.Write(strconv.AppendInt(label[:0], s.Align, 10))
 			b.WriteByte('\n')
 		}
-		b.WriteString(sanitizeLabel(s.Name))
+		b.Write(appendLabel(label[:0], s.Name))
 		b.WriteString(":\n")
 		for data := s.Data; len(data) > 0; {
 			chunk := data[:min(len(data), bytesPerLine)]
@@ -374,7 +472,7 @@ func writeRodata(b *strings.Builder, syms []RodataSym) {
 		}
 		if s.Zero > 0 {
 			b.WriteString(zeroPrefix)
-			b.WriteString(strconv.FormatInt(s.Zero, 10))
+			b.Write(strconv.AppendInt(label[:0], s.Zero, 10))
 			b.WriteByte('\n')
 		}
 	}

@@ -36,6 +36,22 @@ func refRodata(syms []RodataSym) string {
 	return b.String()
 }
 
+// sanitizeLabel maps a name onto the assembler label charset, rune by
+// rune.
+func sanitizeLabel(s string) string {
+	var b strings.Builder
+	for _, c := range s {
+		switch {
+		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z',
+			c >= '0' && c <= '9', c == '_', c == '.', c == '$':
+			b.WriteRune(c)
+		default:
+			b.WriteByte('_')
+		}
+	}
+	return b.String()
+}
+
 // pattern returns n bytes that differ from line to line.
 func pattern(n int) []byte {
 	d := make([]byte, n)
@@ -105,7 +121,7 @@ func TestPrintRodataAllocs(t *testing.T) {
 }
 
 func TestPrintShifts(t *testing.T) {
-	p := &printer{f: &Func{Name: "f"}}
+	var p printer
 	cases := []struct {
 		in   Inst
 		want string
@@ -119,8 +135,9 @@ func TestPrintShifts(t *testing.T) {
 		{Inst{Op: OSar, Sz: 8, Src: ImmOp(63), Dst: MemOp(RSP, 8)}, "sarq\t$63, 8(%rsp)"},
 	}
 	for _, c := range cases {
-		if got := p.inst(&c.in); got != c.want {
-			t.Errorf("got %q, want %q", got, c.want)
+		p.b = p.b[:0]
+		if p.inst(&c.in); string(p.b) != c.want {
+			t.Errorf("got %q, want %q", p.b, c.want)
 		}
 	}
 }

@@ -7,7 +7,9 @@ package cc
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Pos is a source position.
@@ -41,12 +43,17 @@ type Token struct {
 	F32 bool
 }
 
-var keywords = map[string]bool{
-	"void": true, "char": true, "short": true, "int": true, "long": true,
-	"float": true, "double": true, "unsigned": true, "signed": true,
-	"const": true, "struct": true, "extern": true, "static": true,
-	"if": true, "else": true, "for": true, "while": true, "do": true,
-	"return": true, "break": true, "continue": true, "pure": true,
+// isKeyword reports whether an identifier spelling is a keyword.
+func isKeyword(text string) bool {
+	switch text {
+	case "void", "char", "short", "int", "long",
+		"float", "double", "unsigned", "signed",
+		"const", "struct", "extern", "static",
+		"if", "else", "for", "while", "do",
+		"return", "break", "continue", "pure":
+		return true
+	}
+	return false
 }
 
 // Error is a frontend error with a source position.
@@ -86,51 +93,57 @@ func (lx *Lexer) peekAt(i int) byte {
 	return lx.src[lx.off+i]
 }
 
-func (lx *Lexer) advance() byte {
-	c := lx.src[lx.off]
-	lx.off++
-	if c == '\n' {
-		lx.line++
-		lx.col = 1
+// skip advances over the next n bytes, which hold no newline.
+func (lx *Lexer) skip(n int) {
+	lx.off += n
+	lx.col += n
+}
+
+// skipTo advances to offset end, counting the newlines on the way.
+func (lx *Lexer) skipTo(end int) {
+	run := lx.src[lx.off:end]
+	if nl := strings.LastIndexByte(run, '\n'); nl >= 0 {
+		lx.line += strings.Count(run, "\n")
+		lx.col = len(run) - nl
 	} else {
-		lx.col++
+		lx.col += len(run)
 	}
-	return c
+	lx.off = end
+}
+
+// skipLine advances to the next newline or the end of the source.
+func (lx *Lexer) skipLine() {
+	n := strings.IndexByte(lx.src[lx.off:], '\n')
+	if n < 0 {
+		n = len(lx.src) - lx.off
+	}
+	lx.skip(n)
 }
 
 func (lx *Lexer) skipSpaceAndComments() error {
 	for lx.off < len(lx.src) {
 		c := lx.peekByte()
 		switch {
-		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
-			lx.advance()
+		case c == '\n':
+			lx.off++
+			lx.line++
+			lx.col = 1
+		case c == ' ' || c == '\t' || c == '\r':
+			lx.skip(1)
 		case c == '/' && lx.peekAt(1) == '/':
-			for lx.off < len(lx.src) && lx.peekByte() != '\n' {
-				lx.advance()
-			}
+			lx.skipLine()
 		case c == '/' && lx.peekAt(1) == '*':
 			start := lx.pos()
-			lx.advance()
-			lx.advance()
-			closed := false
-			for lx.off < len(lx.src) {
-				if lx.peekByte() == '*' && lx.peekAt(1) == '/' {
-					lx.advance()
-					lx.advance()
-					closed = true
-					break
-				}
-				lx.advance()
-			}
-			if !closed {
+			n := strings.Index(lx.src[lx.off+2:], "*/")
+			if n < 0 {
+				lx.skipTo(len(lx.src))
 				return &Error{Pos: start, Msg: "unterminated block comment"}
 			}
+			lx.skipTo(lx.off + 2 + n + 2)
 		case c == '#':
 			// Preprocessor lines are ignored (benchmark sources carry
 			// occasional #define noise); skip to end of line.
-			for lx.off < len(lx.src) && lx.peekByte() != '\n' {
-				lx.advance()
-			}
+			lx.skipLine()
 		default:
 			return nil
 		}
@@ -138,13 +151,61 @@ func (lx *Lexer) skipSpaceAndComments() error {
 	return nil
 }
 
-var multiPuncts = []string{
-	"<<=", ">>=", "...",
-	"==", "!=", "<=", ">=", "&&", "||", "<<", ">>",
-	"+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "++", "--", "->",
+// punctLen is the length of the punctuator at the start of s: the
+// longest of <<= >>= ... == != <= >= && || << >> += -= *= /= %= &= |=
+// ^= ++ -- ->, or 1.
+func punctLen(s string) int {
+	var c1, c2 byte
+	if len(s) > 1 {
+		c1 = s[1]
+	}
+	if len(s) > 2 {
+		c2 = s[2]
+	}
+	switch c := s[0]; c {
+	case '<', '>':
+		if c1 == c {
+			if c2 == '=' {
+				return 3
+			}
+			return 2
+		}
+		if c1 == '=' {
+			return 2
+		}
+	case '.':
+		if c1 == '.' && c2 == '.' {
+			return 3
+		}
+	case '=', '!', '*', '/', '%', '^':
+		if c1 == '=' {
+			return 2
+		}
+	case '&', '|', '+':
+		if c1 == c || c1 == '=' {
+			return 2
+		}
+	case '-':
+		if c1 == '-' || c1 == '=' || c1 == '>' {
+			return 2
+		}
+	}
+	return 1
 }
 
-// Next returns the next token.
+// upperHalf spells each byte c >= 0x80 as the UTF-8 encoding of rune c,
+// two bytes per byte value: a stray non-ASCII byte lexes as a one-rune
+// punctuator token.
+var upperHalf = func() string {
+	b := make([]byte, 0, 256)
+	for c := rune(0x80); c < 0x100; c++ {
+		b = utf8.AppendRune(b, c)
+	}
+	return string(b)
+}()
+
+// Next returns the next token. Identifier, number and punctuator texts
+// are slices of the source.
 func (lx *Lexer) Next() (Token, error) {
 	if err := lx.skipSpaceAndComments(); err != nil {
 		return Token{}, err
@@ -156,99 +217,89 @@ func (lx *Lexer) Next() (Token, error) {
 	c := lx.peekByte()
 	switch {
 	case isIdentStart(c):
-		var sb strings.Builder
-		for lx.off < len(lx.src) && isIdentPart(lx.peekByte()) {
-			sb.WriteByte(lx.advance())
-		}
-		text := sb.String()
+		from := lx.off
+		lx.skipRun(isIdentPart)
+		text := lx.src[from:lx.off]
 		kind := TokIdent
-		if keywords[text] {
+		if isKeyword(text) {
 			kind = TokKeyword
 		}
 		return Token{Kind: kind, Text: text, Pos: start}, nil
 	case isDigit(c) || (c == '.' && isDigit(lx.peekAt(1))):
 		return lx.lexNumber(start)
+	case c >= 0x80:
+		lx.skip(1)
+		i := 2 * int(c-0x80)
+		return Token{Kind: TokPunct, Text: upperHalf[i : i+2], Pos: start}, nil
 	default:
-		for _, mp := range multiPuncts {
-			if strings.HasPrefix(lx.src[lx.off:], mp) {
-				for range mp {
-					lx.advance()
-				}
-				return Token{Kind: TokPunct, Text: mp, Pos: start}, nil
-			}
-		}
-		lx.advance()
-		return Token{Kind: TokPunct, Text: string(c), Pos: start}, nil
+		text := lx.src[lx.off : lx.off+punctLen(lx.src[lx.off:])]
+		lx.skip(len(text))
+		return Token{Kind: TokPunct, Text: text, Pos: start}, nil
 	}
 }
 
+// skipRun advances over the bytes accepted by in.
+func (lx *Lexer) skipRun(in func(byte) bool) {
+	n := 0
+	for lx.off+n < len(lx.src) && in(lx.src[lx.off+n]) {
+		n++
+	}
+	lx.skip(n)
+}
+
 func (lx *Lexer) lexNumber(start Pos) (Token, error) {
-	var sb strings.Builder
-	isFloat := false
+	from := lx.off
 	if lx.peekByte() == '0' && (lx.peekAt(1) == 'x' || lx.peekAt(1) == 'X') {
-		sb.WriteByte(lx.advance())
-		sb.WriteByte(lx.advance())
-		for isHexDigit(lx.peekByte()) {
-			sb.WriteByte(lx.advance())
-		}
+		lx.skip(2)
+		lx.skipRun(isHexDigit)
+		text := lx.src[from:lx.off]
 		lx.skipIntSuffix()
-		var v int64
-		if _, err := fmt.Sscanf(sb.String(), "%v", &v); err != nil {
-			return Token{}, &Error{Pos: start, Msg: "bad hex literal " + sb.String()}
+		v, err := strconv.ParseInt(text, 0, 64)
+		if err != nil {
+			return Token{}, &Error{Pos: start, Msg: "bad hex literal " + text}
 		}
-		return Token{Kind: TokIntLit, Text: sb.String(), Pos: start, Int: v}, nil
+		return Token{Kind: TokIntLit, Text: text, Pos: start, Int: v}, nil
 	}
-	for isDigit(lx.peekByte()) {
-		sb.WriteByte(lx.advance())
-	}
+	isFloat := false
+	lx.skipRun(isDigit)
 	if lx.peekByte() == '.' {
 		isFloat = true
-		sb.WriteByte(lx.advance())
-		for isDigit(lx.peekByte()) {
-			sb.WriteByte(lx.advance())
-		}
+		lx.skip(1)
+		lx.skipRun(isDigit)
 	}
-	if lx.peekByte() == 'e' || lx.peekByte() == 'E' {
+	if c := lx.peekByte(); c == 'e' || c == 'E' {
 		isFloat = true
-		sb.WriteByte(lx.advance())
-		if lx.peekByte() == '+' || lx.peekByte() == '-' {
-			sb.WriteByte(lx.advance())
+		lx.skip(1)
+		if c := lx.peekByte(); c == '+' || c == '-' {
+			lx.skip(1)
 		}
-		for isDigit(lx.peekByte()) {
-			sb.WriteByte(lx.advance())
-		}
+		lx.skipRun(isDigit)
 	}
+	text := lx.src[from:lx.off]
 	isF32 := false
-	if lx.peekByte() == 'f' || lx.peekByte() == 'F' {
+	if c := lx.peekByte(); c == 'f' || c == 'F' {
 		isFloat = true
 		isF32 = true
-		lx.advance()
+		lx.skip(1)
 	} else {
 		lx.skipIntSuffix()
 	}
 	if isFloat {
-		var v float64
-		if _, err := fmt.Sscanf(sb.String(), "%g", &v); err != nil {
-			return Token{}, &Error{Pos: start, Msg: "bad float literal " + sb.String()}
+		v, err := strconv.ParseFloat(text, 64)
+		if err != nil {
+			return Token{}, &Error{Pos: start, Msg: "bad float literal " + text}
 		}
-		return Token{Kind: TokFloatLit, Text: sb.String(), Pos: start, Flt: v, F32: isF32}, nil
+		return Token{Kind: TokFloatLit, Text: text, Pos: start, Flt: v, F32: isF32}, nil
 	}
-	var v int64
-	if _, err := fmt.Sscanf(sb.String(), "%d", &v); err != nil {
-		return Token{}, &Error{Pos: start, Msg: "bad int literal " + sb.String()}
+	v, err := strconv.ParseInt(text, 10, 64)
+	if err != nil {
+		return Token{}, &Error{Pos: start, Msg: "bad int literal " + text}
 	}
-	return Token{Kind: TokIntLit, Text: sb.String(), Pos: start, Int: v}, nil
+	return Token{Kind: TokIntLit, Text: text, Pos: start, Int: v}, nil
 }
 
 func (lx *Lexer) skipIntSuffix() {
-	for {
-		c := lx.peekByte()
-		if c == 'u' || c == 'U' || c == 'l' || c == 'L' {
-			lx.advance()
-			continue
-		}
-		return
-	}
+	lx.skipRun(func(c byte) bool { return c == 'u' || c == 'U' || c == 'l' || c == 'L' })
 }
 
 func isIdentStart(c byte) bool {

@@ -1,6 +1,9 @@
 package cc
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // MaxDepth bounds how deep the parser recurses and how tall the trees it
 // builds are. Three quantities may each reach MaxDepth levels: nesting
@@ -143,6 +146,15 @@ func (p *Parser) expectIdent() (string, error) {
 	return name, p.next()
 }
 
+// declName is expectIdent for a name being declared. Token texts are
+// slices of the source, and a declared name lives on in the IR (and in
+// remarks, trace events and degraded reports), so it is copied rather
+// than kept as a slice that would pin the whole source.
+func (p *Parser) declName() (string, error) {
+	name, err := p.expectIdent()
+	return strings.Clone(name), err
+}
+
 // startsType reports whether the current token can begin a type
 // specifier.
 func (p *Parser) startsType() bool {
@@ -210,8 +222,9 @@ func (p *Parser) parseTypeSpec() (*CType, error) {
 		}
 		s, ok := p.structs[name]
 		if !ok {
-			s = &CStruct{Name: name}
-			p.structs[name] = s
+			// Copied for the reason declName gives.
+			s = &CStruct{Name: strings.Clone(name)}
+			p.structs[s.Name] = s
 		}
 		return &CType{Kind: KStruct, Struct: s}, nil
 	}
@@ -236,7 +249,7 @@ func (p *Parser) parseDeclarator(base *CType) (string, *CType, error) {
 			return "", nil, err
 		}
 	}
-	name, err := p.expectIdent()
+	name, err := p.declName()
 	if err != nil {
 		return "", nil, err
 	}
@@ -432,7 +445,7 @@ func (p *Parser) parseFunc(name string, ret *CType, pos Pos) error {
 		}
 		pname := ""
 		if p.tok.Kind == TokIdent {
-			pname = p.tok.Text
+			pname = strings.Clone(p.tok.Text)
 			if err := p.next(); err != nil {
 				return err
 			}

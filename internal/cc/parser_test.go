@@ -1,6 +1,9 @@
 package cc
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 func parseOK(t *testing.T, src string) *File {
 	t.Helper()
@@ -167,5 +170,51 @@ func TestParseCasts(t *testing.T) {
 	inner := add.Y.(*CastExpr)
 	if _, ok := inner.X.(*CastExpr); !ok {
 		t.Error("nested casts not parsed")
+	}
+}
+
+// TestNamesDoNotPinSource: token texts are slices of the source, but
+// the names a module keeps (functions, globals, parameters, struct
+// types, instructions) must not be, or every remark, trace event or
+// degraded report that holds one would keep the whole source alive.
+func TestNamesDoNotPinSource(t *testing.T) {
+	src := `struct pt { int x; int y; };
+int table[4];
+extern void sink(int v);
+int f(struct pt *p, int n) {
+	int acc = 0;
+	for (int i = 0; i < n; i++) { acc += table[i & 3] + p->x; sink(acc); }
+	return acc;
+}`
+	m, err := Compile(src, "m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(src)))
+	check := func(what, name string) {
+		if name == "" {
+			return
+		}
+		if p := uintptr(unsafe.Pointer(unsafe.StringData(name))); p >= lo && p < lo+uintptr(len(src)) {
+			t.Errorf("%s %q is a slice of the source", what, name)
+		}
+	}
+	for _, s := range m.Structs {
+		check("struct", s.TypeName)
+	}
+	for _, g := range m.Globals {
+		check("global", g.Name)
+	}
+	for _, f := range m.Funcs {
+		check("function", f.Name)
+		for _, p := range f.Params {
+			check("parameter", p.Name)
+		}
+		for _, b := range f.Blocks {
+			check("block", b.Name)
+			for _, in := range b.Instrs {
+				check("instruction", in.Name)
+			}
+		}
 	}
 }

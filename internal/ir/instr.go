@@ -1,8 +1,8 @@
 package ir
 
 import (
-	"fmt"
 	"slices"
+	"strconv"
 )
 
 // Op identifies the operation an instruction performs.
@@ -72,7 +72,7 @@ const (
 	NumOps
 )
 
-var opNames = map[Op]string{
+var opNames = [NumOps]string{
 	OpAdd: "add", OpSub: "sub", OpMul: "mul", OpSDiv: "sdiv", OpUDiv: "udiv",
 	OpSRem: "srem", OpURem: "urem", OpAnd: "and", OpOr: "or", OpXor: "xor",
 	OpShl: "shl", OpLShr: "lshr", OpAShr: "ashr",
@@ -88,10 +88,10 @@ var opNames = map[Op]string{
 }
 
 func (op Op) String() string {
-	if s, ok := opNames[op]; ok {
-		return s
+	if op > OpInvalid && op < NumOps {
+		return opNames[op]
 	}
-	return fmt.Sprintf("op(%d)", int(op))
+	return "op(" + strconv.Itoa(int(op)) + ")"
 }
 
 // IsBinary reports whether op is an integer or floating-point binary
@@ -183,7 +183,7 @@ const (
 	PredOGE
 )
 
-var predNames = map[Pred]string{
+var predNames = [...]string{
 	PredEQ: "eq", PredNE: "ne",
 	PredSLT: "slt", PredSLE: "sle", PredSGT: "sgt", PredSGE: "sge",
 	PredULT: "ult", PredULE: "ule", PredUGT: "ugt", PredUGE: "uge",
@@ -192,10 +192,10 @@ var predNames = map[Pred]string{
 }
 
 func (p Pred) String() string {
-	if s, ok := predNames[p]; ok {
-		return s
+	if p > PredInvalid && int(p) < len(predNames) {
+		return predNames[p]
 	}
-	return fmt.Sprintf("pred(%d)", int(p))
+	return "pred(" + strconv.Itoa(int(p)) + ")"
 }
 
 // Instr is a single IR instruction. All instruction kinds share this

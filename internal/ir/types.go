@@ -7,11 +7,7 @@
 // operate.
 package ir
 
-import (
-	"fmt"
-	"strconv"
-	"strings"
-)
+import "strconv"
 
 // Type is the interface implemented by all IR types. Types are compared
 // structurally with Equal; named struct types compare by identity of the
@@ -27,6 +23,9 @@ type Type interface {
 	// Equal reports whether t and u are the same type.
 	Equal(u Type) bool
 }
+
+// typeString spells a struct or function type through the printer.
+func typeString(t Type) string { return string(appendType(nil, t)) }
 
 // VoidType is the type of instructions that produce no value.
 type VoidType struct{}
@@ -113,9 +112,11 @@ type ArrayType struct {
 	Len  int
 }
 
-func (t ArrayType) String() string { return fmt.Sprintf("[%d x %s]", t.Len, t.Elem) }
-func (t ArrayType) Size() int      { return t.Len * t.Elem.Size() }
-func (t ArrayType) Align() int     { return t.Elem.Align() }
+func (t ArrayType) String() string {
+	return "[" + strconv.Itoa(t.Len) + " x " + t.Elem.String() + "]"
+}
+func (t ArrayType) Size() int  { return t.Len * t.Elem.Size() }
+func (t ArrayType) Align() int { return t.Elem.Align() }
 
 func (t ArrayType) Equal(u Type) bool {
 	v, ok := u.(ArrayType)
@@ -178,16 +179,7 @@ func laidOut(t Type) bool {
 	return true
 }
 
-func (t *StructType) String() string {
-	if t.TypeName != "" {
-		return "%" + t.TypeName
-	}
-	parts := make([]string, len(t.Fields))
-	for i, f := range t.Fields {
-		parts[i] = f.String()
-	}
-	return "{" + strings.Join(parts, ", ") + "}"
-}
+func (t *StructType) String() string { return typeString(t) }
 
 // FieldOffset returns the byte offset of field i under natural alignment.
 func (t *StructType) FieldOffset(i int) int {
@@ -260,13 +252,7 @@ type FuncType struct {
 	Params []Type
 }
 
-func (t *FuncType) String() string {
-	parts := make([]string, len(t.Params))
-	for i, p := range t.Params {
-		parts[i] = p.String()
-	}
-	return fmt.Sprintf("%s (%s)", t.Ret, strings.Join(parts, ", "))
-}
+func (t *FuncType) String() string { return typeString(t) }
 
 func (t *FuncType) Size() int  { return 0 }
 func (t *FuncType) Align() int { return 1 }

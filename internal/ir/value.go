@@ -1,7 +1,6 @@
 package ir
 
 import (
-	"fmt"
 	"math"
 	"strconv"
 )
@@ -72,20 +71,8 @@ func ConstFloat(t FloatType, v float64) *FloatConst {
 func (c *FloatConst) Type() Type { return c.Typ }
 
 func (c *FloatConst) Ident() string {
-	if math.IsInf(c.Val, 1) {
-		return "+inf"
-	}
-	if math.IsInf(c.Val, -1) {
-		return "-inf"
-	}
-	s := strconv.FormatFloat(c.Val, 'g', -1, 64)
-	// Ensure the token is recognizably a float.
-	for _, r := range s {
-		if r == '.' || r == 'e' || r == 'n' || r == 'i' {
-			return s
-		}
-	}
-	return s + ".0"
+	var buf [32]byte
+	return string(appendFloat(buf[:0], c.Val))
 }
 
 func (c *FloatConst) isConst() {}
@@ -121,16 +108,7 @@ type ArrayConst struct {
 
 func (c *ArrayConst) Type() Type { return c.Typ }
 
-func (c *ArrayConst) Ident() string {
-	s := "["
-	for i, e := range c.Elems {
-		if i > 0 {
-			s += ", "
-		}
-		s += e.Ident()
-	}
-	return s + "]"
-}
+func (c *ArrayConst) Ident() string { return string(appendIdent(nil, c)) }
 
 func (c *ArrayConst) isConst() {}
 
@@ -240,8 +218,4 @@ func IntValue(v Value) (int64, bool) {
 		return 0, false
 	}
 	return c.Val, true
-}
-
-func typedIdent(v Value) string {
-	return fmt.Sprintf("%s %s", v.Type(), v.Ident())
 }

@@ -16,6 +16,15 @@ func (t TraceContext) Fork() TraceContext {
 	return t
 }
 
+// Reset drops every buffered event and zeroes the dropped counter.
+func (r *TraceRing) Reset() {
+	r.mu.Lock()
+	r.buf = r.buf[:0]
+	r.n = 0
+	r.dropped = 0
+	r.mu.Unlock()
+}
+
 // ResetTrace drops every event buffered in the default ring.
 func ResetTrace() { defaultRing.Reset() }
 

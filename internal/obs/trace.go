@@ -231,15 +231,6 @@ func (r *TraceRing) SetCapacity(n int) {
 	r.mu.Unlock()
 }
 
-// Reset drops every buffered event and zeroes the dropped counter.
-func (r *TraceRing) Reset() {
-	r.mu.Lock()
-	r.buf = r.buf[:0]
-	r.n = 0
-	r.dropped = 0
-	r.mu.Unlock()
-}
-
 // Dropped returns how many events have been overwritten before export
 // (the rolagd_trace_dropped_total / router_trace_dropped_total series).
 func (r *TraceRing) Dropped() uint64 {

@@ -22,9 +22,8 @@ func IfConvert(f *ir.Func) bool {
 	}
 	// Unify duplicate address computations first: an arm's reload is
 	// only recognizably safe when its pointer is the same SSA value as
-	// the dominating access.
-	CSE(f)
-	changed := false
+	// the dominating access. What CSE deletes is a change too.
+	changed := CSE(f)
 	for {
 		if !ifConvertOne(f) {
 			break

@@ -146,3 +146,35 @@ float f(float *a) {
 		t.Errorf("max = %v, want 9", v.F)
 	}
 }
+
+// TestIfConvertReportsCSE: IfConvert runs CSE before looking for
+// shapes, so a function with a duplicate gep and no conditional is
+// changed, and IfConvert must say so (the pipeline drops the function's
+// cached analyses on that report).
+func TestIfConvertReportsCSE(t *testing.T) {
+	m := ir.NewModule("m")
+	f := m.NewFunc("f", ir.Void, &ir.Param{Name: "p", Typ: ir.Ptr(ir.I32)}, &ir.Param{Name: "v", Typ: ir.I32})
+	bd := ir.NewBuilder(f.NewBlock("entry"))
+	p, v := f.Params[0], f.Params[1]
+	bd.Store(v, bd.GEP(p, ir.ConstInt(ir.I64, 1)))
+	bd.Store(v, bd.GEP(p, ir.ConstInt(ir.I64, 1)))
+	bd.Ret(nil)
+	if err := m.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	if !passes.IfConvert(f) {
+		t.Errorf("IfConvert reported no change after CSE merged the geps:\n%s", f)
+	}
+	geps := 0
+	for _, in := range f.Blocks[0].Instrs {
+		if in.Op == ir.OpGEP {
+			geps++
+		}
+	}
+	if geps != 1 {
+		t.Errorf("%d geps after IfConvert, want 1:\n%s", geps, f)
+	}
+	if passes.IfConvert(f) {
+		t.Errorf("IfConvert reported a change on a function with nothing left to do:\n%s", f)
+	}
+}
