@@ -13,8 +13,7 @@
 //
 // The corpus experiments run through the shared concurrent engine
 // (internal/service) by default; -serial restores the one-at-a-time
-// facade driver, and -daemon http://host:port offloads the angha corpus
-// to a running rolagd through the retrying HTTP client.
+// facade driver.
 //
 // "calib" compiles the corpus straight-line and rolled through the
 // x86-64 backend, compares the measured object bytes against the
@@ -43,7 +42,6 @@ func main() {
 	seed := flag.Int64("seed", 0, "AnghaBench corpus seed (0 = default)")
 	workers := flag.Int("workers", 0, "engine worker-pool size (0 = GOMAXPROCS)")
 	serial := flag.Bool("serial", false, "use the serial reference driver instead of the engine")
-	daemon := flag.String("daemon", "", "base URL of a running rolagd; the angha corpus compiles remotely through it")
 	calibN := flag.Int("calibn", 400, "corpus size for the cost-model calibration")
 	check := flag.Bool("check", false, "fail if the calibration misses its regression gate (MAPE, sign agreement)")
 	flag.Parse()
@@ -70,7 +68,7 @@ func main() {
 
 	if all || want["angha"] {
 		fmt.Println("running AnghaBench experiment (Fig. 15, Fig. 16)...")
-		s, err := experiments.RunAngha(experiments.AnghaConfig{N: *n, Seed: *seed, Engine: engine, Serial: *serial, Daemon: *daemon})
+		s, err := experiments.RunAngha(experiments.AnghaConfig{N: *n, Seed: *seed, Engine: engine, Serial: *serial})
 		if err != nil {
 			fail("angha", err)
 		}

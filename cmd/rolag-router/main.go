@@ -7,9 +7,9 @@
 // Usage:
 //
 //	rolag-router [-addr :8722] -shards a=http://h1:8723,b=http://h2:8723,...
-//	             [-vnodes 128] [-timeout 60s] [-log text|json]
+//	             [-timeout 60s] [-log text|json]
 //	             [-probe-interval 1s] [-probe-timeout 500ms] [-down-after 3]
-//	             [-hedge] [-hedge-quantile 0.95] [-hedge-min 2ms] [-hedge-max 250ms]
+//	             [-hedge] [-hedge-min 2ms] [-hedge-max 250ms]
 //	             [-trace=false] [-trace-buf N] [-scrape-interval 2s]
 //
 // Endpoints:
@@ -42,9 +42,9 @@
 // probes or requests is routed around proactively, costing zero
 // connection attempts per request, and rejoins on its next successful
 // probe. With -hedge, a compile that the home shard has not answered
-// within an adaptive per-shard latency quantile is raced against the
-// key's next successor; the first answer wins (router_hedge_total) and
-// the loser is canceled.
+// within an adaptive per-shard latency quantile (p95) is raced against
+// the key's next successor; the first answer wins (router_hedge_total)
+// and the loser is canceled.
 package main
 
 import (
@@ -80,14 +80,12 @@ func parseShards(s string) (map[string]string, error) {
 func main() {
 	addr := flag.String("addr", ":8722", "listen address")
 	shardsFlag := flag.String("shards", "", "shard membership as name=url,... (same list the shards were started with)")
-	vnodes := flag.Int("vnodes", 0, "consistent-hash virtual nodes per shard (0 = default; must match the shards)")
 	timeout := flag.Duration("timeout", 60*time.Second, "per-upstream-request deadline")
 	logFormat := flag.String("log", "text", "structured log format: text or json")
 	probeInterval := flag.Duration("probe-interval", 0, "background shard health probe cadence (0 = default 1s; negative disables)")
 	probeTimeout := flag.Duration("probe-timeout", 0, "per-probe /readyz deadline (0 = default 500ms)")
 	downAfter := flag.Int("down-after", 0, "consecutive failures before a shard is routed around (0 = default 3)")
 	hedge := flag.Bool("hedge", false, "hedge slow compiles against the key's next ring successor")
-	hedgeQuantile := flag.Float64("hedge-quantile", 0, "per-shard latency quantile used as the hedge delay (0 = default 0.95)")
 	hedgeMin := flag.Duration("hedge-min", 0, "hedge delay floor (0 = default 2ms)")
 	hedgeMax := flag.Duration("hedge-max", 0, "hedge delay ceiling (0 = default 250ms)")
 	trace := flag.Bool("trace", true, "record per-request spans (exported at /debug/trace)")
@@ -119,14 +117,12 @@ func main() {
 
 	rt, err := cluster.New(cluster.Config{
 		Shards:         shards,
-		VNodes:         *vnodes,
 		HTTPClient:     &http.Client{Timeout: *timeout},
 		Log:            logger,
 		ProbeInterval:  *probeInterval,
 		ProbeTimeout:   *probeTimeout,
 		DownAfter:      *downAfter,
 		Hedge:          *hedge,
-		HedgeQuantile:  *hedgeQuantile,
 		HedgeMinDelay:  *hedgeMin,
 		HedgeMaxDelay:  *hedgeMax,
 		ScrapeInterval: *scrapeInterval,

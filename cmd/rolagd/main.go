@@ -7,10 +7,8 @@
 //	rolagd [-addr :8723] [-workers N] [-cache N] [-max-inflight N]
 //	       [-request-timeout 30s] [-shutdown-timeout 10s]
 //	       [-pass-budget 10s] [-breaker-threshold 5] [-breaker-cooldown 30s]
-//	       [-fail-hard]
 //	       [-trace=false] [-trace-buf N] [-log text|json]
 //	       [-shard-id a -peers a=http://h1:8723,b=http://h2:8723,...]
-//	       [-vnodes 128] [-peer-timeout 250ms]
 //	       [-snapshot /var/lib/rolagd/cache.snapshot] [-snapshot-interval 30s]
 //
 // Endpoints:
@@ -32,8 +30,8 @@
 // it from the same -peers list) with the other replicas and the
 // rolag-router. On a local cache miss for a key another shard owns,
 // the daemon asks that home shard's cache (GET /v1/cache/{key},
-// bounded by -peer-timeout) before compiling, so N replicas behave as
-// one logical cache. See README.md "Cluster mode".
+// bounded by daemon.DefaultPeerTimeout) before compiling, so N
+// replicas behave as one logical cache. See README.md "Cluster mode".
 //
 // Warm restart: with -snapshot, the daemon writes its result cache to
 // the given file every -snapshot-interval and once more at drain time,
@@ -98,21 +96,17 @@ func main() {
 	addr := flag.String("addr", ":8723", "listen address")
 	workers := flag.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS)")
 	cache := flag.Int("cache", 4096, "result-cache entries (negative disables caching)")
-	queue := flag.Int("queue", 0, "job-queue depth (0 = 4x workers)")
-	maxInFlight := flag.Int("max-inflight", 0, "admission bound before shedding with 429 (0 = 4x(workers+queue), negative disables)")
+	maxInFlight := flag.Int("max-inflight", 0, "admission bound before shedding with 429 (0 = 20x workers, at least 32)")
 	requestTimeout := flag.Duration("request-timeout", 30*time.Second, "per-job compile deadline cap (0 = none)")
 	shutdownTimeout := flag.Duration("shutdown-timeout", 10*time.Second, "drain deadline on SIGINT/SIGTERM")
 	passBudget := flag.Duration("pass-budget", 0, "fail-soft per-pass wall-clock budget (0 = built-in default)")
 	breakerThreshold := flag.Int("breaker-threshold", 0, "consecutive pass failures that open its breaker (0 = default)")
 	breakerCooldown := flag.Duration("breaker-cooldown", 0, "open-breaker cooldown before a half-open probe (0 = default)")
-	failHard := flag.Bool("fail-hard", false, "disable the fail-soft sandbox: a broken pass fails the whole job")
 	trace := flag.Bool("trace", true, "record per-request spans (exported at /debug/trace)")
 	traceBuf := flag.Int("trace-buf", obs.DefaultTraceCapacity, "span ring-buffer capacity (oldest spans are overwritten)")
 	logFormat := flag.String("log", "text", "structured log format: text or json")
 	shardID := flag.String("shard-id", "", "this replica's name on the cluster ring (empty = standalone)")
 	peersFlag := flag.String("peers", "", "cluster membership as name=url,... (must include -shard-id; identical on every member)")
-	vnodes := flag.Int("vnodes", 0, "consistent-hash virtual nodes per shard (0 = default)")
-	peerTimeout := flag.Duration("peer-timeout", 0, "fetch-on-miss peer cache lookup deadline (0 = built-in default)")
 	snapshotPath := flag.String("snapshot", "", "cache snapshot file for warm restarts (empty = disabled)")
 	snapshotInterval := flag.Duration("snapshot-interval", 0, "periodic snapshot cadence (0 = default 30s; negative = drain-time only)")
 	flag.Parse()
@@ -148,10 +142,8 @@ func main() {
 	d := daemon.New(daemon.Config{
 		Engine: service.Config{
 			Workers:          *workers,
-			QueueDepth:       *queue,
 			CacheEntries:     *cache,
 			MaxInFlight:      *maxInFlight,
-			DisableFailSoft:  *failHard,
 			PassBudget:       *passBudget,
 			BreakerThreshold: *breakerThreshold,
 			BreakerCooldown:  *breakerCooldown,
@@ -160,8 +152,6 @@ func main() {
 		Log:              logger,
 		ShardID:          *shardID,
 		Peers:            peers,
-		VNodes:           *vnodes,
-		PeerTimeout:      *peerTimeout,
 		SnapshotPath:     *snapshotPath,
 		SnapshotInterval: *snapshotInterval,
 	})

@@ -1,7 +1,6 @@
 package mach
 
 import (
-	"slices"
 	"strconv"
 	"strings"
 	"unicode/utf8"
@@ -89,9 +88,9 @@ func (p *printer) setFunc(f *Func) {
 	for _, blk := range f.Blocks {
 		n += 24 + len(f.Name) + len(blk.Name)
 	}
-	p.labels = appendLabel(slices.Grow(p.labels[:0], n), f.Name)
+	p.labels = appendLabel(emptied(p.labels, n), f.Name)
 	p.nameEnd = len(p.labels)
-	p.ends = slices.Grow(p.ends[:0], len(f.Blocks))
+	p.ends = emptied(p.ends, len(f.Blocks))
 	for i, blk := range f.Blocks {
 		p.labels = append(p.labels, ".L"...)
 		p.labels = append(p.labels, p.labels[:p.nameEnd]...)
@@ -101,6 +100,17 @@ func (p *printer) setFunc(f *Func) {
 		p.labels = appendLabel(p.labels, blk.Name)
 		p.ends = append(p.ends, len(p.labels))
 	}
+}
+
+// emptied returns s truncated to length 0 with room for n elements. It
+// reallocates with make, not slices.Grow: under the race detector
+// slices.Grow's appended temporary escapes to the heap, one more
+// allocation per call.
+func emptied[E any](s []E, n int) []E {
+	if cap(s) < n {
+		return make([]E, 0, n)
+	}
+	return s[:0]
 }
 
 // label appends block i's label.

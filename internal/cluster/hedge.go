@@ -19,9 +19,11 @@ import (
 	"rolag/internal/obs/fleet"
 )
 
-// Hedging defaults (Config can override quantile and clamps).
+// Hedging constants (Config can override the clamps).
 const (
-	DefaultHedgeQuantile = 0.95
+	// hedgeQuantile is the per-shard latency quantile used as the
+	// hedge delay.
+	hedgeQuantile        = 0.95
 	DefaultHedgeMinDelay = 2 * time.Millisecond
 	DefaultHedgeMaxDelay = 250 * time.Millisecond
 
@@ -74,7 +76,7 @@ func (w *latWindow) quantile(q float64) (time.Duration, bool) {
 func (rt *Router) hedgeDelay(shard string) time.Duration {
 	d := hedgeColdDelay
 	if w := rt.lat[shard]; w != nil {
-		if q, ok := w.quantile(rt.hedgeQuantile); ok {
+		if q, ok := w.quantile(hedgeQuantile); ok {
 			d = q
 		}
 	}

@@ -1,16 +1,18 @@
 // Package ring is a consistent-hash ring with virtual nodes: the
 // key-ownership substrate of the rolagd cluster. Every shard is placed
-// on the ring at VNodes pseudo-random points derived from its name, a
-// key is owned by the first shard clockwise from the key's point, and
-// adding or removing one shard moves only the keys in the arcs that
-// shard gains or loses (~1/N of the keyspace), never keys between two
-// surviving shards.
+// on the ring at DefaultVNodes pseudo-random points derived from its
+// name, a key is owned by the first shard clockwise from the key's
+// point, and adding or removing one shard moves only the keys in the
+// arcs that shard gains or loses (~1/N of the keyspace), never keys
+// between two surviving shards.
 //
 // The ring is deterministic: two processes that Add the same shard
-// names with the same VNodes compute identical ownership for every key.
-// That property is load-bearing — the router and every rolagd replica
-// each build their own ring from the shared -peers flag and must agree
-// on which shard is "home" for a cache key without any coordination.
+// names compute identical ownership for every key. That property is
+// load-bearing — the router and every rolagd replica each build their
+// own ring from the shared -peers flag and must agree on which shard is
+// "home" for a cache key without any coordination — so the
+// virtual-node count is a constant, not a setting two processes could
+// disagree on.
 package ring
 
 import (
@@ -41,14 +43,11 @@ type point struct {
 	shard string
 }
 
-// New returns an empty ring with the given virtual-node count per
-// shard (<= 0 selects DefaultVNodes).
-func New(vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
-	}
-	return &Ring{vnodes: vnodes}
-}
+// New returns an empty ring with DefaultVNodes points per shard.
+func New() *Ring { return newRing(DefaultVNodes) }
+
+// newRing returns an empty ring with vnodes points per shard.
+func newRing(vnodes int) *Ring { return &Ring{vnodes: vnodes} }
 
 // hash64 maps a string to a ring position. SHA-256 (truncated) rather
 // than a fast non-cryptographic hash: ring placement runs only at

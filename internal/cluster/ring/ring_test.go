@@ -16,7 +16,7 @@ func keys(n int) []string {
 
 func TestOwnerDeterministicAcrossRings(t *testing.T) {
 	build := func() *Ring {
-		r := New(0)
+		r := New()
 		// Insertion order must not matter: router and shards may list
 		// peers in different orders.
 		for _, s := range []string{"b", "a", "c"} {
@@ -35,7 +35,7 @@ func TestOwnerDeterministicAcrossRings(t *testing.T) {
 // TestDistribution checks the satellite requirement: over 10k keys at
 // 3 shards the per-shard share must stay within 15% of the even split.
 func TestDistribution(t *testing.T) {
-	r := New(0)
+	r := New()
 	shards := []string{"shard-a", "shard-b", "shard-c"}
 	for _, s := range shards {
 		r.Add(s)
@@ -61,7 +61,7 @@ func TestDistribution(t *testing.T) {
 func TestJoinMovesOnlyGainedKeys(t *testing.T) {
 	const n = 10000
 	ks := keys(n)
-	r := New(0)
+	r := New()
 	for _, s := range []string{"a", "b", "c"} {
 		r.Add(s)
 	}
@@ -92,7 +92,7 @@ func TestJoinMovesOnlyGainedKeys(t *testing.T) {
 func TestLeaveMovesOnlyOrphanedKeys(t *testing.T) {
 	const n = 10000
 	ks := keys(n)
-	r := New(0)
+	r := New()
 	for _, s := range []string{"a", "b", "c"} {
 		r.Add(s)
 	}
@@ -113,7 +113,7 @@ func TestLeaveMovesOnlyOrphanedKeys(t *testing.T) {
 }
 
 func TestSuccessorsDistinctAndOrdered(t *testing.T) {
-	r := New(0)
+	r := New()
 	for _, s := range []string{"a", "b", "c"} {
 		r.Add(s)
 	}
@@ -139,7 +139,7 @@ func TestSuccessorsDistinctAndOrdered(t *testing.T) {
 }
 
 func TestEmptyAndSingleRing(t *testing.T) {
-	r := New(4)
+	r := newRing(4)
 	if r.Owner("k") != "" || r.Successors("k", 2) != nil {
 		t.Fatal("empty ring must own nothing")
 	}

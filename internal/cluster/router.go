@@ -46,8 +46,6 @@ type Config struct {
 	// replica was started with (-peers), so router and shards agree on
 	// key ownership without coordination.
 	Shards map[string]string
-	// VNodes is the ring's virtual-node count per shard (0 = default).
-	VNodes int
 	// HTTPClient talks to the shards (nil = a client with Timeout 60s;
 	// per-request deadlines still come from the caller's context).
 	HTTPClient *http.Client
@@ -81,9 +79,6 @@ type Config struct {
 	// the home shard has not answered within its adaptive delay, race a
 	// second copy against the key's next ring successor.
 	Hedge bool
-	// HedgeQuantile picks the latency quantile used as the hedge delay
-	// (0 = DefaultHedgeQuantile).
-	HedgeQuantile float64
 	// HedgeMinDelay / HedgeMaxDelay clamp the adaptive delay (0 =
 	// DefaultHedgeMinDelay / DefaultHedgeMaxDelay).
 	HedgeMinDelay time.Duration
@@ -105,7 +100,6 @@ type Router struct {
 	closeOnce    sync.Once
 
 	hedge         bool
-	hedgeQuantile float64
 	hedgeMinDelay time.Duration
 	hedgeMaxDelay time.Duration
 	lat           map[string]*latWindow // per-shard; fixed at startup
@@ -137,14 +131,13 @@ func New(cfg Config) (*Router, error) {
 		return nil, fmt.Errorf("cluster: no shards configured")
 	}
 	rt := &Router{
-		ring:          ring.New(cfg.VNodes),
+		ring:          ring.New(),
 		shards:        cfg.Shards,
 		httpc:         cfg.HTTPClient,
 		log:           cfg.Log,
 		probeTimeout:  cfg.ProbeTimeout,
 		probeStop:     make(chan struct{}),
 		hedge:         cfg.Hedge,
-		hedgeQuantile: cfg.HedgeQuantile,
 		hedgeMinDelay: cfg.HedgeMinDelay,
 		hedgeMaxDelay: cfg.HedgeMaxDelay,
 		lat:           make(map[string]*latWindow, len(cfg.Shards)),
@@ -166,9 +159,6 @@ func New(cfg Config) (*Router, error) {
 	}
 	if rt.probeTimeout <= 0 {
 		rt.probeTimeout = DefaultProbeTimeout
-	}
-	if rt.hedgeQuantile <= 0 || rt.hedgeQuantile >= 1 {
-		rt.hedgeQuantile = DefaultHedgeQuantile
 	}
 	if rt.hedgeMinDelay <= 0 {
 		rt.hedgeMinDelay = DefaultHedgeMinDelay

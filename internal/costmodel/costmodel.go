@@ -14,16 +14,20 @@ package costmodel
 
 import "rolag/internal/ir"
 
+// Instruction sizes shared by both calibrations.
+const (
+	// callBytes is the size of a direct call instruction.
+	callBytes = 5
+	// branchBytes is the size of an unconditional branch.
+	branchBytes = 2
+	// condBranchBytes is the size of a compare-and-branch pair's branch
+	// part (the compare is costed separately via the icmp).
+	condBranchBytes = 2
+)
+
 // Model is a code-size cost model. The zero value is the default x86-64
 // -Os flavoured model.
 type Model struct {
-	// CallBytes is the size of a direct call instruction.
-	CallBytes int
-	// BranchBytes is the size of an unconditional branch.
-	BranchBytes int
-	// CondBranchBytes is the size of a compare-and-branch pair's branch
-	// part (the compare is costed separately via the icmp).
-	CondBranchBytes int
 	// BinaryMode selects the finer "measurement" calibration used when
 	// reporting final object sizes: phis cost edge copies, branch
 	// targets get alignment padding, dynamic allocas cost frame setup,
@@ -38,13 +42,13 @@ type Model struct {
 
 // Default returns the default (TTI-style, profitability) model.
 func Default() *Model {
-	return &Model{CallBytes: 5, BranchBytes: 2, CondBranchBytes: 2}
+	return &Model{}
 }
 
 // Binary returns the measurement model used to report final "object
 // file" sizes.
 func Binary() *Model {
-	return &Model{CallBytes: 5, BranchBytes: 2, CondBranchBytes: 2, BinaryMode: true}
+	return &Model{BinaryMode: true}
 }
 
 // Instr returns the estimated byte size of one instruction.
@@ -94,14 +98,14 @@ func (m *Model) Instr(in *ir.Instr) int {
 		return n
 	case in.Op == ir.OpCall:
 		if !m.BinaryMode {
-			return m.CallBytes
+			return callBytes
 		}
 		// Measurement mode counts the ABI staging around the call,
 		// calibrated against the assembly backend (see
 		// internal/backend/calib): each argument reaches its SysV slot
 		// with a reg-reg mov (3 bytes) or a mov-imm32 (5 bytes), and a
 		// used result moves out of the return register (3 bytes).
-		n := m.CallBytes
+		n := callBytes
 		for _, a := range in.Operands {
 			if _, ok := a.(*ir.IntConst); ok {
 				n += 5
@@ -114,9 +118,9 @@ func (m *Model) Instr(in *ir.Instr) int {
 		}
 		return n
 	case in.Op == ir.OpBr:
-		return m.BranchBytes
+		return branchBytes
 	case in.Op == ir.OpCondBr:
-		return m.CondBranchBytes
+		return condBranchBytes
 	case in.Op == ir.OpRet:
 		return 1
 	case in.Op == ir.OpICmp:

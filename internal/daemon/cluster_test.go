@@ -11,12 +11,16 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"rolag"
 	"rolag/internal/rolagdapi"
 	"rolag/internal/service"
+	"rolag/internal/workloads/angha"
+	"rolag/internal/workloads/tsvc"
 )
 
 // testCluster spawns n in-process shards that know each other as
@@ -204,8 +208,13 @@ func TestPeerCacheMissCompilesLocally(t *testing.T) {
 	}
 }
 
-// TestBatchEndpointParity: a batch of K functions equals K serial
-// compiles byte-for-byte — IR, sizes, and remark streams.
+// TestBatchEndpointParity: every item of a /v1/batch reply equals what
+// rolag.Build makes of the same request, mapped through ToService as
+// rolagd maps it: IR, BinaryAfter, loop counts, the node histogram and
+// the remark stream. The items cover hand-written rolls, an Angha
+// slice under the three §V.A configurations (none, RoLAG with remarks,
+// LLVM reroll) and TSVC kernels unrolled 8x, where the LLVM baseline
+// rerolls.
 func TestBatchEndpointParity(t *testing.T) {
 	_, srv := newTestDaemon(t, service.Config{}, 10*time.Second)
 
@@ -218,17 +227,14 @@ func TestBatchEndpointParity(t *testing.T) {
 			Remarks: true,
 		})
 	}
-
-	// Serial reference, against a fresh daemon so nothing is cached.
-	_, refSrv := newTestDaemon(t, service.Config{}, 10*time.Second)
-	var want []rolagdapi.CompileResponse
-	for _, it := range items {
-		b, _ := json.Marshal(it)
-		resp, out := postCompile(t, refSrv, string(b))
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("serial reference: status %d", resp.StatusCode)
-		}
-		want = append(want, out)
+	for _, fn := range angha.Generate(30, 1) {
+		items = append(items,
+			rolagdapi.CompileRequest{Source: fn.Src, Config: rolagdapi.CompileConfig{Name: fn.Name, Opt: "none"}},
+			rolagdapi.CompileRequest{Source: fn.Src, Config: rolagdapi.CompileConfig{Name: fn.Name, Opt: "rolag"}, Remarks: true},
+			rolagdapi.CompileRequest{Source: fn.Src, Config: rolagdapi.CompileConfig{Name: fn.Name, Opt: "llvm"}})
+	}
+	for _, k := range tsvc.Kernels()[:4] {
+		items = append(items, rolagdapi.CompileRequest{Source: k.Src, Config: rolagdapi.CompileConfig{Name: k.Name, Opt: "llvm", Unroll: 8}})
 	}
 
 	bb, _ := json.Marshal(rolagdapi.BatchRequest{Items: items})
@@ -247,23 +253,51 @@ func TestBatchEndpointParity(t *testing.T) {
 	if len(out.Items) != len(items) {
 		t.Fatalf("batch returned %d items, want %d", len(out.Items), len(items))
 	}
+	var rolled, rerolled int
 	for i, item := range out.Items {
+		what := fmt.Sprintf("item %d (%+v)", i, items[i].Config)
 		if item.Error != "" {
 			t.Fatalf("item %d failed: %s", i, item.Error)
 		}
-		if item.IR != want[i].IR {
-			t.Errorf("item %d IR differs from serial compile", i)
+		if item.Degraded {
+			t.Fatalf("item %d degraded: %v", i, item.DegradedPasses)
 		}
-		if item.BinaryAfter != want[i].BinaryAfter || item.LoopsRolled != want[i].LoopsRolled {
-			t.Errorf("item %d sizes differ: batch %d/%d, serial %d/%d",
-				i, item.BinaryAfter, item.LoopsRolled, want[i].BinaryAfter, want[i].LoopsRolled)
+		sreq, err := items[i].ToService()
+		if err != nil {
+			t.Fatal(err)
 		}
-		if len(item.Remarks) != len(want[i].Remarks) {
-			t.Errorf("item %d remark count differs: %d vs %d", i, len(item.Remarks), len(want[i].Remarks))
+		ref, err := rolag.Build(sreq.Source, sreq.Config)
+		if err != nil {
+			t.Fatalf("item %d reference build: %v", i, err)
 		}
-		if item.Degraded != want[i].Degraded {
-			t.Errorf("item %d degraded flag differs", i)
+		want := rolagdapi.CompileResponse{
+			IR:          ref.Module.String(),
+			BinaryAfter: ref.BinaryAfter,
+			Rerolled:    ref.Rerolled,
+			Remarks:     ref.Remarks,
 		}
+		if ref.Stats != nil {
+			want.LoopsRolled = ref.Stats.LoopsRolled
+			want.NodeCounts = rolagdapi.NodeCountsToWire(ref.Stats.NodeCounts)
+		}
+		rolled += want.LoopsRolled
+		rerolled += want.Rerolled
+		if item.IR != want.IR {
+			t.Errorf("%s: IR differs from rolag.Build", what)
+		}
+		if item.BinaryAfter != want.BinaryAfter || item.LoopsRolled != want.LoopsRolled || item.Rerolled != want.Rerolled {
+			t.Errorf("%s: binaryAfter/loopsRolled/rerolled %d/%d/%d, rolag.Build %d/%d/%d", what,
+				item.BinaryAfter, item.LoopsRolled, item.Rerolled, want.BinaryAfter, want.LoopsRolled, want.Rerolled)
+		}
+		if !reflect.DeepEqual(item.NodeCounts, want.NodeCounts) {
+			t.Errorf("%s: node counts %v, rolag.Build %v", what, item.NodeCounts, want.NodeCounts)
+		}
+		if !reflect.DeepEqual(item.Remarks, want.Remarks) {
+			t.Errorf("%s: remark stream differs from rolag.Build (%d vs %d remarks)", what, len(item.Remarks), len(want.Remarks))
+		}
+	}
+	if rolled == 0 || rerolled == 0 {
+		t.Errorf("items rolled %d and rerolled %d loops; the parity check must compare both", rolled, rerolled)
 	}
 }
 

@@ -63,10 +63,6 @@ type Config struct {
 	// All replicas and the router must share this map — ring ownership
 	// is computed independently by each from the same membership.
 	Peers map[string]string
-	// VNodes is the ring's virtual-node count per shard (0 = default).
-	VNodes int
-	// PeerTimeout bounds one peer cache fetch (0 = DefaultPeerTimeout).
-	PeerTimeout time.Duration
 
 	// SnapshotPath, when set, makes the warm cache survive restarts:
 	// the daemon loads the file at startup (a corrupt or stale snapshot
@@ -94,11 +90,10 @@ type Daemon struct {
 	requestCap time.Duration
 	log        *slog.Logger
 
-	shardID     string
-	peers       map[string]string
-	ring        *ring.Ring
-	peerTimeout time.Duration
-	peerClient  *http.Client
+	shardID    string
+	peers      map[string]string
+	ring       *ring.Ring
+	peerClient *http.Client
 	// maxPeerReply is rolagdapi.MaxReplyBytes; tests lower it to probe
 	// the cap.
 	maxPeerReply int64
@@ -132,20 +127,16 @@ func New(cfg Config) *Daemon {
 		log:          cfg.Log,
 		shardID:      cfg.ShardID,
 		peers:        cfg.Peers,
-		peerTimeout:  cfg.PeerTimeout,
 		maxPeerReply: rolagdapi.MaxReplyBytes,
 		traceRing:    cfg.TraceRing,
 	}
-	if d.peerTimeout <= 0 {
-		d.peerTimeout = DefaultPeerTimeout
-	}
 	ecfg := cfg.Engine
 	if cfg.ShardID != "" && len(cfg.Peers) > 1 {
-		d.ring = ring.New(cfg.VNodes)
+		d.ring = ring.New()
 		for name := range cfg.Peers {
 			d.ring.Add(name)
 		}
-		d.peerClient = &http.Client{Timeout: d.peerTimeout}
+		d.peerClient = &http.Client{Timeout: DefaultPeerTimeout}
 		ecfg.PeerFetch = d.peerFetch
 	}
 	d.engine = service.New(ecfg)
@@ -259,7 +250,7 @@ func (d *Daemon) peerFetch(ctx context.Context, key string) (*service.CacheEntry
 	if !ok {
 		return nil, false
 	}
-	fctx, cancel := context.WithTimeout(ctx, d.peerTimeout)
+	fctx, cancel := context.WithTimeout(ctx, DefaultPeerTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(fctx, http.MethodGet, base+"/v1/cache/"+key, nil)
 	if err != nil {

@@ -238,7 +238,7 @@ func TestDegradedResponse(t *testing.T) {
 func TestShedding429(t *testing.T) {
 	t.Cleanup(faultpoint.Reset)
 	d, srv := newTestDaemon(t, service.Config{
-		Workers: 1, QueueDepth: 1, MaxInFlight: 1, CacheEntries: -1,
+		Workers: 1, MaxInFlight: 1, CacheEntries: -1,
 	}, 10*time.Second)
 
 	faultpoint.Enable(faultpoint.Options{Seed: 1, Prob: 0, Stall: 800 * time.Millisecond})

@@ -1,7 +1,7 @@
 package daemon
 
-// Textual-IR input end to end: every serving path (the engine fail-soft
-// and fail-hard, with and without its cache, and rolagd over HTTP) must
+// Textual-IR input end to end: every serving path (the engine with and
+// without its cache, and rolagd over HTTP) must
 // answer an "ir": true request exactly as a fail-hard facade build of
 // the same IR does, and the degraded reports of fault-injected IR
 // compiles are pinned. Requests go through rolagdapi.ToService, the
@@ -110,8 +110,6 @@ func TestIRInputMatchesFacade(t *testing.T) {
 	}{
 		{"fail-soft", service.Config{Workers: 2}},
 		{"fail-soft-nocache", service.Config{Workers: 2, CacheEntries: -1}},
-		{"fail-hard", service.Config{Workers: 2, DisableFailSoft: true}},
-		{"fail-hard-nocache", service.Config{Workers: 2, DisableFailSoft: true, CacheEntries: -1}},
 	} {
 		e := service.New(ec.cfg)
 		for i, item := range e.CompileBatch(context.Background(), reqs) {

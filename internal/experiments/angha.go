@@ -69,11 +69,6 @@ type AnghaConfig struct {
 	// Serial forces the original single-threaded facade driver — the
 	// reference path the parallel engine driver is validated against.
 	Serial bool
-	// Daemon, when non-empty, is the base URL of a running rolagd
-	// instance; the corpus is compiled remotely through the retrying
-	// rolagdapi client instead of an in-process engine. Takes precedence
-	// over Engine and Serial.
-	Daemon string
 }
 
 // anghaBuild is the slice of one compilation the aggregation needs.
@@ -91,7 +86,7 @@ type anghaBuild struct {
 // the §V.A experiment, in aggregation order (base, RoLAG, LLVM). The
 // RoLAG build records remarks so the summary can break rejections down
 // by reason; the stream is deterministic, so it cannot perturb the
-// serial/engine/daemon parity.
+// serial/engine parity.
 func anghaConfigs(name string) [3]rolag.Config {
 	return [3]rolag.Config{
 		{Name: name, Opt: rolag.OptNone},
@@ -102,8 +97,7 @@ func anghaConfigs(name string) [3]rolag.Config {
 
 // RunAngha reproduces Fig. 15 and Fig. 16 on the synthesized corpus. By
 // default the corpus fans out over the service engine's worker pool;
-// cfg.Serial recovers the paper-faithful one-at-a-time driver, and
-// cfg.Daemon offloads compilation to a remote rolagd over HTTP. All
+// cfg.Serial recovers the paper-faithful one-at-a-time driver. Both
 // paths aggregate identically, so their summaries are deeply equal.
 func RunAngha(cfg AnghaConfig) (*AnghaSummary, error) {
 	if cfg.N == 0 {
@@ -113,13 +107,6 @@ func RunAngha(cfg AnghaConfig) (*AnghaSummary, error) {
 		cfg.Seed = 20220402 // CGO 2022 presentation date
 	}
 	funcs := angha.Generate(cfg.N, cfg.Seed)
-	if cfg.Daemon != "" {
-		builds, err := runAnghaDaemon(context.Background(), cfg.Daemon, funcs)
-		if err != nil {
-			return nil, err
-		}
-		return aggregateAngha(funcs, builds), nil
-	}
 	builds := make([][3]anghaBuild, len(funcs))
 	if cfg.Serial {
 		for i, fn := range funcs {

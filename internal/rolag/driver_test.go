@@ -113,17 +113,6 @@ func TestIdempotentReRoll(t *testing.T) {
 	mustEquiv(t, orig, work, "f")
 }
 
-// TestMinLanesOption: raising MinLanes suppresses small groups.
-func TestMinLanesOption(t *testing.T) {
-	src := `void f(int *a, int v) { a[0]=v; a[1]=v; a[2]=v; a[3]=v; }`
-	opts := rolag.DefaultOptions()
-	opts.MinLanes = 6
-	_, _, stats := roll(t, src, opts)
-	if stats.SeedGroups != 0 || stats.LoopsRolled != 0 {
-		t.Errorf("MinLanes=6 should suppress a 4-lane group: %+v", stats)
-	}
-}
-
 // TestEmptyAndDeclFunctions: degenerate inputs are handled quietly.
 func TestEmptyAndDeclFunctions(t *testing.T) {
 	src := `

@@ -139,11 +139,11 @@ func WatchPricing(see func(PricedAttempt)) (stop func()) {
 		m := f.Parent
 		gmark := m.MarkGlobals()
 		rodataBefore := rodataSize(m)
-		costBefore := opts.Model.Func(f)
+		costBefore := profit.Func(f)
 		var ck ir.Checkpoint
 		ck.Take(f)
 		GenerateLoop(f, b, g, sched, opts)
-		delta := opts.Model.Func(f) + rodataSize(m) - rodataBefore - costBefore
+		delta := profit.Func(f) + rodataSize(m) - rodataBefore - costBefore
 		ck.Restore()
 		m.ResetGlobals(gmark)
 		see(PricedAttempt{Func: f.Name, Bound: bound, Delta: delta})

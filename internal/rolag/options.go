@@ -8,10 +8,6 @@
 // original.
 package rolag
 
-import (
-	"rolag/internal/costmodel"
-)
-
 // Options control which parts of the technique are enabled; the defaults
 // match the full system described in the paper. The Enable* flags exist
 // for the Fig. 19 ablation (special nodes off collapses profitable rolls
@@ -47,11 +43,6 @@ type Options struct {
 	// AlwaysRoll skips the profitability analysis and keeps every valid
 	// rolled loop (ablation of §IV.F).
 	AlwaysRoll bool
-	// MinLanes is the minimum number of seed instructions in a group
-	// (i.e. loop iterations) worth considering. Default 2.
-	MinLanes int
-	// Model is the code-size cost model (default costmodel.Default).
-	Model *costmodel.Model
 }
 
 // DefaultOptions returns the full configuration used in the paper's main
@@ -67,8 +58,6 @@ func DefaultOptions() *Options {
 		EnableJoint:        true,
 		EnableMismatch:     true,
 		FastMath:           false,
-		MinLanes:           2,
-		Model:              costmodel.Default(),
 	}
 }
 

@@ -190,7 +190,7 @@ func tryRoll(f *ir.Func, bi int, opts *Options, stats *Stats, am *analysis.Manag
 	}
 
 	t = phaseStart()
-	bound := rollBound(graph, sched, opts.Model)
+	bound := rollBound(graph, sched)
 	if testHookPriced != nil {
 		testHookPriced(f, b, graph, sched, opts, bound)
 	}
@@ -201,7 +201,7 @@ func tryRoll(f *ir.Func, bi int, opts *Options, stats *Stats, am *analysis.Manag
 		phaseEnd(rec, PhaseCodegen, t)
 		if rec.On() {
 			rm := missRemark("not-profitable", f, b, groups, fi, lanes, errBoundUnprofitable)
-			rm.CostBefore = opts.Model.Func(f)
+			rm.CostBefore = profit.Func(f)
 			rm.CostAfter = rm.CostBefore + bound
 			rm.DeltaBytes = bound
 			rec.Add(rm)
@@ -221,11 +221,11 @@ func tryRoll(f *ir.Func, bi int, opts *Options, stats *Stats, am *analysis.Manag
 	// property of the roll alone, not of what earlier functions left
 	// behind.
 	rodataBefore := rodataSize(m)
-	costBefore := opts.Model.Func(f)
+	costBefore := profit.Func(f)
 
 	GenerateLoop(f, b, graph, sched, opts)
 
-	costAfter := opts.Model.Func(f) + rodataSize(m) - rodataBefore
+	costAfter := profit.Func(f) + rodataSize(m) - rodataBefore
 	if !opts.AlwaysRoll && costAfter >= costBefore {
 		// Not profitable: restore the body and its names and drop
 		// added globals.

@@ -51,6 +51,11 @@ type SeedGroup struct {
 	MinMaxInit ir.Value
 }
 
+// minLanes is the fewest seed instructions in a group (loop iterations)
+// worth considering: a one-iteration loop cannot be smaller than its
+// body.
+const minLanes = 2
+
 // Lanes returns the prospective loop trip count.
 func (s *SeedGroup) Lanes() int {
 	if s.Kind == SeedReduction {
@@ -64,10 +69,6 @@ func (s *SeedGroup) Lanes() int {
 // breaking ties by first-seed position. The position index comes from
 // fi's cached analyses.
 func collectSeedGroupsInfo(b *ir.Block, opts *Options, fi *analysis.FuncInfo) []*SeedGroup {
-	minLanes := opts.MinLanes
-	if minLanes < 2 {
-		minLanes = 2
-	}
 	index := fi.Index()
 
 	var groups []*SeedGroup
@@ -125,14 +126,14 @@ func collectSeedGroupsInfo(b *ir.Block, opts *Options, fi *analysis.FuncInfo) []
 
 	// Reduction-tree roots (§IV.C5).
 	if opts.EnableReduction {
-		for _, red := range collectReductions(b, opts, minLanes) {
+		for _, red := range collectReductions(b, opts) {
 			groups = append(groups, red)
 		}
 	}
 	// Select-based min/max reduction chains (extension; the paper's
 	// future work).
 	if opts.EnableMinMaxReduction {
-		for _, red := range collectMinMaxReductions(b, minLanes) {
+		for _, red := range collectMinMaxReductions(b) {
 			groups = append(groups, red)
 		}
 	}
@@ -187,7 +188,7 @@ func baseObject(v ir.Value) ir.Value {
 // collectReductions finds reduction trees: maximal same-opcode trees of
 // associative binary operations whose internal nodes are used only inside
 // the tree. The leaves become the seed lanes.
-func collectReductions(b *ir.Block, opts *Options, minLanes int) []*SeedGroup {
+func collectReductions(b *ir.Block, opts *Options) []*SeedGroup {
 	// Users are counted function-wide, not per-block: an earlier roll in
 	// the same RollFuncInto invocation may have split the block, moving a
 	// user of an intermediate value (a terminator operand, a value live
@@ -462,7 +463,7 @@ func oddFirstLeaf(leaves []ir.Value, b *ir.Block) bool {
 // rooted at the last select. The candidates become the lanes and the
 // chain's entry value seeds the accumulator. This implements the
 // min/max reductions the paper lists as future work (§V.C).
-func collectMinMaxReductions(b *ir.Block, minLanes int) []*SeedGroup {
+func collectMinMaxReductions(b *ir.Block) []*SeedGroup {
 	// Users are function-wide for the same reason as collectReductions:
 	// chain values may have users in blocks created by earlier rolls.
 	var out []*SeedGroup

@@ -374,12 +374,3 @@ func NodeCountsToWire(m map[rl.NodeKind]int) map[int]int {
 	}
 	return out
 }
-
-// NodeCountsFromWire is the inverse of NodeCountsToWire.
-func NodeCountsFromWire(m map[int]int) map[rl.NodeKind]int {
-	out := make(map[rl.NodeKind]int, len(m))
-	for k, v := range m {
-		out[rl.NodeKind(k)] = v
-	}
-	return out
-}

@@ -29,7 +29,7 @@ entry:
 )
 
 // TestServiceKeyPinned pins service.Key for a fixed set of wire
-// requests. Routers and shards route by these keys and v5 snapshots are
+// requests. Routers and shards route by these keys and v6 snapshots are
 // indexed by them, so a change to the request mapping or to the key
 // layout that moves any of them re-keys the fleet and must bump the
 // cache-key version instead.
@@ -40,31 +40,31 @@ func TestServiceKeyPinned(t *testing.T) {
 		want string
 	}{
 		{"minic-rolag", CompileRequest{Source: keyMiniC},
-			"ae884bfd3c1b742b8604017dd0468f56404b0fa04aba57a8d405590ddbfe7377"},
+			"039ad912d3bf5295f3ac8ac18af2a7683fbd3f8494c646e9855ea2d6e31965e8"},
 		{"minic-none", CompileRequest{Source: keyMiniC, Config: CompileConfig{Opt: "none"}},
-			"7f3e5627dc750fcabadf7644e7bcc28e874c74760cf8e612ca13a9c80dab4ed8"},
+			"153d8eb58ea6be5d4f72dd158d994543338e2dc18f1955b1a2ccaa445073ca98"},
 		{"minic-llvm", CompileRequest{Source: keyMiniC, Config: CompileConfig{Opt: "llvm"}},
-			"908c47caa6812c84819dd2554ac57bf96e424984e84e5909e02ebffe0432a1ba"},
+			"c1209cd3493a8d83202016b9ebfd5b775f0ab03af819149bd28fd6ea43e7ad18"},
 		{"minic-unroll8", CompileRequest{Source: keyMiniC, Config: CompileConfig{Unroll: 8, Flatten: true}},
-			"962657f6ea2f3548341f75044a66bebae7b40ec26237e37b5ae0050a3dc0342d"},
+			"9c7ea1d945a19a1aeda745cc004cade6b964e2b4a82e40446af9e8ab9a07f5f8"},
 		{"minic-asm", CompileRequest{Source: keyMiniC, Format: "asm"},
-			"c30c1fce951c7e7b1b39ecee8069ac04f155859c6852f4d3299312710cc2b310"},
+			"285800c1402f348228c4da5ff95add5c7c4bd6e5cea2674e5a9601ac48266c54"},
 		{"minic-remarks", CompileRequest{Source: keyMiniC, Remarks: true},
-			"3b19326e12c745c5a5f0673485fdef9a6b60403e41865c945fab88b9ec082b6c"},
+			"03b7951e80ceff664149608d99ab401020a1824382fd229205593bf3998916ae"},
 		{"ir-rolag", CompileRequest{Source: keyIR, IR: true},
-			"4fe46082cc88618fd7e35aed60a667bb33e2536d6bd7ddb8561a157c2093e344"},
+			"889c5219c187eca64a528f2ebabae1168b4f830f8206be1d419100f35eab28da"},
 		{"ir-none", CompileRequest{Source: keyIR, IR: true, Config: CompileConfig{Opt: "none"}},
-			"ce4fe405a16caa324522c9a4612625dced836003c04ad752f20f3be3e04392e0"},
+			"a472ccf4ba9608761128aa3cd7f376ea378bf353080c78826af2f764c6b4f67a"},
 		{"ir-llvm", CompileRequest{Source: keyIR, IR: true, Config: CompileConfig{Opt: "llvm"}},
-			"0fd3261371f7606726a23f47ccf3b6717e9aa8b210babdf49a396408f3294864"},
+			"88f82396f31a83dbdd88574afeffabbc8dfe5dcbcdd4d5051dcab330fe6df1ad"},
 		{"ir-unroll8", CompileRequest{Source: keyIR, IR: true, Config: CompileConfig{Unroll: 8, Flatten: true}},
-			"46c661576ca31de5b76bf028c7d6d8c5046e5f7afd71c27aab36d941675d948d"},
+			"77abaaf457ff5cb53c30b233d8a2097edc61425379e7895c44fcf67fbf0ad6ad"},
 		{"ir-asm", CompileRequest{Source: keyIR, IR: true, Format: "asm"},
-			"bb050f143d32904f9b14315dd808a6d5a67dabb446a4ff7a808fa95e8a3259e9"},
+			"4689bbc6edd6d2e2b6b9555b27908fa2b762f8aa2e9ecb6510d2e2ee0938d759"},
 		{"ir-remarks", CompileRequest{Source: keyIR, IR: true, Remarks: true},
-			"ed6206bab9b80293eb15c2e1ffdd2802104a865b0124c0922ebb2f4aa100ebc7"},
+			"00399a9f6cbf8e7dc50c96e62fcffd5350a3b03b672316e59a4cc128d803ecfb"},
 		{"ir-unroll8-asm-remarks", CompileRequest{Source: keyIR, IR: true, Config: CompileConfig{Unroll: 8}, Format: "asm", Remarks: true},
-			"59909dd2df95bd93a5548f0131830e6819fbce21a62d055b0a00c8ddf87dd285"},
+			"b645507b39ac142ae62547e76384cc2db00c2b68e75ed819fcf4fe10b53842eb"},
 	} {
 		req, err := tc.cr.ToService()
 		if err != nil {

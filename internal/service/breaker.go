@@ -157,12 +157,8 @@ func (bs *breakerSet) infos() []BreakerInfo {
 	return out
 }
 
-// Breakers returns the engine's per-pass circuit-breaker snapshots
-// (empty when fail-soft is disabled).
+// Breakers returns the engine's per-pass circuit-breaker snapshots.
 func (e *Engine) Breakers() []BreakerInfo {
-	if e.breakers == nil {
-		return nil
-	}
 	return e.breakers.infos()
 }
 
@@ -171,5 +167,5 @@ func (e *Engine) Breakers() []BreakerInfo {
 // but the technique the service exists for is skipped. rolagd's /readyz
 // reports 503 in this state to steer traffic elsewhere.
 func (e *Engine) Dark() bool {
-	return e.breakers != nil && e.breakers.isOpen("rolag")
+	return e.breakers.isOpen("rolag")
 }

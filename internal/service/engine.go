@@ -43,22 +43,17 @@ var (
 
 // Config sizes the engine.
 type Config struct {
-	// Workers is the worker-pool size (default runtime.GOMAXPROCS(0)).
+	// Workers is the worker-pool size (default runtime.GOMAXPROCS(0));
+	// the job queue buffers 4×Workers jobs.
 	Workers int
-	// QueueDepth is the job-queue buffer (default 4×Workers).
-	QueueDepth int
 	// CacheEntries bounds the result cache (default 4096; negative
 	// disables caching and single-flight deduplication entirely).
 	CacheEntries int
 	// MaxInFlight bounds admitted Compile calls; beyond it requests are
 	// shed with ErrOverloaded instead of queueing unboundedly. Default
-	// 4×(Workers+QueueDepth), floored at 32 so it always exceeds
-	// CompileBatch's submitter count; negative disables shedding.
+	// (any value ≤ 0) 4×(Workers+queue depth) = 20×Workers, floored at
+	// 32 so it always exceeds CompileBatch's submitter count.
 	MaxInFlight int
-	// DisableFailSoft turns off the fail-soft sandbox and the per-pass
-	// circuit breakers, restoring fail-hard semantics: a broken pass
-	// fails the whole job (its panic is still recovered per job).
-	DisableFailSoft bool
 	// PassBudget is the fail-soft per-pass wall-clock budget
 	// (0 = passes.DefaultPassBudget).
 	PassBudget time.Duration
@@ -195,8 +190,8 @@ type jobResult struct {
 // facade. Create with New, release with Close.
 type Engine struct {
 	cfg      Config
-	cache    *lruCache   // nil when caching is disabled
-	breakers *breakerSet // nil when fail-soft is disabled
+	cache    *lruCache // nil when caching is disabled
+	breakers *breakerSet
 	flights  flightGroup
 	metrics  metrics
 
@@ -217,28 +212,21 @@ func New(cfg Config) *Engine {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 4 * cfg.Workers
-	}
+	queueDepth := 4 * cfg.Workers
 	if cfg.CacheEntries == 0 {
 		cfg.CacheEntries = 4096
 	}
-	if cfg.MaxInFlight == 0 {
-		cfg.MaxInFlight = 4 * (cfg.Workers + cfg.QueueDepth)
-		if cfg.MaxInFlight < 32 {
-			cfg.MaxInFlight = 32
-		}
+	if cfg.MaxInFlight <= 0 {
+		cfg.MaxInFlight = max(4*(cfg.Workers+queueDepth), 32)
 	}
 	e := &Engine{
-		cfg:  cfg,
-		jobs: make(chan *job, cfg.QueueDepth),
-		quit: make(chan struct{}),
+		cfg:      cfg,
+		breakers: newBreakerSet(cfg.BreakerThreshold, cfg.BreakerCooldown),
+		jobs:     make(chan *job, queueDepth),
+		quit:     make(chan struct{}),
 	}
 	if cfg.CacheEntries > 0 {
 		e.cache = newLRUCache(cfg.CacheEntries)
-	}
-	if !cfg.DisableFailSoft {
-		e.breakers = newBreakerSet(cfg.BreakerThreshold, cfg.BreakerCooldown)
 	}
 	e.workerWG.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
@@ -257,10 +245,8 @@ func (e *Engine) Metrics() MetricsSnapshot {
 		s.CacheEntries = e.cache.len()
 	}
 	s.Workers = e.cfg.Workers
-	if e.breakers != nil {
-		s.BreakerOpens = e.breakers.opens.Load()
-		s.Breakers = e.breakers.infos()
-	}
+	s.BreakerOpens = e.breakers.opens.Load()
+	s.Breakers = e.breakers.infos()
 	return s
 }
 
@@ -279,14 +265,12 @@ func (e *Engine) Compile(ctx context.Context, req Request) (*Response, error) {
 	e.mu.RUnlock()
 	defer e.inflight.Done()
 
-	if max := int64(e.cfg.MaxInFlight); max > 0 {
-		if e.admitted.Add(1) > max {
-			e.admitted.Add(-1)
-			e.metrics.shed.Add(1)
-			return nil, ErrOverloaded
-		}
-		defer e.admitted.Add(-1)
+	if e.admitted.Add(1) > int64(e.cfg.MaxInFlight) {
+		e.admitted.Add(-1)
+		e.metrics.shed.Add(1)
+		return nil, ErrOverloaded
 	}
+	defer e.admitted.Add(-1)
 
 	e.metrics.requests.Add(1)
 	e.metrics.inFlight.Add(1)
@@ -473,11 +457,9 @@ func (e *Engine) runJob(j *job) (res jobResult) {
 	start := time.Now()
 	cfg := j.req.Config
 	defer func() { obs.EndSpan(tr, "engine:compile", span, cfg.Name) }()
-	if !e.cfg.DisableFailSoft {
-		cfg.FailSoft = true
-		cfg.PassBudget = e.cfg.PassBudget
-		cfg.Guard = e.breakers
-	}
+	cfg.FailSoft = true
+	cfg.PassBudget = e.cfg.PassBudget
+	cfg.Guard = e.breakers
 	out, err := rolag.BuildContext(j.ctx, j.req.Source, cfg)
 	if err != nil {
 		return jobResult{err: err}

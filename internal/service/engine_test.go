@@ -474,7 +474,7 @@ func TestEngineCloseTimeout(t *testing.T) {
 		testCompileHook.Store(nil)
 	}()
 
-	e := New(Config{Workers: 1, QueueDepth: 1})
+	e := New(Config{Workers: 1})
 	var wg sync.WaitGroup
 	errCh := make(chan error, len(funcs))
 	for _, fn := range funcs {

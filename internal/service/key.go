@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"rolag"
-	"rolag/internal/costmodel"
 )
 
 // cacheKeyVersion tags the cache-key layout. It is the first component
@@ -21,7 +20,12 @@ import (
 // of a function with a rejected roll now has different SSA and block
 // names; a v4 snapshot would break serial = daemon parity after a
 // restart.
-const cacheKeyVersion = "v5"
+//
+// v6: the minimum lane count and the profit model's call and branch
+// sizes are constants of the optimizer, no longer options, so the key
+// stops hashing them. The layout changed while every output stayed the
+// same; v5 snapshots are rejected because their keys no longer match.
+const cacheKeyVersion = "v6"
 
 // cacheKey derives the content address of a request: the SHA-256 of the
 // source text plus a canonical encoding of every Config field that can
@@ -43,9 +47,6 @@ const cacheKeyVersion = "v5"
 // request that asked for them (and vice versa — remark streams are
 // deterministic, so a remarks=true entry answers every remarks=true
 // request exactly).
-// Options.Model is canonicalized by value (nil means the default
-// profitability model), so the fresh-but-identical *Model pointers that
-// rolag.DefaultOptions returns on every call all map to the same key.
 // Request.Format IS part of the key for the same reason Remarks is:
 // the lowered assembly travels in the entry, so an asm-less cached
 // result must not satisfy a request that asked for asm.
@@ -59,17 +60,11 @@ func cacheKey(req *Request) string {
 		if o == nil {
 			o = rolag.DefaultOptions()
 		}
-		fmt.Fprintf(h, "intseq=%t|neutralptr=%t|neutralbinop=%t|commutative=%t|recurrence=%t|reduction=%t|joint=%t|minmax=%t|mismatch=%t|fastmath=%t|alwaysroll=%t|minlanes=%d|",
+		fmt.Fprintf(h, "intseq=%t|neutralptr=%t|neutralbinop=%t|commutative=%t|recurrence=%t|reduction=%t|joint=%t|minmax=%t|mismatch=%t|fastmath=%t|alwaysroll=%t|",
 			o.EnableIntSeq, o.EnableNeutralPtr, o.EnableNeutralBinOp,
 			o.EnableCommutative, o.EnableRecurrence, o.EnableReduction,
 			o.EnableJoint, o.EnableMinMaxReduction, o.EnableMismatch,
-			o.FastMath, o.AlwaysRoll, o.MinLanes)
-		model := o.Model
-		if model == nil {
-			model = costmodel.Default()
-		}
-		fmt.Fprintf(h, "model=%d,%d,%d,%t|",
-			model.CallBytes, model.BranchBytes, model.CondBranchBytes, model.BinaryMode)
+			o.FastMath, o.AlwaysRoll)
 	}
 	h.Write([]byte(req.Source))
 	return hex.EncodeToString(h.Sum(nil))
