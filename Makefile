@@ -3,8 +3,8 @@
 # tree, a short differential-fuzzing smoke, the fault-injection chaos
 # smoke, the speed smoke (short tsvc-unroll8 and angha-cold runs of
 # the repository benchmark), the assembly-backend smoke, the
-# cost-model calibration gate, the cluster smoke (3 shards + router
-# under a zipfian burst), and the cluster chaos smoke (faulty links +
+# cost-model calibration gate, the committed-results check, the cluster
+# smoke (3 shards + router under a zipfian burst), and the cluster chaos smoke (faulty links +
 # a shard crash-restarted from its cache snapshot mid-burst), and the
 # fleet-telemetry smoke (traced burst through the router; every
 # sampled trace must stitch across processes and the latency
@@ -22,7 +22,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet fmt test race bench-module fuzz-smoke chaos-smoke bench-smoke explain-smoke asm-smoke calib-check cluster-smoke chaos-cluster-smoke fleet-smoke ci calib bench-smoke-record bench-cluster bench-chaos bench-fleet serve clean
+.PHONY: all build vet fmt test race bench-module fuzz-smoke chaos-smoke bench-smoke explain-smoke asm-smoke calib-check results-check cluster-smoke chaos-cluster-smoke fleet-smoke ci calib bench-smoke-record bench-cluster bench-chaos bench-fleet serve clean
 
 all: build
 
@@ -127,6 +127,27 @@ calib-check:
 calib:
 	$(GO) run ./cmd/experiments -run calib -check
 
+# Results check: regenerate the committed experiment records into a
+# scratch dir and fail unless each results/*.csv, results/report.txt
+# (but its "written to" line) and results/CALIB_costmodel.json is
+# byte-identical to the committed file. The golden
+# (internal/experiments/testdata/golden.json) pins the aggregates; this
+# pins every per-kernel and per-function value behind them, and keeps
+# the committed records describing the current code.
+RESULTS_CHECK_DIR = $(or $(TMPDIR),/tmp)/rolag-results-check
+
+results-check:
+	@set -e; dir=$(RESULTS_CHECK_DIR); rm -rf $$dir; mkdir -p $$dir; \
+	$(GO) run ./cmd/experiments -run angha,tsvc,table1,perf -out $$dir > $$dir/report.txt; \
+	$(GO) run ./cmd/experiments -run calib -out $$dir > /dev/null; \
+	for f in results/*.csv results/CALIB_costmodel.json; do \
+		cmp $$f $$dir/$${f#results/} || { echo "results-check: $$f differs from a fresh run"; exit 1; }; \
+	done; \
+	grep -v '^CSV data written to ' results/report.txt > $$dir/report.want; \
+	grep -v '^CSV data written to ' $$dir/report.txt | cmp $$dir/report.want - || \
+		{ echo "results-check: results/report.txt differs from a fresh run"; exit 1; }; \
+	echo "results-check: results/ reproduces byte for byte"
+
 # Speed smoke: two 3 s runs of the repository benchmark. The
 # tsvc-unroll8 leg is the bare optimizer (rolag.Build with Unroll 8,
 # Flatten and RoLAG, then the backend, over the 151 TSVC kernels; no
@@ -206,7 +227,7 @@ fleet-smoke:
 	$(GO) run ./cmd/rolag-loadgen -fleet -shards 3 -requests 300 -n 120 -rate 400 \
 		-out $(or $(TMPDIR),/tmp)/rolag-fleet-smoke.json
 
-ci: vet fmt build race bench-module fuzz-smoke chaos-smoke bench-smoke explain-smoke asm-smoke calib-check cluster-smoke chaos-cluster-smoke fleet-smoke
+ci: vet fmt build race bench-module fuzz-smoke chaos-smoke bench-smoke explain-smoke asm-smoke calib-check results-check cluster-smoke chaos-cluster-smoke fleet-smoke
 
 # Rewrites the speed smoke's records with one run of each leg on this
 # machine.

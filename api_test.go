@@ -1,165 +1,199 @@
 package rolag_test
 
 import (
+	"errors"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"io/fs"
-	"path"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 )
 
 // apiAllowlist names the exported functions and methods under
-// internal/ that may have no caller outside tests, as "pkg.Name" with
-// pkg the import path below internal/; "pkg.*" covers a package.
+// internal/ that may have no caller outside tests, as the test prints
+// them: "pkg.Name" for a function and "(pkg.T).Name" or "(*pkg.T).Name"
+// for a method, with pkg the import path below internal/.
 var apiAllowlist = map[string]string{
-	// Public on purpose: the wire API that clients build against.
-	"rolagdapi.*": "wire API of rolagd and the router",
 	// Hooks that tests in other packages need.
-	"analysis.NewUncachedManager": "the cached-vs-uncached analysis oracle in rolag and fuzzgen tests",
-	"rolag.RollModule":            "module-wide rolling in passes and irparse tests",
-	"reroll.RerollFunc":           "per-function rerolling in experiments tests",
-	"faultpoint.FiredAt":          "fault-injection assertions in passes and service tests",
-	"obs.ResetSpanStats":          "span-statistics isolation in tests of other packages",
-	"obs/fleet.SpanStatuses":      "span-status assertions in cluster tests",
+	"analysis.NewUncachedManager":      "the cached-vs-uncached analysis oracle in rolag and fuzzgen tests",
+	"rolag.RollModule":                 "module-wide rolling in passes and irparse tests",
+	"reroll.RerollFunc":                "per-function rerolling in experiments tests",
+	"faultpoint.FiredAt":               "fault-injection assertions in passes and service tests",
+	"obs.ResetSpanStats":               "span-statistics isolation in tests of other packages",
+	"obs.TraceEvents":                  "default-ring span assertions in daemon tests",
+	"obs/fleet.SpanStatuses":           "span-status assertions in cluster tests",
+	"(*daemon.Daemon).ShardID":         "shard identity in cluster tests",
+	"(*interp.Interp).Call":            "calling a function by name in passes tests",
+	"(*passes.Pipeline).Run":           "module-wide canonicalization in tests of rolag, costmodel and the workloads",
+	"(*rolagdapi.Client).CompileBatch": "batch requests through the router in cluster tests",
 }
 
-// interfaceMethods are the standard-library interface methods a type
-// implements to be used by fmt, errors, encoding/json, net/http, io or
-// sort; nothing in the repo calls them by name.
-var interfaceMethods = map[string]bool{
-	"String": true, "Error": true, "Unwrap": true, "Is": true, "Format": true,
-	"MarshalJSON": true, "UnmarshalJSON": true, "MarshalText": true, "UnmarshalText": true,
-	"ServeHTTP": true, "Read": true, "Write": true, "Close": true,
-	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
-}
+// stdInterfaces are standard-library interfaces whose methods the
+// standard library calls on a repository type without the repository
+// naming them: fmt, errors, encoding/json, net/http and sort find them
+// by interface.
+const stdInterfaces = `package std
+
+import (
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"sort"
+)
+
+type (
+	stringer        = fmt.Stringer
+	errorer         = error
+	jsonMarshaler   = json.Marshaler
+	jsonUnmarshaler = json.Unmarshaler
+	handler         = http.Handler
+	sorter          = sort.Interface
+	wrapper         interface{ Unwrap() error }
+)
+`
 
 // TestExportedAPIHasCaller: every exported function and method declared
 // under internal/ has a caller in a non-test file of the repository
 // (benchmark/ included), or is in apiAllowlist. A test-only hook belongs
 // in an export_test.go file of its package.
 //
-// A function counts as called when a non-test file names it, qualified
-// by its package or bare in its own package. A method counts as called
-// when any selector or interface in a non-test file uses its name; that
-// errs towards keeping a method whose name another type shares.
+// The scan type-checks every package's non-test files, so a name counts
+// as called only through its own object: a function when a non-test
+// file uses it, and a method when a non-test file uses that method of
+// that receiver type, or uses the method of an interface the type
+// satisfies (stdInterfaces counts as used).
 func TestExportedAPIHasCaller(t *testing.T) {
-	type decl struct {
-		pkg, recv, name string // recv is "" for a function
-		pos             token.Position
-	}
-	var decls []decl
-	funcRefs := make(map[string]bool) // "pkg.Name", pkg the import path
-	methodRefs := make(map[string]bool)
 	fset := token.NewFileSet()
+	// The standard library is type-checked from source; with cgo off
+	// that needs no C toolchain.
+	ctxt := build.Default
+	ctxt.CgoEnabled = false
+	defer func(d build.Context) { build.Default = d }(build.Default)
+	build.Default = ctxt
+	im := &repoImporter{
+		fset:  fset,
+		std:   importer.ForCompiler(fset, "source", nil),
+		files: make(map[string][]*ast.File),
+		pkgs:  make(map[string]*types.Package),
+		info:  &types.Info{Defs: make(map[*ast.Ident]types.Object), Uses: make(map[*ast.Ident]types.Object)},
+	}
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
+		if err != nil || !d.IsDir() {
 			return err
 		}
-		if d.IsDir() {
-			if name := d.Name(); p != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
+		if name := d.Name(); p != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+			return filepath.SkipDir
 		}
-		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+		bp, err := ctxt.ImportDir(p, 0)
+		var noGo *build.NoGoError
+		if errors.As(err, &noGo) {
 			return nil
-		}
-		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
-		if err != nil {
+		} else if err != nil {
 			return err
 		}
-		dir := filepath.ToSlash(filepath.Dir(p))
-		pkg := "rolag/" + dir
-		if dir == "." {
-			pkg = "rolag"
+		path := "rolag/" + filepath.ToSlash(p)
+		if p == "." {
+			path = "rolag"
 		}
-		imports := make(map[string]string) // local name -> import path
-		for _, im := range f.Imports {
-			ip, _ := strconv.Unquote(im.Path.Value)
-			name := path.Base(ip)
-			if im.Name != nil {
-				name = im.Name.Name
+		for _, name := range bp.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(p, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
 			}
-			imports[name] = ip
+			im.files[path] = append(im.files[path], f)
 		}
-		var own map[*ast.Ident]bool // the names of f's declarations
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			if own == nil {
-				own = make(map[*ast.Ident]bool)
-			}
-			own[fd.Name] = true
-			if fd.Name.IsExported() && strings.HasPrefix(dir, "internal/") {
-				recv := ""
-				if fd.Recv != nil {
-					recv = types.ExprString(fd.Recv.List[0].Type)
-				}
-				decls = append(decls, decl{pkg, recv, fd.Name.Name, fset.Position(fd.Pos())})
-			}
-		}
-		var visit func(n ast.Node) bool
-		visit = func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				if x, ok := n.X.(*ast.Ident); ok {
-					if ip, ok := imports[x.Name]; ok {
-						funcRefs[ip+"."+n.Sel.Name] = true
-						return false
-					}
-				}
-				methodRefs[n.Sel.Name] = true
-				ast.Inspect(n.X, visit)
-				return false
-			case *ast.InterfaceType:
-				for _, m := range n.Methods.List {
-					for _, name := range m.Names {
-						methodRefs[name.Name] = true
-					}
-				}
-			case *ast.Ident:
-				if !own[n] {
-					funcRefs[pkg+"."+n.Name] = true
-				}
-			}
-			return true
-		}
-		ast.Inspect(f, visit)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	for path := range im.files {
+		if _, err := im.Import(path); err != nil {
+			t.Fatalf("type-checking %s: %v", path, err)
+		}
+	}
+	std, err := (&types.Config{Importer: im.std}).Check("std", fset,
+		[]*ast.File{mustParse(t, fset, stdInterfaces)}, nil)
+	if err != nil {
+		t.Fatalf("type-checking the standard interfaces: %v", err)
+	}
 
-	var dead []string
-	allowed := make(map[string]bool)
-	for _, d := range decls {
-		short := strings.TrimPrefix(d.pkg, "rolag/internal/")
-		for _, key := range []string{short + ".*", short + "." + d.name} {
-			if apiAllowlist[key] != "" {
-				allowed[key] = true
+	// Every function and method a non-test file uses, and every
+	// interface method it uses or the standard library calls.
+	used := make(map[*types.Func]bool)
+	var ifaceMethods []*types.Func
+	for _, obj := range im.info.Uses {
+		if fn, ok := obj.(*types.Func); ok {
+			fn = fn.Origin()
+			if !used[fn] && isInterfaceMethod(fn) {
+				ifaceMethods = append(ifaceMethods, fn)
+			}
+			used[fn] = true
+		}
+	}
+	for _, name := range std.Scope().Names() {
+		iface := std.Scope().Lookup(name).Type().Underlying().(*types.Interface)
+		for i := 0; i < iface.NumMethods(); i++ {
+			ifaceMethods = append(ifaceMethods, iface.Method(i))
+		}
+	}
+
+	// A method a used interface method dispatches to is used: for each
+	// named type of the repository that satisfies the interface, the
+	// method its method set selects.
+	var named []*types.Named
+	for _, obj := range im.info.Defs {
+		if tn, ok := obj.(*types.TypeName); ok && !tn.IsAlias() {
+			if n, ok := tn.Type().(*types.Named); ok && !types.IsInterface(n) && n.TypeParams().Len() == 0 {
+				named = append(named, n)
 			}
 		}
-		if allowed[short+".*"] || allowed[short+"."+d.name] {
+	}
+	for _, m := range ifaceMethods {
+		iface := m.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+		for _, n := range named {
+			var typ types.Type = n
+			if !types.Implements(typ, iface) {
+				if typ = types.NewPointer(n); !types.Implements(typ, iface) {
+					continue
+				}
+			}
+			obj, _, _ := types.LookupFieldOrMethod(typ, false, m.Pkg(), m.Name())
+			if fn, ok := obj.(*types.Func); ok {
+				used[fn.Origin()] = true
+			}
+		}
+	}
+
+	var decls, dead []string
+	allowed := make(map[string]bool)
+	for path, files := range im.files {
+		if !strings.HasPrefix(path, "rolag/internal/") {
 			continue
 		}
-		if d.recv == "" && funcRefs[d.pkg+"."+d.name] || d.recv != "" && (methodRefs[d.name] || interfaceMethods[d.name]) {
-			continue
+		for _, f := range files {
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || !fd.Name.IsExported() {
+					continue
+				}
+				fn := im.info.Defs[fd.Name].(*types.Func)
+				name := apiName(fn)
+				decls = append(decls, name)
+				switch {
+				case apiAllowlist[name] != "":
+					allowed[name] = true
+				case !used[fn]:
+					dead = append(dead, fset.Position(fd.Pos()).String()+": "+name)
+				}
+			}
 		}
-		name := short + "." + d.name
-		if d.recv != "" {
-			star := d.recv[:len(d.recv)-len(strings.TrimPrefix(d.recv, "*"))]
-			name = "(" + star + short + "." + d.recv[len(star):] + ")." + d.name
-		}
-		dead = append(dead, d.pos.String()+": "+name)
 	}
 	for key := range apiAllowlist {
 		if !allowed[key] {
@@ -173,4 +207,56 @@ func TestExportedAPIHasCaller(t *testing.T) {
 	if len(decls) < 100 {
 		t.Fatalf("found %d exported functions under internal/: the scan is not looking at the repository", len(decls))
 	}
+}
+
+// repoImporter type-checks the repository's packages from the parsed
+// files, recording every package's uses in one types.Info, and leaves
+// the standard library to the source importer.
+type repoImporter struct {
+	fset  *token.FileSet
+	std   types.Importer
+	files map[string][]*ast.File // by import path
+	pkgs  map[string]*types.Package
+	info  *types.Info
+}
+
+func (im *repoImporter) Import(path string) (*types.Package, error) {
+	if p, ok := im.pkgs[path]; ok {
+		return p, nil
+	}
+	files, ok := im.files[path]
+	if !ok {
+		return im.std.Import(path)
+	}
+	p, err := (&types.Config{Importer: im}).Check(path, im.fset, files, im.info)
+	if err != nil {
+		return nil, err
+	}
+	im.pkgs[path] = p
+	return p, nil
+}
+
+func isInterfaceMethod(fn *types.Func) bool {
+	recv := fn.Type().(*types.Signature).Recv()
+	return recv != nil && types.IsInterface(recv.Type())
+}
+
+// apiName prints fn as apiAllowlist keys it: "pkg.Name" or
+// "(*pkg.T).Name", pkg the import path below internal/.
+func apiName(fn *types.Func) string {
+	qual := func(p *types.Package) string { return strings.TrimPrefix(p.Path(), "rolag/internal/") }
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return qual(fn.Pkg()) + "." + fn.Name()
+	}
+	return "(" + types.TypeString(recv.Type(), qual) + ")." + fn.Name()
+}
+
+func mustParse(t *testing.T, fset *token.FileSet, src string) *ast.File {
+	t.Helper()
+	f, err := parser.ParseFile(fset, "std.go", src, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
 }

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	experiments [-out results] [-run all|angha|tsvc|table1|perf|calib] [-n 2000] [-serial]
+//	experiments [-out results] [-run all|angha|tsvc|table1|perf|calib] [-n 2000] [-seed 0] [-calibn 400] [-check]
 //
 // The experiment ids map to the paper as follows: "angha" produces
 // Fig. 15, Fig. 16 and a rejected-by-reason table built from the
@@ -11,9 +11,9 @@
 // Fig. 17, Fig. 18 and Fig. 19, and "perf" produces the §V.D overhead
 // summary.
 //
-// The corpus experiments run through the shared concurrent engine
-// (internal/service) by default; -serial restores the one-at-a-time
-// facade driver.
+// Each experiment compiles its inputs side by side on GOMAXPROCS
+// goroutines, every one through the fail-hard rolag.Build pipeline, so
+// a compile error stops the run instead of moving a number.
 //
 // "calib" compiles the corpus straight-line and rolled through the
 // x86-64 backend, compares the measured object bytes against the
@@ -24,15 +24,12 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 
-	"rolag/internal/backend/calib"
 	"rolag/internal/experiments"
-	"rolag/internal/service"
 )
 
 func main() {
@@ -40,8 +37,6 @@ func main() {
 	run := flag.String("run", "all", "comma-separated experiments: angha,tsvc,table1,perf,calib or all")
 	n := flag.Int("n", 2000, "AnghaBench corpus size")
 	seed := flag.Int64("seed", 0, "AnghaBench corpus seed (0 = default)")
-	workers := flag.Int("workers", 0, "engine worker-pool size (0 = GOMAXPROCS)")
-	serial := flag.Bool("serial", false, "use the serial reference driver instead of the engine")
 	calibN := flag.Int("calibn", 400, "corpus size for the cost-model calibration")
 	check := flag.Bool("check", false, "fail if the calibration misses its regression gate (MAPE, sign agreement)")
 	flag.Parse()
@@ -58,17 +53,9 @@ func main() {
 		os.Exit(1)
 	}
 
-	// One engine serves every corpus experiment, so identical
-	// compilations (e.g. the tsvc and perf passes) hit the cache.
-	var engine *service.Engine
-	if !*serial {
-		engine = service.New(service.Config{Workers: *workers})
-		defer engine.Close(context.Background())
-	}
-
 	if all || want["angha"] {
 		fmt.Println("running AnghaBench experiment (Fig. 15, Fig. 16)...")
-		s, err := experiments.RunAngha(experiments.AnghaConfig{N: *n, Seed: *seed, Engine: engine, Serial: *serial})
+		s, err := experiments.RunAngha(experiments.AnghaConfig{N: *n, Seed: *seed})
 		if err != nil {
 			fail("angha", err)
 		}
@@ -97,8 +84,6 @@ func main() {
 		cfg := experiments.DefaultTSVCConfig()
 		cfg.MeasurePerf = all || want["perf"]
 		cfg.WithExtensions = true
-		cfg.Engine = engine
-		cfg.Serial = *serial
 		s, err := experiments.RunTSVC(cfg)
 		if err != nil {
 			fail("tsvc", err)
@@ -122,7 +107,7 @@ func main() {
 	}
 	if all || want["calib"] {
 		fmt.Println("calibrating the binary cost model against the assembly backend...")
-		c, err := calib.Run(calib.Config{N: *calibN, Seed: *seed})
+		c, err := experiments.RunCalib(experiments.CalibConfig{N: *calibN, Seed: *seed})
 		if err != nil {
 			fail("calib", err)
 		}

@@ -56,11 +56,6 @@ func ComputeDom(f *ir.Func) *DomInfo {
 	return di
 }
 
-// Dominates reports whether a dominates b.
-func (di *DomInfo) Dominates(a, b *ir.Block) bool {
-	return di.tree.Dominates(a, b)
-}
-
 func appendUnique(s []*ir.Block, b *ir.Block) []*ir.Block {
 	for _, x := range s {
 		if x == b {

@@ -67,9 +67,6 @@ type FuncInfo struct {
 	intern *Interner
 }
 
-// Func returns the function this info describes.
-func (fi *FuncInfo) Func() *ir.Func { return fi.f }
-
 // Index returns a map from every instruction to its position within its
 // own block. Positions of instructions in different blocks are not
 // comparable. Callers must not mutate the map.

@@ -3,7 +3,8 @@
 // linear-scan register allocation, frame layout, and (via
 // internal/backend/encode) real encoded byte sizes. It is the
 // measurement side of the cost model: costmodel estimates, backend
-// measures, and internal/backend/calib pins how far apart they drift.
+// measures, and the calibration in internal/experiments pins how far
+// apart they drift.
 //
 // Covered subset — everything the mini-C frontend and RoLAG emit:
 // integer/FP arithmetic at i8..i64/f32/f64, icmp/fcmp with branch

@@ -11,7 +11,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -64,24 +63,9 @@ func (rt *Router) ScrapeNow(ctx context.Context) {
 
 func (rt *Router) scrapeOne(ctx context.Context, name string) {
 	now := time.Now()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rt.shards[name]+"/v1/cachestats", nil)
+	cs, err := rt.fetchCacheStats(ctx, name)
 	if err != nil {
 		rt.collector.RecordError(name, err.Error(), now)
-		return
-	}
-	resp, err := rt.httpc.Do(req)
-	if err != nil {
-		rt.collector.RecordError(name, err.Error(), now)
-		return
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		rt.collector.RecordError(name, fmt.Sprintf("HTTP %d", resp.StatusCode), now)
-		return
-	}
-	var cs rolagdapi.CacheStats
-	if err := json.NewDecoder(io.LimitReader(resp.Body, rt.maxReply)).Decode(&cs); err != nil {
-		rt.collector.RecordError(name, "decoding: "+err.Error(), now)
 		return
 	}
 	rt.collector.Record(name, fleet.ShardObservation{
@@ -97,6 +81,32 @@ func (rt *Router) scrapeOne(ctx context.Context, name string) {
 		TraceDropped:     cs.TraceDropped,
 		Routes:           cs.Routes,
 	}, now)
+}
+
+// fetchCacheStats reads one shard's GET /v1/cachestats, through the
+// read cap every shard reply goes through.
+func (rt *Router) fetchCacheStats(ctx context.Context, name string) (*rolagdapi.CacheStats, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rt.shards[name]+"/v1/cachestats", nil)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := rt.httpc.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("HTTP %d", resp.StatusCode)
+	}
+	data, err := rolagdapi.ReadReply(resp.Body, rt.maxReply)
+	if err != nil {
+		return nil, err
+	}
+	var cs rolagdapi.CacheStats
+	if err := json.Unmarshal(data, &cs); err != nil {
+		return nil, fmt.Errorf("decoding: %w", err)
+	}
+	return &cs, nil
 }
 
 // FleetOverview assembles the /debug/fleet document: per-shard rows

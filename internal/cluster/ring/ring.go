@@ -74,24 +74,6 @@ func (r *Ring) Add(shard string) {
 	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })
 }
 
-// Remove takes shard off the ring. Removing an absent shard is a
-// no-op.
-func (r *Ring) Remove(shard string) {
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.shard != shard {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
-	for i, s := range r.shards {
-		if s == shard {
-			r.shards = append(r.shards[:i], r.shards[i+1:]...)
-			break
-		}
-	}
-}
-
 // Shards returns the member names in sorted order. The slice is shared;
 // callers must not mutate it.
 func (r *Ring) Shards() []string { return r.shards }

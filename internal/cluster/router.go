@@ -597,24 +597,10 @@ func (rt *Router) handleCacheStats(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(i int, name string) {
 			defer wg.Done()
+			if cs, err := rt.fetchCacheStats(r.Context(), name); err == nil {
+				per[i] = *cs
+			}
 			per[i].Shard = name
-			req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, rt.shards[name]+"/v1/cachestats", nil)
-			if err != nil {
-				return
-			}
-			resp, err := rt.httpc.Do(req)
-			if err != nil {
-				return
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				return
-			}
-			var cs rolagdapi.CacheStats
-			if json.NewDecoder(io.LimitReader(resp.Body, rt.maxReply)).Decode(&cs) == nil {
-				cs.Shard = name
-				per[i] = cs
-			}
 		}(i, name)
 	}
 	wg.Wait()

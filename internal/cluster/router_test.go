@@ -646,6 +646,9 @@ func capShard(t *testing.T, size func() int) *httptest.Server {
 	mux.HandleFunc("GET /debug/trace", func(w http.ResponseWriter, r *http.Request) {
 		pad(w, `{"traceEvents":[{"name":"s","ph":"X","ts":1,"dur":1,"pid":1,"tid":1}]}`)
 	})
+	mux.HandleFunc("GET /v1/cachestats", func(w http.ResponseWriter, r *http.Request) {
+		pad(w, `{"requests":7}`)
+	})
 	shard := httptest.NewServer(mux)
 	t.Cleanup(shard.Close)
 	rt, err := New(Config{Shards: map[string]string{"a": shard.URL}, ProbeInterval: -1, ScrapeInterval: -1})
@@ -690,6 +693,56 @@ func TestRouterShardReplyCap(t *testing.T) {
 				t.Errorf("/v1/compile relayed %d bytes of a %d-byte reply", len(data), replyCap)
 			}
 		}
+	}
+}
+
+// TestRouterCacheStatsCap reads a shard's /v1/cachestats reply of
+// exactly the read cap and refuses one a byte longer: the aggregate
+// keeps a name-only row for the shard, and the fleet scrape records
+// the cap as the shard's scrape error.
+func TestRouterCacheStatsCap(t *testing.T) {
+	n := 0
+	srv := capShard(t, func() int { return n })
+	for _, n = range []int{replyCap, replyCap + 1} {
+		var cs rolagdapi.CacheStats
+		getJSON(t, srv.URL+"/v1/cachestats", &cs)
+		if len(cs.Shards) != 1 || cs.Shards[0].Shard != "a" {
+			t.Fatalf("reply of %d bytes: shard rows %+v, want one row for a", n, cs.Shards)
+		}
+		want := int64(0) // the name-only row of a failed fetch
+		if n <= replyCap {
+			want = 7
+		}
+		if got := cs.Shards[0].Requests; got != want {
+			t.Errorf("reply of %d bytes (cap %d): shard a requests = %d, want %d", n, replyCap, got, want)
+		}
+		var ov fleet.Overview
+		getJSON(t, srv.URL+"/debug/fleet?refresh=1", &ov)
+		if len(ov.Shards) != 1 {
+			t.Fatalf("reply of %d bytes: fleet rows %+v, want one", n, ov.Shards)
+		}
+		row := ov.Shards[0]
+		if n <= replyCap && (!row.ScrapeOK || row.Requests != 7) {
+			t.Errorf("reply at the cap: fleet row %+v, want a good scrape of 7 requests", row)
+		}
+		if n > replyCap && (row.ScrapeOK || !strings.Contains(row.ScrapeError, rolagdapi.ErrReplyTooLarge.Error())) {
+			t.Errorf("reply one byte over the cap: fleet row ok=%v error %q, want %q", row.ScrapeOK, row.ScrapeError, rolagdapi.ErrReplyTooLarge)
+		}
+	}
+}
+
+func getJSON(t *testing.T, url string, v any) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status %d", url, resp.StatusCode)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+		t.Fatalf("GET %s: %v", url, err)
 	}
 }
 

@@ -101,8 +101,8 @@ func (m *Model) Instr(in *ir.Instr) int {
 			return callBytes
 		}
 		// Measurement mode counts the ABI staging around the call,
-		// calibrated against the assembly backend (see
-		// internal/backend/calib): each argument reaches its SysV slot
+		// calibrated against the assembly backend (see RunCalib in
+		// internal/experiments): each argument reaches its SysV slot
 		// with a reg-reg mov (3 bytes) or a mov-imm32 (5 bytes), and a
 		// used result moves out of the return register (3 bytes).
 		n := callBytes

@@ -1,14 +1,12 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
 	"rolag"
 	"rolag/internal/obs"
 	rl "rolag/internal/rolag"
-	"rolag/internal/service"
 	"rolag/internal/workloads/angha"
 )
 
@@ -63,12 +61,6 @@ type AnghaConfig struct {
 	N int
 	// Seed drives the generator.
 	Seed int64
-	// Engine optionally supplies a shared compilation engine; nil makes
-	// the run start (and drain) a temporary one.
-	Engine *service.Engine
-	// Serial forces the original single-threaded facade driver — the
-	// reference path the parallel engine driver is validated against.
-	Serial bool
 }
 
 // anghaBuild is the slice of one compilation the aggregation needs.
@@ -85,8 +77,7 @@ type anghaBuild struct {
 // anghaConfigs returns the three per-function pipeline configurations of
 // the §V.A experiment, in aggregation order (base, RoLAG, LLVM). The
 // RoLAG build records remarks so the summary can break rejections down
-// by reason; the stream is deterministic, so it cannot perturb the
-// serial/engine parity.
+// by reason.
 func anghaConfigs(name string) [3]rolag.Config {
 	return [3]rolag.Config{
 		{Name: name, Opt: rolag.OptNone},
@@ -95,10 +86,9 @@ func anghaConfigs(name string) [3]rolag.Config {
 	}
 }
 
-// RunAngha reproduces Fig. 15 and Fig. 16 on the synthesized corpus. By
-// default the corpus fans out over the service engine's worker pool;
-// cfg.Serial recovers the paper-faithful one-at-a-time driver. Both
-// paths aggregate identically, so their summaries are deeply equal.
+// RunAngha reproduces Fig. 15 and Fig. 16 on the synthesized corpus.
+// The functions compile side by side, each through the fail-hard
+// rolag.Build pipeline, so the first failing function fails the run.
 func RunAngha(cfg AnghaConfig) (*AnghaSummary, error) {
 	if cfg.N == 0 {
 		cfg.N = 2000
@@ -107,54 +97,34 @@ func RunAngha(cfg AnghaConfig) (*AnghaSummary, error) {
 		cfg.Seed = 20220402 // CGO 2022 presentation date
 	}
 	funcs := angha.Generate(cfg.N, cfg.Seed)
-	builds := make([][3]anghaBuild, len(funcs))
-	if cfg.Serial {
-		for i, fn := range funcs {
-			for c, bcfg := range anghaConfigs(fn.Name) {
-				res, err := rolag.Build(fn.Src, bcfg)
-				if err != nil {
-					return nil, fmt.Errorf("angha %s (%s): %w", fn.Name, bcfg.Opt, err)
-				}
-				builds[i][c] = anghaBuild{binaryAfter: res.BinaryAfter, rerolled: res.Rerolled, remarks: res.Remarks}
-				if res.Stats != nil {
-					builds[i][c].rolled = res.Stats.LoopsRolled
-					builds[i][c].nodeCounts = res.Stats.NodeCounts
-				}
+	builds, err := parallelMap(len(funcs), func(i int) (b [3]anghaBuild, err error) {
+		for c, bcfg := range anghaConfigs(funcs[i].Name) {
+			res, err := rolag.Build(funcs[i].Src, bcfg)
+			if err != nil {
+				return b, fmt.Errorf("angha %s (%s): %w", funcs[i].Name, bcfg.Opt, err)
 			}
+			b[c] = newAnghaBuild(res)
 		}
-	} else {
-		engine := cfg.Engine
-		if engine == nil {
-			engine = service.New(service.Config{})
-			defer engine.Close(context.Background())
-		}
-		reqs := make([]service.Request, 0, 3*len(funcs))
-		for _, fn := range funcs {
-			for _, bcfg := range anghaConfigs(fn.Name) {
-				reqs = append(reqs, service.Request{Source: fn.Src, Config: bcfg})
-			}
-		}
-		items := engine.CompileBatch(context.Background(), reqs)
-		for i, fn := range funcs {
-			for c := 0; c < 3; c++ {
-				item := items[3*i+c]
-				if item.Err != nil {
-					return nil, fmt.Errorf("angha %s (%s): %w", fn.Name, reqs[3*i+c].Config.Opt, item.Err)
-				}
-				builds[i][c] = anghaBuild{binaryAfter: item.Resp.BinaryAfter, rerolled: item.Resp.Rerolled, remarks: item.Resp.Remarks}
-				if item.Resp.Stats != nil {
-					builds[i][c].rolled = item.Resp.Stats.LoopsRolled
-					builds[i][c].nodeCounts = item.Resp.Stats.NodeCounts
-				}
-			}
-		}
+		return b, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return aggregateAngha(funcs, builds), nil
 }
 
-// aggregateAngha folds per-function builds into the summary. Shared by
-// the serial and parallel drivers so both produce identical output for
-// identical per-function results.
+// newAnghaBuild keeps what aggregateAngha reads of one build.
+func newAnghaBuild(res *rolag.Result) anghaBuild {
+	b := anghaBuild{binaryAfter: res.BinaryAfter, rerolled: res.Rerolled, remarks: res.Remarks}
+	if res.Stats != nil {
+		b.rolled = res.Stats.LoopsRolled
+		b.nodeCounts = res.Stats.NodeCounts
+	}
+	return b
+}
+
+// aggregateAngha folds per-function builds, in corpus order, into the
+// summary.
 func aggregateAngha(funcs []angha.Function, builds [][3]anghaBuild) *AnghaSummary {
 	summary := &AnghaSummary{
 		Total:          len(funcs),

@@ -1,8 +1,10 @@
-// Package calib calibrates the binary cost model against the assembly
-// backend: it compiles a corpus of synthesized AnghaBench-like
-// functions both straight-line (OptNone) and rolled (OptRoLAG),
-// measures the real encoded object size of each variant, and compares
-// it to the cost model's estimate. The two headline statistics are
+package experiments
+
+// The calibration of the binary cost model against the assembly backend
+// compiles a corpus of synthesized AnghaBench-like functions both
+// straight-line (OptNone) and rolled (OptRoLAG), measures the real
+// encoded object size of each variant, and compares it to the cost
+// model's estimate. The two headline statistics are
 //
 //   - MAPE: the mean absolute percentage error of the estimated object
 //     size against the measured one, over every compiled variant; and
@@ -15,7 +17,6 @@
 // a sign flip means RoLAG shipped a size regression it believed was a
 // win. MAPE bounds the bias itself so estimates stay meaningful as
 // absolute numbers (reports, Fig. 15 reductions).
-package calib
 
 import (
 	"fmt"
@@ -27,8 +28,8 @@ import (
 	"rolag/internal/workloads/angha"
 )
 
-// Sample is one corpus function's calibration record.
-type Sample struct {
+// CalibSample is one corpus function's calibration record.
+type CalibSample struct {
 	Name   string `json:"name"`
 	Family string `json:"family"`
 	// MeasuredNone/MeasuredRoLAG are the encoder's object sizes
@@ -42,10 +43,10 @@ type Sample struct {
 }
 
 // MeasuredDelta is the real byte effect of rolling (negative = smaller).
-func (s *Sample) MeasuredDelta() int64 { return s.MeasuredRoLAG - s.MeasuredNone }
+func (s *CalibSample) MeasuredDelta() int64 { return s.MeasuredRoLAG - s.MeasuredNone }
 
 // EstimatedDelta is the modeled byte effect of rolling.
-func (s *Sample) EstimatedDelta() int { return s.EstimatedRoLAG - s.EstimatedNone }
+func (s *CalibSample) EstimatedDelta() int { return s.EstimatedRoLAG - s.EstimatedNone }
 
 // err is the relative error of one variant's estimate.
 func relErr(est int, meas int64) float64 {
@@ -59,9 +60,9 @@ func relErr(est int, meas int64) float64 {
 	return d / float64(meas)
 }
 
-// Report is the aggregated calibration outcome, serialized to
+// CalibReport is the aggregated calibration outcome, serialized to
 // results/CALIB_costmodel.json.
-type Report struct {
+type CalibReport struct {
 	// Functions is the corpus size (each contributes two variants).
 	Functions int `json:"functions"`
 	// Seed reproduces the corpus.
@@ -88,36 +89,36 @@ type Report struct {
 	FamilyMAPE map[string]float64 `json:"familyMape"`
 	// Worst lists the samples with the largest relative error
 	// (descending), for re-tuning per-instruction estimates.
-	Worst []Sample `json:"worst"`
+	Worst []CalibSample `json:"worst"`
 }
 
 // Gate thresholds: the committed calibration must stay at least this
 // good, or `experiments -run calib -check` fails the build.
 const (
-	// MaxMAPE bounds the mean absolute percentage error.
-	MaxMAPE = 0.15
-	// MinSignAgreement bounds the direction-prediction accuracy.
-	MinSignAgreement = 0.95
-	// MinFunctions keeps the corpus large enough to mean something.
-	MinFunctions = 200
+	// calibMaxMAPE bounds the mean absolute percentage error.
+	calibMaxMAPE = 0.15
+	// calibMinSignAgreement bounds the direction-prediction accuracy.
+	calibMinSignAgreement = 0.95
+	// calibMinFunctions keeps the corpus large enough to mean something.
+	calibMinFunctions = 200
 )
 
 // Check applies the regression gate to a report (fresh or committed).
-func (r *Report) Check() error {
-	if r.Functions < MinFunctions {
-		return fmt.Errorf("calib: only %d functions, want >= %d", r.Functions, MinFunctions)
+func (r *CalibReport) Check() error {
+	if r.Functions < calibMinFunctions {
+		return fmt.Errorf("calib: only %d functions, want >= %d", r.Functions, calibMinFunctions)
 	}
-	if r.MAPE > MaxMAPE {
-		return fmt.Errorf("calib: MAPE %.4f exceeds %.2f", r.MAPE, MaxMAPE)
+	if r.MAPE > calibMaxMAPE {
+		return fmt.Errorf("calib: MAPE %.4f exceeds %.2f", r.MAPE, calibMaxMAPE)
 	}
-	if r.SignAgreement < MinSignAgreement {
-		return fmt.Errorf("calib: sign agreement %.4f below %.2f", r.SignAgreement, MinSignAgreement)
+	if r.SignAgreement < calibMinSignAgreement {
+		return fmt.Errorf("calib: sign agreement %.4f below %.2f", r.SignAgreement, calibMinSignAgreement)
 	}
 	return nil
 }
 
-// Config tunes a calibration run.
-type Config struct {
+// CalibConfig tunes a calibration run.
+type CalibConfig struct {
 	// N is the corpus size (default 400).
 	N int
 	// Seed drives the corpus generator (default 20220402, the same
@@ -127,9 +128,10 @@ type Config struct {
 	Worst int
 }
 
-// Run compiles the corpus twice per function and aggregates the
-// calibration report. The work is deterministic for a given Config.
-func Run(cfg Config) (*Report, error) {
+// RunCalib compiles the corpus twice per function, the functions side by
+// side, and aggregates the calibration report. The work is
+// deterministic for a given CalibConfig.
+func RunCalib(cfg CalibConfig) (*CalibReport, error) {
 	if cfg.N <= 0 {
 		cfg.N = 400
 	}
@@ -140,11 +142,10 @@ func Run(cfg Config) (*Report, error) {
 		cfg.Worst = 10
 	}
 	funcs := angha.Generate(cfg.N, cfg.Seed)
-
-	samples := make([]Sample, 0, len(funcs))
 	model := costmodel.Binary()
-	for _, fn := range funcs {
-		s := Sample{Name: fn.Name, Family: fn.Family}
+	samples, err := parallelMap(len(funcs), func(i int) (CalibSample, error) {
+		fn := funcs[i]
+		s := CalibSample{Name: fn.Name, Family: fn.Family}
 		for _, opt := range []rolag.Optimization{rolag.OptNone, rolag.OptRoLAG} {
 			c := rolag.Config{Name: fn.Name, Opt: opt}
 			if opt == rolag.OptRoLAG {
@@ -152,11 +153,11 @@ func Run(cfg Config) (*Report, error) {
 			}
 			res, err := rolag.Build(fn.Src, c)
 			if err != nil {
-				return nil, fmt.Errorf("calib: %s opt=%v: %w", fn.Name, opt, err)
+				return s, fmt.Errorf("calib: %s opt=%v: %w", fn.Name, opt, err)
 			}
 			br, err := backend.Compile(res.Module, nil)
 			if err != nil {
-				return nil, fmt.Errorf("calib: %s opt=%v: lower: %w", fn.Name, opt, err)
+				return s, fmt.Errorf("calib: %s opt=%v: lower: %w", fn.Name, opt, err)
 			}
 			measured := br.Code.Text + br.Code.Rodata
 			estimated := model.Module(res.Module)
@@ -166,9 +167,12 @@ func Run(cfg Config) (*Report, error) {
 				s.MeasuredRoLAG, s.EstimatedRoLAG = measured, estimated
 			}
 		}
-		samples = append(samples, s)
+		return s, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return aggregate(samples, cfg), nil
+	return aggregateCalib(samples, cfg), nil
 }
 
 func sign64(v int64) int {
@@ -181,8 +185,8 @@ func sign64(v int64) int {
 	return 0
 }
 
-func aggregate(samples []Sample, cfg Config) *Report {
-	r := &Report{
+func aggregateCalib(samples []CalibSample, cfg CalibConfig) *CalibReport {
+	r := &CalibReport{
 		Functions:  len(samples),
 		Seed:       cfg.Seed,
 		FamilyMAPE: make(map[string]float64),
@@ -191,7 +195,7 @@ func aggregate(samples []Sample, cfg Config) *Report {
 	var errSum float64
 	var measSum, estSum float64
 	type scored struct {
-		s   Sample
+		s   CalibSample
 		err float64
 	}
 	var ranked []scored

@@ -1,13 +1,14 @@
-package calib
+package experiments
 
 import (
 	"encoding/json"
 	"testing"
 )
 
-// TestRunSmall runs a reduced corpus and sanity-checks the aggregates.
-func TestRunSmall(t *testing.T) {
-	r, err := Run(Config{N: 60, Worst: 5})
+// TestRunCalibSmall runs a reduced calibration corpus and sanity-checks
+// the aggregates.
+func TestRunCalibSmall(t *testing.T) {
+	r, err := RunCalib(CalibConfig{N: 60, Worst: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +33,7 @@ func TestRunSmall(t *testing.T) {
 
 	// Determinism: the whole pipeline from generator to encoder must
 	// reproduce the report bit-for-bit.
-	r2, err := Run(Config{N: 60, Worst: 5})
+	r2, err := RunCalib(CalibConfig{N: 60, Worst: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,16 +44,16 @@ func TestRunSmall(t *testing.T) {
 	}
 }
 
-// TestCheckGate exercises the regression gate on synthetic reports.
-func TestCheckGate(t *testing.T) {
-	good := &Report{Functions: MinFunctions, MAPE: MaxMAPE, SignAgreement: MinSignAgreement}
+// TestCalibCheckGate exercises the regression gate on synthetic reports.
+func TestCalibCheckGate(t *testing.T) {
+	good := &CalibReport{Functions: calibMinFunctions, MAPE: calibMaxMAPE, SignAgreement: calibMinSignAgreement}
 	if err := good.Check(); err != nil {
 		t.Errorf("boundary report rejected: %v", err)
 	}
-	cases := []*Report{
-		{Functions: MinFunctions - 1, MAPE: 0.01, SignAgreement: 1},
-		{Functions: MinFunctions, MAPE: MaxMAPE + 0.01, SignAgreement: 1},
-		{Functions: MinFunctions, MAPE: 0.01, SignAgreement: MinSignAgreement - 0.01},
+	cases := []*CalibReport{
+		{Functions: calibMinFunctions - 1, MAPE: 0.01, SignAgreement: 1},
+		{Functions: calibMinFunctions, MAPE: calibMaxMAPE + 0.01, SignAgreement: 1},
+		{Functions: calibMinFunctions, MAPE: 0.01, SignAgreement: calibMinSignAgreement - 0.01},
 	}
 	for i, c := range cases {
 		if err := c.Check(); err == nil {

@@ -1,21 +1,30 @@
-package experiments_test
+package experiments
 
 import (
 	"reflect"
 	"testing"
 
-	"rolag/internal/experiments"
+	"rolag"
+	"rolag/internal/workloads/angha"
 	"rolag/internal/workloads/tsvc"
 )
 
-// TestAnghaParallelMatchesSerial checks the engine-driven corpus run is
-// result-for-result identical to the serial reference driver.
+// TestAnghaParallelMatchesSerial checks the parallel corpus run is
+// result-for-result identical to the same builds made one at a time.
 func TestAnghaParallelMatchesSerial(t *testing.T) {
-	serial, err := experiments.RunAngha(experiments.AnghaConfig{N: 150, Seed: 7, Serial: true})
-	if err != nil {
-		t.Fatal(err)
+	funcs := angha.Generate(150, 7)
+	builds := make([][3]anghaBuild, len(funcs))
+	for i, fn := range funcs {
+		for c, bcfg := range anghaConfigs(fn.Name) {
+			res, err := rolag.Build(fn.Src, bcfg)
+			if err != nil {
+				t.Fatalf("%s (%s): %v", fn.Name, bcfg.Opt, err)
+			}
+			builds[i][c] = newAnghaBuild(res)
+		}
 	}
-	parallel, err := experiments.RunAngha(experiments.AnghaConfig{N: 150, Seed: 7})
+	serial := aggregateAngha(funcs, builds)
+	parallel, err := RunAngha(AnghaConfig{N: 150, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,31 +34,39 @@ func TestAnghaParallelMatchesSerial(t *testing.T) {
 }
 
 // TestTSVCParallelMatchesSerial does the same for the TSVC methodology,
-// including the interpreted §V.D step counts (which exercise the
-// engine's module cloning).
+// including the interpreted §V.D step counts.
 func TestTSVCParallelMatchesSerial(t *testing.T) {
-	cfg := experiments.DefaultTSVCConfig()
+	cfg := DefaultTSVCConfig()
 	for i, kr := range tsvc.Kernels() {
 		if i%8 == 0 { // a cross-section of the suite, kept small for -race
 			cfg.Kernels = append(cfg.Kernels, kr.Name)
 		}
 	}
-	if len(cfg.Kernels) == 0 {
-		t.Fatal("no kernels selected")
-	}
 	cfg.MeasurePerf = true
 	cfg.WithExtensions = true
 
-	scfg := cfg
-	scfg.Serial = true
-	serial, err := experiments.RunTSVC(scfg)
+	kernels, cfgs, variants := tsvcPlan(&cfg)
+	if len(kernels) != len(cfg.Kernels) {
+		t.Fatalf("selected %d kernels for %d names", len(kernels), len(cfg.Kernels))
+	}
+	builds := make([][numVariants]tsvcBuild, len(kernels))
+	for i, kr := range kernels {
+		for v := 0; v < variants; v++ {
+			res, err := rolag.Build(kr.Src, cfgs[i][v])
+			if err != nil {
+				t.Fatalf("%s (%s): %v", kr.Name, variantNames[v], err)
+			}
+			builds[i][v] = newTSVCBuild(&cfg, v, res)
+		}
+	}
+	serial, err := aggregateTSVC(&cfg, kernels, builds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(serial.Results) != len(cfg.Kernels) {
-		t.Fatalf("serial run produced %d results for %d kernels", len(serial.Results), len(cfg.Kernels))
+	if serial.RelPerf == 0 {
+		t.Fatal("no kernel of the cross-section was interpreted for §V.D")
 	}
-	parallel, err := experiments.RunTSVC(cfg)
+	parallel, err := RunTSVC(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"sort"
 	"strings"
 
-	"rolag/internal/backend/calib"
 	rl "rolag/internal/rolag"
 )
 
@@ -213,12 +212,12 @@ func (r *Report) Fig19(s *TSVCSummary) error {
 // Calib renders the cost-model calibration summary and writes the
 // machine-readable CALIB_costmodel.json that pins the model's error
 // bars against the assembly backend across PRs.
-func (r *Report) Calib(c *calib.Report) error {
+func (r *Report) Calib(c *CalibReport) error {
 	fmt.Fprintf(r.w(), "\n== Cost-model calibration vs assembly backend (%d functions, seed %d) ==\n",
 		c.Functions, c.Seed)
-	fmt.Fprintf(r.w(), "MAPE:            %.2f%%  (gate: <= %.0f%%)\n", 100*c.MAPE, 100*calib.MaxMAPE)
+	fmt.Fprintf(r.w(), "MAPE:            %.2f%%  (gate: <= %.0f%%)\n", 100*c.MAPE, 100*calibMaxMAPE)
 	fmt.Fprintf(r.w(), "sign agreement:  %.2f%%  (gate: >= %.0f%%, %d disagreements)\n",
-		100*c.SignAgreement, 100*calib.MinSignAgreement, c.Disagreements)
+		100*c.SignAgreement, 100*calibMinSignAgreement, c.Disagreements)
 	fmt.Fprintf(r.w(), "changed by RoLAG: %d functions, measured mean delta %.1f bytes (model: %.1f)\n",
 		c.Changed, c.MeanMeasuredDelta, c.MeanEstimatedDelta)
 	fams := make([]string, 0, len(c.FamilyMAPE))

@@ -29,24 +29,25 @@ type Table1Row struct {
 }
 
 // RunTable1 builds every Table I program stand-in with and without RoLAG
-// and reports the deltas.
+// and reports the deltas. The programs compile side by side.
 func RunTable1() ([]Table1Row, error) {
-	var rows []Table1Row
-	for _, p := range programs.Table() {
+	progs := programs.Table()
+	return parallelMap(len(progs), func(i int) (Table1Row, error) {
+		p := &progs[i]
 		var before, after int
 		var rolled, llvm int
 		for _, fn := range p.Functions() {
 			base, err := rolag.Build(fn.Src, rolag.Config{Name: fn.Name, Opt: rolag.OptNone})
 			if err != nil {
-				return nil, fmt.Errorf("table1 %s/%s: %w", p.Name, fn.Name, err)
+				return Table1Row{}, fmt.Errorf("table1 %s/%s: %w", p.Name, fn.Name, err)
 			}
 			rg, err := rolag.Build(fn.Src, rolag.Config{Name: fn.Name, Opt: rolag.OptRoLAG})
 			if err != nil {
-				return nil, fmt.Errorf("table1 %s/%s (rolag): %w", p.Name, fn.Name, err)
+				return Table1Row{}, fmt.Errorf("table1 %s/%s (rolag): %w", p.Name, fn.Name, err)
 			}
 			lv, err := rolag.Build(fn.Src, rolag.Config{Name: fn.Name, Opt: rolag.OptLLVMReroll})
 			if err != nil {
-				return nil, fmt.Errorf("table1 %s/%s (llvm): %w", p.Name, fn.Name, err)
+				return Table1Row{}, fmt.Errorf("table1 %s/%s (llvm): %w", p.Name, fn.Name, err)
 			}
 			before += base.BinaryAfter
 			after += rg.BinaryAfter
@@ -66,7 +67,6 @@ func RunTable1() ([]Table1Row, error) {
 		if before > 0 {
 			row.ReductionPct = 100 * float64(before-after) / float64(before)
 		}
-		rows = append(rows, row)
-	}
-	return rows, nil
+		return row, nil
+	})
 }

@@ -2,13 +2,13 @@
 // evaluation (§V): the AnghaBench reduction curve and node breakdown
 // (Fig. 15, Fig. 16), the MiBench/SPEC program table (Table I), the TSVC
 // comparison (Fig. 17, Fig. 18, Fig. 19) and the runtime overhead
-// (§V.D). The corpus drivers fan out over the concurrent compilation
-// engine (internal/service) by default and keep a serial reference path
-// the parallel results are validated against.
+// (§V.D), plus the calibration of the binary cost model against the
+// assembly backend. Every experiment compiles its inputs side by side
+// through the fail-hard rolag.Build pipeline (parallelMap), so a
+// compile error fails the run instead of moving a number.
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
@@ -16,7 +16,6 @@ import (
 	"rolag/internal/interp"
 	"rolag/internal/ir"
 	rl "rolag/internal/rolag"
-	"rolag/internal/service"
 	"rolag/internal/workloads/tsvc"
 )
 
@@ -94,11 +93,6 @@ type TSVCConfig struct {
 	// WithExtensions additionally measures the beyond-paper extension
 	// configuration (min/max reductions).
 	WithExtensions bool
-	// Engine optionally supplies a shared compilation engine; nil makes
-	// the run start (and drain) a temporary one.
-	Engine *service.Engine
-	// Serial forces the original single-threaded facade driver.
-	Serial bool
 }
 
 // DefaultTSVCConfig returns the paper's §V.C setup.
@@ -112,7 +106,9 @@ type tsvcBuild struct {
 	rerolled                  int
 	rolled                    int
 	nodeCounts                map[rl.NodeKind]int
-	module                    *ir.Module
+	// module is kept only where §V.D interprets it: the vBase and
+	// vRoLAG variants under MeasurePerf.
+	module *ir.Module
 }
 
 // tsvcVariant names one of the per-kernel pipeline configurations, in
@@ -128,31 +124,10 @@ const (
 	numVariants
 )
 
-// tsvcConfigs returns the per-kernel configurations of the §V.C
-// methodology. The vExt slot is a zero Config unless extensions are on.
-func tsvcConfigs(cfg *TSVCConfig, name string, opts, noSpecial, extOpts *rolag.Options) [numVariants]rolag.Config {
-	out := [numVariants]rolag.Config{
-		vOracle:    {Name: name, Opt: rolag.OptNone},
-		vBase:      {Name: name, Unroll: cfg.UnrollFactor, Opt: rolag.OptNone},
-		vLLVM:      {Name: name, Unroll: cfg.UnrollFactor, Opt: rolag.OptLLVMReroll},
-		vRoLAG:     {Name: name, Unroll: cfg.UnrollFactor, Opt: rolag.OptRoLAG, Options: opts},
-		vFlat:      {Name: name, Unroll: cfg.UnrollFactor, Opt: rolag.OptRoLAG, Options: opts, Flatten: true},
-		vNoSpecial: {Name: name, Unroll: cfg.UnrollFactor, Opt: rolag.OptRoLAG, Options: noSpecial},
-	}
-	if cfg.WithExtensions {
-		out[vExt] = rolag.Config{Name: name, Unroll: cfg.UnrollFactor, Opt: rolag.OptRoLAG, Options: extOpts}
-	}
-	return out
-}
-
-var variantNames = [numVariants]string{
-	vOracle: "oracle", vBase: "base", vLLVM: "llvm", vRoLAG: "rolag",
-	vFlat: "flatten", vNoSpecial: "no-special", vExt: "extensions",
-}
-
-// RunTSVC reproduces Fig. 17 (per-kernel bars + means), Fig. 18 (oracle
-// curve), Fig. 19 (node breakdown + no-special-nodes ablation) and §V.D.
-func RunTSVC(cfg TSVCConfig) (*TSVCSummary, error) {
+// tsvcPlan applies cfg's defaults and returns the selected kernels, the
+// per-kernel configurations of the §V.C methodology, and how many of the
+// variants run (vExt only when extensions are on).
+func tsvcPlan(cfg *TSVCConfig) ([]tsvc.Kernel, [][numVariants]rolag.Config, int) {
 	if cfg.UnrollFactor == 0 {
 		cfg.UnrollFactor = 8
 	}
@@ -181,70 +156,62 @@ func RunTSVC(cfg TSVCConfig) (*TSVCSummary, error) {
 	if cfg.WithExtensions {
 		variants = numVariants
 	}
-	builds := make([][numVariants]tsvcBuild, len(kernels))
+	cfgs := make([][numVariants]rolag.Config, len(kernels))
+	for i, kr := range kernels {
+		name, unroll := kr.Name, cfg.UnrollFactor
+		cfgs[i] = [numVariants]rolag.Config{
+			vOracle:    {Name: name, Opt: rolag.OptNone},
+			vBase:      {Name: name, Unroll: unroll, Opt: rolag.OptNone},
+			vLLVM:      {Name: name, Unroll: unroll, Opt: rolag.OptLLVMReroll},
+			vRoLAG:     {Name: name, Unroll: unroll, Opt: rolag.OptRoLAG, Options: opts},
+			vFlat:      {Name: name, Unroll: unroll, Opt: rolag.OptRoLAG, Options: opts, Flatten: true},
+			vNoSpecial: {Name: name, Unroll: unroll, Opt: rolag.OptRoLAG, Options: noSpecial},
+			vExt:       {Name: name, Unroll: unroll, Opt: rolag.OptRoLAG, Options: extOpts},
+		}
+	}
+	return kernels, cfgs, variants
+}
 
-	if cfg.Serial {
-		for i, kr := range kernels {
-			cfgs := tsvcConfigs(&cfg, kr.Name, opts, noSpecial, extOpts)
-			for v := 0; v < variants; v++ {
-				res, err := rolag.Build(kr.Src, cfgs[v])
-				if err != nil {
-					return nil, fmt.Errorf("tsvc %s (%s): %w", kr.Name, variantNames[v], err)
-				}
-				builds[i][v] = tsvcBuild{
-					binaryBefore: res.BinaryBefore,
-					binaryAfter:  res.BinaryAfter,
-					rerolled:     res.Rerolled,
-					module:       res.Module,
-				}
-				if res.Stats != nil {
-					builds[i][v].rolled = res.Stats.LoopsRolled
-					builds[i][v].nodeCounts = res.Stats.NodeCounts
-				}
+var variantNames = [numVariants]string{
+	vOracle: "oracle", vBase: "base", vLLVM: "llvm", vRoLAG: "rolag",
+	vFlat: "flatten", vNoSpecial: "no-special", vExt: "extensions",
+}
+
+// RunTSVC reproduces Fig. 17 (per-kernel bars + means), Fig. 18 (oracle
+// curve), Fig. 19 (node breakdown + no-special-nodes ablation) and §V.D.
+func RunTSVC(cfg TSVCConfig) (*TSVCSummary, error) {
+	kernels, cfgs, variants := tsvcPlan(&cfg)
+	builds, err := parallelMap(len(kernels), func(i int) (b [numVariants]tsvcBuild, err error) {
+		for v := 0; v < variants; v++ {
+			res, err := rolag.Build(kernels[i].Src, cfgs[i][v])
+			if err != nil {
+				return b, fmt.Errorf("tsvc %s (%s): %w", kernels[i].Name, variantNames[v], err)
 			}
+			b[v] = newTSVCBuild(&cfg, v, res)
 		}
-	} else {
-		engine := cfg.Engine
-		if engine == nil {
-			engine = service.New(service.Config{})
-			defer engine.Close(context.Background())
-		}
-		reqs := make([]service.Request, 0, variants*len(kernels))
-		for _, kr := range kernels {
-			cfgs := tsvcConfigs(&cfg, kr.Name, opts, noSpecial, extOpts)
-			for v := 0; v < variants; v++ {
-				req := service.Request{Source: kr.Src, Config: cfgs[v]}
-				// §V.D interprets the baseline and rolled modules.
-				req.NeedModule = cfg.MeasurePerf && (v == vBase || v == vRoLAG)
-				reqs = append(reqs, req)
-			}
-		}
-		items := engine.CompileBatch(context.Background(), reqs)
-		for i, kr := range kernels {
-			for v := 0; v < variants; v++ {
-				item := items[i*variants+v]
-				if item.Err != nil {
-					return nil, fmt.Errorf("tsvc %s (%s): %w", kr.Name, variantNames[v], item.Err)
-				}
-				builds[i][v] = tsvcBuild{
-					binaryBefore: item.Resp.BinaryBefore,
-					binaryAfter:  item.Resp.BinaryAfter,
-					rerolled:     item.Resp.Rerolled,
-					module:       item.Resp.Module,
-				}
-				if item.Resp.Stats != nil {
-					builds[i][v].rolled = item.Resp.Stats.LoopsRolled
-					builds[i][v].nodeCounts = item.Resp.Stats.NodeCounts
-				}
-			}
-		}
+		return b, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return aggregateTSVC(&cfg, kernels, builds)
 }
 
-// aggregateTSVC folds per-kernel builds into the summary. Shared by the
-// serial and parallel drivers so both produce identical output for
-// identical per-kernel results.
+// newTSVCBuild keeps what aggregateTSVC reads of variant v's result.
+func newTSVCBuild(cfg *TSVCConfig, v int, res *rolag.Result) tsvcBuild {
+	b := tsvcBuild{binaryBefore: res.BinaryBefore, binaryAfter: res.BinaryAfter, rerolled: res.Rerolled}
+	if res.Stats != nil {
+		b.rolled = res.Stats.LoopsRolled
+		b.nodeCounts = res.Stats.NodeCounts
+	}
+	if cfg.MeasurePerf && (v == vBase || v == vRoLAG) {
+		b.module = res.Module
+	}
+	return b
+}
+
+// aggregateTSVC folds per-kernel builds, in kernel order, into the
+// summary.
 func aggregateTSVC(cfg *TSVCConfig, kernels []tsvc.Kernel, builds [][numVariants]tsvcBuild) (*TSVCSummary, error) {
 	summary := &TSVCSummary{NodeCounts: make(map[rl.NodeKind]int)}
 	var extSum, noSpecialSum float64

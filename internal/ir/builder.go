@@ -56,7 +56,6 @@ func (bd *Builder) Bin(op Op, lhs, rhs Value) *Instr {
 func (bd *Builder) Add(lhs, rhs Value) *Instr { return bd.Bin(OpAdd, lhs, rhs) }
 
 // Sub builds an integer sub.
-func (bd *Builder) Sub(lhs, rhs Value) *Instr { return bd.Bin(OpSub, lhs, rhs) }
 
 // Mul builds an integer mul.
 func (bd *Builder) Mul(lhs, rhs Value) *Instr { return bd.Bin(OpMul, lhs, rhs) }

@@ -31,3 +31,14 @@ func ResetTrace() { defaultRing.Reset() }
 // WriteChromeTrace renders the default ring as Chrome trace-event
 // JSON (load it in chrome://tracing or https://ui.perfetto.dev).
 func WriteChromeTrace(w io.Writer) error { return defaultRing.WriteChrome(w, "") }
+
+// Len returns the number of collected remarks.
+func (c *Collector) Len() int {
+	if c == nil {
+		return 0
+	}
+	return len(c.remarks)
+}
+
+// Parent returns the upstream hop's span ID ("" at the trace root).
+func (t TraceContext) Parent() string { return t.parent }

@@ -88,14 +88,6 @@ func (c *Collector) Remarks() []Remark {
 	return c.remarks
 }
 
-// Len returns the number of collected remarks.
-func (c *Collector) Len() int {
-	if c == nil {
-		return 0
-	}
-	return len(c.remarks)
-}
-
 // Recorder bundles the per-compilation observability state threaded
 // through the optimizer: the remark collector and the request trace.
 // A nil *Recorder (or a nil Collector inside one) disables remarks;

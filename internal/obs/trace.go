@@ -119,9 +119,6 @@ func AdoptSpanID(s string) string {
 // Active reports whether spans under this context are recorded.
 func (t TraceContext) Active() bool { return t.tid != 0 }
 
-// Parent returns the upstream hop's span ID ("" at the trace root).
-func (t TraceContext) Parent() string { return t.parent }
-
 // WithParent returns a copy whose spans record parent as their parent
 // span ID (the adopted X-Trace-Parent header).
 func (t TraceContext) WithParent(parent string) TraceContext {

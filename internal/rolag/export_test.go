@@ -166,3 +166,10 @@ func NameCounter(f *ir.Func) int {
 	}
 	return n - 1
 }
+
+// NodeCounts tallies the node kinds in the graph (Fig. 16 / Fig. 19).
+func (g *Graph) NodeCounts() map[NodeKind]int {
+	m := make(map[NodeKind]int, 4)
+	g.AddNodeCounts(m)
+	return m
+}

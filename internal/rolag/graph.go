@@ -93,13 +93,6 @@ type Graph struct {
 	Matched map[*ir.Instr]int
 }
 
-// NodeCounts tallies the node kinds in the graph (Fig. 16 / Fig. 19).
-func (g *Graph) NodeCounts() map[NodeKind]int {
-	m := make(map[NodeKind]int, 4)
-	g.AddNodeCounts(m)
-	return m
-}
-
 // AddNodeCounts accumulates the graph's node-kind tallies into dst, so
 // callers aggregating many graphs (the stats collector, rolagd's
 // per-request counts) reuse one map instead of allocating per graph.

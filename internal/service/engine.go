@@ -1,13 +1,12 @@
-// Package service is the concurrent compilation engine behind rolagd
-// and the parallel experiment drivers. It wraps the serial rolag facade
-// with a bounded worker pool, a content-addressed LRU result cache
-// (SHA-256 of source + canonical config), single-flight deduplication
-// of identical concurrent requests, per-job context deadlines, panic
-// recovery, and lock-free metrics.
+// Package service is the concurrent compilation engine behind rolagd.
+// It wraps the serial rolag facade with a bounded worker pool, a
+// content-addressed LRU result cache (SHA-256 of source + canonical
+// config), single-flight deduplication of identical concurrent
+// requests, per-job context deadlines, panic recovery, and lock-free
+// metrics.
 //
-// Cached results are immutable: the engine owns every module it stores
-// and hands callers deep clones (Request.NeedModule) or printed IR
-// (Request.EmitIR), never the cached pointer.
+// Cached results are immutable: the engine stores printed IR, never a
+// module, and hands each caller its own copy of the mutable Stats.
 package service
 
 import (
@@ -22,8 +21,6 @@ import (
 	"rolag"
 	"rolag/internal/backend"
 	"rolag/internal/faultpoint"
-	"rolag/internal/ir"
-	"rolag/internal/irparse"
 	"rolag/internal/obs"
 	rl "rolag/internal/rolag"
 )
@@ -85,9 +82,6 @@ type Request struct {
 	Config rolag.Config
 	// EmitIR asks for the final IR text in Response.IR.
 	EmitIR bool
-	// NeedModule asks for a caller-owned deep clone of the final module
-	// in Response.Module.
-	NeedModule bool
 	// Format selects an additional lowered output: "" (none) or
 	// FormatAsm, which lowers the optimized module through
 	// internal/backend and returns the x86-64 assembly plus the
@@ -141,9 +135,6 @@ type CacheEntry struct {
 // same cache entry.
 type Response struct {
 	CacheEntry
-	// Module is a private clone of the final module (only when
-	// Request.NeedModule).
-	Module *ir.Module
 	// CacheHit reports that the result came from the cache or from an
 	// identical in-flight compilation rather than a fresh compile.
 	CacheHit bool
@@ -159,9 +150,7 @@ type Response struct {
 // NOT retained: cached modules are pointer-dense graphs the GC would
 // re-scan on every cycle for the lifetime of the cache, which on a big
 // corpus costs more than the compiles the cache saves. The printed IR
-// (one flat, pointer-free string) carries the same information; the
-// rare NeedModule hit reparses it, which the printer/parser round-trip
-// guarantees is equivalent to cloning.
+// (one flat, pointer-free string) carries the same information.
 type entry struct {
 	CacheEntry
 	// degraded is non-nil for fail-soft-degraded results. Such entries
@@ -297,7 +286,7 @@ func (e *Engine) Compile(ctx context.Context, req Request) (*Response, error) {
 			e.metrics.errors.Add(1)
 			return nil, err
 		}
-		return respFromEntry(en, &req, false)
+		return respFromEntry(en, &req, false), nil
 	}
 
 	key := cacheKey(&req)
@@ -309,7 +298,7 @@ func (e *Engine) Compile(ctx context.Context, req Request) (*Response, error) {
 			if en.fromSnapshot {
 				e.metrics.snapshotWarmHits.Add(1)
 			}
-			return respFromEntry(en, &req, true)
+			return respFromEntry(en, &req, true), nil
 		}
 	}
 
@@ -351,7 +340,7 @@ func (e *Engine) Compile(ctx context.Context, req Request) (*Response, error) {
 	// the result came from the cluster's logical cache, not a compile.
 	// peerHit is per-call and only written when this caller led the
 	// flight (do runs fn synchronously on the leader's goroutine).
-	return respFromEntry(en, &req, !leader || peerHit)
+	return respFromEntry(en, &req, !leader || peerHit), nil
 }
 
 // BatchItem pairs one CompileBatch response with its error.
@@ -532,20 +521,13 @@ func (e *Engine) Close(ctx context.Context) error {
 
 // respFromEntry materializes a caller-owned Response from an immutable
 // cache entry.
-func respFromEntry(en *entry, req *Request, hit bool) (*Response, error) {
+func respFromEntry(en *entry, req *Request, hit bool) *Response {
 	resp := &Response{CacheEntry: en.CacheEntry, CacheHit: hit, Degraded: en.degraded}
 	resp.Stats = copyStats(en.Stats)
 	if !req.EmitIR {
 		resp.IR = ""
 	}
-	if req.NeedModule {
-		m, err := irparse.ParseModule(en.IR)
-		if err != nil {
-			return nil, fmt.Errorf("service: reparse cached result: %w", err)
-		}
-		resp.Module = m
-	}
-	return resp, nil
+	return resp
 }
 
 func copyStats(s *rolag.Stats) *rolag.Stats {

@@ -195,15 +195,6 @@ func phaseStats() []PhaseStat {
 	return out
 }
 
-// HitRate returns the fraction of requests served from the cache or a
-// shared in-flight compilation.
-func (s *MetricsSnapshot) HitRate() float64 {
-	if s.Requests == 0 {
-		return 0
-	}
-	return float64(s.CacheHits+s.DedupHits) / float64(s.Requests)
-}
-
 func (m *metrics) snapshot() MetricsSnapshot {
 	lat := m.latency.Snapshot()
 	s := MetricsSnapshot{
